@@ -38,6 +38,8 @@ def make_source(name: str, seed: int) -> EntropySource:
 
 
 def cmd_roll(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise ValueError(f"count must be nonnegative, got {args.count}")
     source = make_source(args.source, args.seed)
     pool = EntropyPool(args.word_bits, args.chunk_bits)
     if args.plan is not None:
@@ -149,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--baseline", action="store_true",
                        help="also run the discard-everything rejection sampler")
     bench.add_argument("--jobs", type=int, default=1,
-                       help="shard rolls over independent pools, merging counts")
+                       help="split rolls into shards run one after another, "
+                            "each on its own pool with seed+i (default 1)")
     bench.add_argument("--output", choices=("csv", "plain"), default="csv")
     _add_pool_options(bench)
     bench.set_defaults(func=cmd_bench)
@@ -177,10 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
+    except (ValueError, OverflowError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

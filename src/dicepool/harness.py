@@ -1,9 +1,10 @@
 """Empirical validation: metered benchmarks, exhaustive small-pool
 enumeration, chi-square uniformity, and a variable-radix shuffle demo.
 
-Benchmarks meter consumption with a CountingSource and correct for
-entropy still resident in the pool at the end of a run, so short runs do
-not misreport up to a word's worth of stored bits as waste:
+Benchmarks total the fresh bits each roll draws, as the pool itself
+reports them in `RollRecord.bits_consumed`, and correct for entropy
+still resident in the pool at the end of a run, so short runs do not
+misreport up to a word's worth of stored bits as waste:
 
     waste_per_roll = (bits_in - pool_delta - entropy_out) / rolls
     efficiency     = entropy_out / (bits_in - pool_delta)
@@ -13,12 +14,11 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
 from .pool import EntropyPool
-from .sources import CountingSource, EntropySource, SeededSource
+from .sources import EntropySource, SeededSource
 
 MAX_ENUM_TAPE_BITS = 16
 MAX_ENUM_SIDES = 20
@@ -114,50 +114,37 @@ def _assemble(sampler: str, sides: int, rolls: int, bits_in: int,
     )
 
 
-def _merge(parts: list[BenchReport]) -> BenchReport:
-    counts = [0] * len(parts[0].counts)
-    for part in parts:
-        for i, c in enumerate(part.counts):
-            counts[i] += c
-    return _assemble(
-        parts[0].sampler,
-        parts[0].n,
-        sum(p.rolls for p in parts),
-        sum(p.bits_in for p in parts),
-        sum(p.pool_delta for p in parts),
-        counts,
-    )
-
-
-def _shards(rolls: int, jobs: int) -> list[int]:
+def _shards(rolls: int, jobs: int):
+    """Yield the shard sizes: `rolls` split over min(jobs, rolls) shards."""
+    jobs = min(jobs, rolls)
     base, extra = divmod(rolls, jobs)
-    sizes = [base + 1] * extra + [base] * (jobs - extra)
-    return [s for s in sizes if s > 0]
+    for i in range(jobs):
+        yield base + (i < extra)
 
 
-def _check_bench_args(sides: int, rolls: int, jobs: int) -> None:
+def _run_sharded(sampler: str, sides: int, rolls: int, seed: int, jobs: int,
+                 single) -> BenchReport:
+    """Run the shards one after another and total them in one report.
+
+    Shard i gets seed + i and its own pool/source pair. `single` adds
+    its outcomes to the shared `counts` and returns the shard's
+    (bits_in, pool_delta).
+    """
     if sides < 2:
         raise ValueError(f"bench needs sides >= 2, got {sides}")
     if rolls < 1:
         raise ValueError(f"rolls must be positive, got {rolls}")
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-
-
-def _run_sharded(single, rolls: int, seed: int, jobs: int) -> BenchReport:
     start = time.perf_counter()
-    if jobs == 1:
-        report = single(rolls, seed)
-    else:
-        # Shard i gets seed + i and its own pool/source pair; counting is
-        # per pool, so merged consumption accounting stays exact.
-        sizes = _shards(rolls, jobs)
-        with ThreadPoolExecutor(max_workers=len(sizes)) as executor:
-            futures = [
-                executor.submit(single, size, seed + i)
-                for i, size in enumerate(sizes)
-            ]
-            report = _merge([f.result() for f in futures])
+    counts = [0] * sides
+    bits_in = 0
+    pool_delta = 0.0
+    for i, size in enumerate(_shards(rolls, jobs)):
+        shard_bits, shard_delta = single(size, seed + i, counts)
+        bits_in += shard_bits
+        pool_delta += shard_delta
+    report = _assemble(sampler, sides, rolls, bits_in, pool_delta, counts)
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -166,39 +153,40 @@ def bench_recycler(sides: int, rolls: int, seed: int = 1, *,
                    word_bits: int = 64, chunk_bits: int = 8,
                    jobs: int = 1) -> BenchReport:
     """Benchmark the recycling roller: `rolls` draws on one pool."""
-    _check_bench_args(sides, rolls, jobs)
-
-    def single(shard_rolls: int, shard_seed: int) -> BenchReport:
+    def single(shard_rolls: int, shard_seed: int,
+               counts: list[int]) -> tuple[int, float]:
         pool = EntropyPool(word_bits, chunk_bits)
-        source = CountingSource(SeededSource(shard_seed))
-        counts = [0] * sides
-        before = pool.entropy()
+        source = SeededSource(shard_seed)
+        bits_in = 0
         for _ in range(shard_rolls):
-            counts[pool.roll(sides, source).outcome] += 1
-        return _assemble("recycler", sides, shard_rolls,
-                         source.bits_delivered, pool.entropy() - before, counts)
+            record = pool.roll(sides, source)
+            counts[record.outcome] += 1
+            bits_in += record.bits_consumed
+        # A fresh pool holds no entropy, so its end entropy is the delta.
+        return bits_in, pool.entropy()
 
-    return _run_sharded(single, rolls, seed, jobs)
+    return _run_sharded("recycler", sides, rolls, seed, jobs, single)
 
 
 def bench_naive(sides: int, rolls: int, seed: int = 1, *,
                 jobs: int = 1) -> BenchReport:
     """Benchmark tight-fit rejection: fresh word per try, discard on miss."""
-    _check_bench_args(sides, rolls, jobs)
     word = (sides - 1).bit_length()
 
-    def single(shard_rolls: int, shard_seed: int) -> BenchReport:
-        source = CountingSource(SeededSource(shard_seed))
-        counts = [0] * sides
+    def single(shard_rolls: int, shard_seed: int,
+               counts: list[int]) -> tuple[int, float]:
+        source = SeededSource(shard_seed)
+        bits_in = 0
         for _ in range(shard_rolls):
             draw = source.next_bits(word)
+            bits_in += word
             while draw >= sides:
                 draw = source.next_bits(word)
+                bits_in += word
             counts[draw] += 1
-        return _assemble("naive", sides, shard_rolls,
-                         source.bits_delivered, 0.0, counts)
+        return bits_in, 0.0
 
-    return _run_sharded(single, rolls, seed, jobs)
+    return _run_sharded("naive", sides, rolls, seed, jobs, single)
 
 
 @dataclass

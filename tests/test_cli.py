@@ -1,7 +1,13 @@
 """CLI contract: subcommands, exit codes, frozen output formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dicepool
 from dicepool.cli import main, parse_size
 
 SHUFFLE_52_SEED_7 = (
@@ -34,6 +40,27 @@ def test_roll_one_sided(capsys):
 def test_roll_invalid_range(capsys):
     assert main(["roll", "-n", "0", "--source", "seeded"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_roll_count_bounds(capsys):
+    assert main(["roll", "-n", "6", "-c", "-1", "--source", "seeded"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error" in err
+    assert main(["roll", "-n", "6", "-c", "0", "--source", "seeded"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(dicepool.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "dicepool", "roll", "-n", "6", "--source", "seeded"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "5\n"
 
 
 def test_roll_needs_sides_or_plan(capsys):

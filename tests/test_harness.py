@@ -11,6 +11,7 @@ from dicepool import (
     enumerate_exact,
     shuffle,
 )
+from dicepool.harness import _shards
 
 SHUFFLE_52_SEED_7 = [
     21, 44, 14, 33, 6, 47, 22, 30, 34, 24, 35, 2, 27, 0, 36, 23, 4, 28,
@@ -67,6 +68,24 @@ def test_bench_sharding_merges_exactly():
     assert whole.pool_delta == pytest.approx(
         sum(part.pool_delta for part in parts), abs=1e-9
     )
+    # frozen row: the sharded report must stay byte-identical
+    assert whole.csv_row() == (
+        "recycler,6,3000,7920,165.1124978,7754.887502,0,1,2.368,5"
+    )
+
+
+def test_bench_more_jobs_than_rolls():
+    whole = bench_recycler(6, 5, seed=3, jobs=8)
+    parts = [bench_recycler(6, 1, seed=seed) for seed in range(3, 8)]
+    assert whole.rolls == 5
+    assert whole.bits_in == sum(part.bits_in for part in parts)
+    assert whole.counts == [sum(c) for c in zip(*(part.counts for part in parts))]
+    assert whole.pool_delta == sum(part.pool_delta for part in parts)
+
+
+def test_shards_capped_at_rolls():
+    assert list(_shards(10, 3)) == [4, 3, 3]
+    assert list(_shards(10, 10**12)) == [1] * 10
 
 
 def test_bench_naive_power_of_two_bits_exact():
