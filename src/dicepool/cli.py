@@ -17,11 +17,23 @@ from .radix import RadixPlan, roll_batch
 from .sources import EntropySource, OsSource, SeededSource, TapeSource
 
 
+_SIZE_BITS_LIMIT = 1 << 16  # widest power parse_size will compute
+
+
 def parse_size(text: str) -> int:
-    """Integer literal, optionally in base^exponent form like 2^24."""
+    """Integer literal, optionally in base^exponent form like 2^24.
+
+    A power wider than 2**16 bits is refused before it is computed, so
+    2^1000000000 fails at once.
+    """
     if "^" in text:
-        base, _, exponent = text.partition("^")
-        return int(base) ** int(exponent)
+        base_text, _, exponent_text = text.partition("^")
+        base, exponent = int(base_text), int(exponent_text)
+        if exponent < 0:
+            raise ValueError(f"exponent must be nonnegative, got {exponent}")
+        if (abs(base).bit_length() - 1) * exponent > _SIZE_BITS_LIMIT:
+            raise ValueError(f"{text} is wider than {_SIZE_BITS_LIMIT} bits")
+        return base ** exponent
     return int(text)
 
 
@@ -85,10 +97,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     sides = args.sides
     if sides < 2:
         raise ValueError(f"analyze needs -n >= 2, got {sides}")
-    m_from = args.m_from
-    m_to = args.m_to if args.m_to is not None else m_from
+    m_from = parse_size(args.m_from)
+    m_to = parse_size(args.m_to) if args.m_to is not None else m_from
     if m_from < 1 or m_to < m_from:
         raise ValueError(f"invalid pool range [{m_from}, {m_to}]")
+    last = m_from << ((m_to // m_from).bit_length() - 1)  # largest size swept
+    try:
+        float(last)
+    except OverflowError:
+        raise ValueError(
+            f"a {last.bit_length()}-bit pool size overflows a float; "
+            "keep pool sizes below 2^1024"
+        ) from None
     print("m,p,binary_entropy,waste_per_roll,eta_estimate,in_regime")
     pool_size = m_from
     while pool_size <= m_to:
@@ -159,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="tabulate the analytical waste model")
     analyze.add_argument("-n", "--sides", type=int, required=True)
-    analyze.add_argument("--m-from", type=parse_size, required=True,
+    analyze.add_argument("--m-from", required=True,
                          help="first pool size (accepts 2^K)")
-    analyze.add_argument("--m-to", type=parse_size, default=None,
+    analyze.add_argument("--m-to", default=None,
                          help="last pool size, swept by doubling (default: m-from)")
     analyze.set_defaults(func=cmd_analyze)
 

@@ -50,7 +50,7 @@ class EntropyPool:
     experiments on independent pool/source pairs.
     """
 
-    __slots__ = ("size", "value", "word_bits", "chunk_bits")
+    __slots__ = ("size", "value", "word_bits", "chunk_bits", "refill_ceiling")
 
     def __init__(self, word_bits: int = 64, chunk_bits: int = 8) -> None:
         if word_bits < 1:
@@ -61,17 +61,15 @@ class EntropyPool:
             )
         self.word_bits = word_bits
         self.chunk_bits = chunk_bits
+        # Largest size that still admits (and demands) another chunk, and
+        # the largest die a roll accepts; fixed for the pool's lifetime.
+        self.refill_ceiling = 1 << (word_bits - chunk_bits)
         self.size = 1    # the empty pool: one state, zero entropy
         self.value = 0
 
     @property
     def capacity(self) -> int:
         return 1 << self.word_bits
-
-    @property
-    def refill_ceiling(self) -> int:
-        """Largest size that still admits (and demands) another chunk."""
-        return 1 << (self.word_bits - self.chunk_bits)
 
     def entropy(self) -> float:
         """Stored entropy in bits: log2(size)."""
@@ -91,19 +89,29 @@ class EntropyPool:
     def top_off(self, source: EntropySource) -> int:
         """Refill from `source` until size exceeds 2**(word_bits - chunk_bits).
 
-        Each step shifts in one chunk_bits-wide chunk, so on return the
-        pool holds more than word_bits - chunk_bits bits of entropy (it
-        is left untouched if it already did). Returns the number of
-        fresh bits drawn.
+        Draws the fewest whole chunk_bits-wide chunks that lift the size
+        past the ceiling, in one read of whole chunks; the big-endian
+        source contract makes that read equal to reading chunk by chunk.
+        On return the pool holds more than word_bits - chunk_bits bits of
+        entropy (it is left untouched if it already did). Returns the
+        number of fresh bits drawn.
+
+        The refill is atomic: the read comes before any write, so if the
+        source runs out, EntropyExhausted propagates with the pool
+        unchanged, and a tape keeps every bit it had.
         """
+        size = self.size
+        # size << d first exceeds the ceiling at d = deficit; a power of
+        # two sitting exactly on a bit boundary needs one bit more.
+        deficit = (self.refill_ceiling.bit_length() - size.bit_length()
+                   + (size & (size - 1) == 0))
+        if deficit <= 0:
+            return 0
         chunk = self.chunk_bits
-        ceiling = self.refill_ceiling
-        drawn = 0
-        while self.size <= ceiling:
-            piece = source.next_bits(chunk)
-            self.size <<= chunk
-            self.value = (self.value << chunk) | piece
-            drawn += chunk
+        drawn = -(-deficit // chunk) * chunk
+        piece = source.next_bits(drawn)
+        self.size = size << drawn
+        self.value = (self.value << drawn) | piece
         return drawn
 
     def roll_step(self, sides: int) -> int | None:
@@ -133,22 +141,27 @@ class EntropyPool:
     def roll(self, sides: int, source: EntropySource) -> RollRecord:
         """Roll a fair `sides`-sided die, refilling from `source` as needed.
 
-        Tops off before every pass, not just on entry, so the accept
-        chance stays high even once recycling has shrunk the pool.
-        Requires sides <= 2**(word_bits - chunk_bits): that guarantees
-        the topped-off pool covers the range and the loop cannot stall.
+        Tops off before any pass that finds the pool at or below the
+        ceiling, not just on entry, so the accept chance stays high even
+        once recycling has shrunk the pool. Requires
+        1 <= sides <= 2**(word_bits - chunk_bits): that guarantees the
+        topped-off pool covers the range and the loop cannot stall. If a
+        refill runs out of bits, EntropyExhausted propagates and the
+        passes already made stay applied.
         """
-        if sides < 1:
-            raise ValueError(f"die must have at least one side, got {sides}")
-        if sides > self.refill_ceiling:
+        ceiling = self.refill_ceiling
+        if not 1 <= sides <= ceiling:
+            if sides < 1:
+                raise ValueError(f"die must have at least one side, got {sides}")
             raise RangeTooLarge(
-                f"sides={sides} exceeds 2**(word_bits-chunk_bits)={self.refill_ceiling}"
+                f"sides={sides} exceeds 2**(word_bits-chunk_bits)={ceiling}"
             )
         iterations = 0
         drawn = 0
         while True:
             iterations += 1
-            drawn += self.top_off(source)
+            if self.size <= ceiling:
+                drawn += self.top_off(source)
             outcome = self.roll_step(sides)
             if outcome is not None:
                 return RollRecord(sides, outcome, iterations, drawn)

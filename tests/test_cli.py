@@ -25,6 +25,13 @@ CSV_HEADER = (
 def test_parse_size():
     assert parse_size("123") == 123
     assert parse_size("2^24") == 1 << 24
+    assert parse_size("1^1000000000") == 1  # a base that cannot grow is not bounded
+
+
+@pytest.mark.parametrize("text", ["2^1000000000", "3^70000", "2^-1"])
+def test_parse_size_refuses_huge_or_negative_powers(text):
+    with pytest.raises(ValueError):
+        parse_size(text)
 
 
 def test_roll_seeded_fixture(capsys):
@@ -142,6 +149,23 @@ def test_analyze_out_of_regime_marker(capsys):
 def test_analyze_invalid_range(capsys):
     assert main(["analyze", "-n", "33", "--m-from", "64", "--m-to", "32"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--m-from", "2^5000"],                  # past float range: no header first
+    ["--m-from", "2", "--m-to", "2^1024"],   # the sweep's last size overflows
+    ["--m-from", "2^1000000000"],            # refused before it is computed
+])
+def test_analyze_rejects_sizes_past_float_range(capsys, argv):
+    assert main(["analyze", "-n", "6", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_analyze_largest_float_size(capsys):
+    assert main(["analyze", "-n", "6", "--m-from", "2^1023"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(str(1 << 1023))
 
 
 def test_enumerate_pass(capsys):

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicepool import (
     CountingSource,
@@ -72,10 +74,20 @@ def test_top_off_noop_when_full():
     assert (pool.size, pool.value) == (1 << 64, 5)
 
 
+# (word_bits, chunk_bits, bits an empty pool's top-off draws)
+EXHAUSTION_CASES = [(64, 8, 64), (16, 8, 16), (13, 5, 10)]
+
+
 def test_top_off_propagates_exhaustion():
-    pool = EntropyPool(16, 8)
-    with pytest.raises(EntropyExhausted):
-        pool.top_off(TapeSource(bytes([0x01])))
+    # A refill one chunk short of what it needs leaves pool and tape as they were.
+    for word_bits, chunk_bits, needed in EXHAUSTION_CASES:
+        pool = EntropyPool(word_bits, chunk_bits)
+        tape = TapeSource.from_int(0b10110, needed - chunk_bits)
+        with pytest.raises(EntropyExhausted):
+            pool.top_off(tape)
+        assert pool.snapshot() == (1, 0, word_bits, chunk_bits)
+        assert tape.bits_remaining == needed - chunk_bits
+        assert tape.next_bits(needed - chunk_bits) == 0b10110  # the same bits, unread
 
 
 def test_roll_step_success_path():
@@ -160,9 +172,13 @@ def test_seeded_stream_replayed_from_tape_gives_same_rolls():
 
 
 def test_roll_propagates_exhaustion():
-    pool = EntropyPool(64, 8)
-    with pytest.raises(EntropyExhausted):
-        pool.roll(6, TapeSource(bytes(7)))  # one byte short of a full top-off
+    for word_bits, chunk_bits, needed in EXHAUSTION_CASES:
+        pool = EntropyPool(word_bits, chunk_bits)
+        tape = TapeSource(bytes(8), needed - chunk_bits)  # one chunk short
+        with pytest.raises(EntropyExhausted):
+            pool.roll(6, tape)
+        assert pool.snapshot() == (1, 0, word_bits, chunk_bits)
+        assert tape.bits_remaining == needed - chunk_bits
 
 
 def test_state_validity_over_random_operations():
@@ -213,3 +229,110 @@ def test_reduction_ledger_matches_waste_model():
         shortfall = math.log2(size) - after_total / size
         expected = waste_per_iteration(size, sides, size // sides)
         assert shortfall == pytest.approx(expected, abs=1e-12)
+
+
+# Differential gate: `top_off` and `roll` against a reference that refills
+# one chunk at a time, before every pass, and reduces with `roll_step`.
+
+def reference_top_off(pool, source):
+    drawn = 0
+    while pool.size <= 1 << (pool.word_bits - pool.chunk_bits):
+        piece = source.next_bits(pool.chunk_bits)
+        pool.size <<= pool.chunk_bits
+        pool.value = (pool.value << pool.chunk_bits) | piece
+        drawn += pool.chunk_bits
+    return drawn
+
+
+def reference_roll(pool, sides, source):
+    iterations = drawn = 0
+    while True:
+        iterations += 1
+        drawn += reference_top_off(pool, source)
+        outcome = pool.roll_step(sides)
+        if outcome is not None:
+            return (outcome, iterations, drawn)
+
+
+def source_pair(tape, seed):
+    if tape is None:
+        return SeededSource(seed), SeededSource(seed)
+    return TapeSource(tape), TapeSource(tape)
+
+
+def rest_of(source):
+    """What a source still holds: the tape's remaining bits, or the next word."""
+    if isinstance(source, TapeSource):
+        left = source.bits_remaining
+        return (left, source.next_bits(left) if left else 0)
+    return source.next_bits(64)
+
+
+@st.composite
+def pool_setups(draw):
+    word_bits = draw(st.one_of(st.integers(1, 130), st.sampled_from([13, 64, 128])))
+    chunk_bits = draw(st.integers(1, word_bits))
+    ceiling = 1 << (word_bits - chunk_bits)
+    size = draw(st.one_of(st.just(1), st.integers(1, 1 << word_bits)))
+    value = draw(st.integers(0, size - 1))
+    tape = draw(st.one_of(st.none(), st.binary(max_size=300)))
+    seed = draw(st.integers(0, 2**64 - 1))
+    sides = draw(st.lists(
+        st.one_of(st.integers(1, min(ceiling, 64)), st.integers(1, ceiling)),
+        max_size=50,
+    ))
+    return (size, value, word_bits, chunk_bits), tape, seed, sides
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_setups())
+def test_top_off_matches_chunk_loop(setup):
+    snap, tape, seed, _ = setup
+    pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
+    source, reference = source_pair(tape, seed)
+    before = rest_of(source_pair(tape, seed)[0])
+    try:
+        want = reference_top_off(expected, reference)
+    except EntropyExhausted:
+        with pytest.raises(EntropyExhausted):
+            pool.top_off(source)
+        assert pool.snapshot() == snap
+        assert rest_of(source) == before
+        return
+    assert pool.top_off(source) == want
+    assert pool.snapshot() == expected.snapshot()
+    assert rest_of(source) == rest_of(reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_setups())
+def test_roll_matches_refill_every_pass_reference(setup):
+    snap, tape, seed, sides_list = setup
+    pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
+    source, reference = source_pair(tape, seed)
+    for sides in sides_list:
+        try:
+            want = reference_roll(expected, sides, reference)
+        except EntropyExhausted:
+            with pytest.raises(EntropyExhausted):
+                pool.roll(sides, source)
+            return
+        record = pool.roll(sides, source)
+        assert (record.outcome, record.iterations, record.bits_consumed) == want
+    assert pool.snapshot() == expected.snapshot()
+    assert rest_of(source) == rest_of(reference)
+
+
+@pytest.mark.parametrize("word_bits,chunk_bits",
+                         [(1, 1), (7, 7), (13, 5), (16, 8), (64, 8), (65, 8), (128, 8), (130, 1)])
+def test_top_off_boundary_sizes_match_chunk_loop(word_bits, chunk_bits):
+    ceiling = 1 << (word_bits - chunk_bits)
+    sizes = {1, ceiling, max(1, ceiling >> chunk_bits), (ceiling >> chunk_bits) + 1}
+    sizes.update(1 << e for e in range(word_bits + 1))
+    for size in sorted(sizes):
+        snap = (size, size - 1, word_bits, chunk_bits)
+        pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
+        source, reference = SeededSource(size), SeededSource(size)
+        assert pool.top_off(source) == reference_top_off(expected, reference), size
+        assert pool.snapshot() == expected.snapshot()
+        assert source.next_bits(64) == reference.next_bits(64)
