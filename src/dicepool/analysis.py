@@ -26,8 +26,8 @@ def binary_entropy(p: float) -> float:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if p == 0.0 or p == 1.0:
         return 0.0
-    q = 1.0 - p
-    return -p * math.log2(p) - q * math.log2(q)
+    # log1p keeps the (1-p) term accurate for tiny p, where 1.0 - p rounds to 1.
+    return -p * math.log2(p) - (1.0 - p) * math.log1p(-p) / math.log(2.0)
 
 
 def waste_per_iteration(pool_size: int, sides: int, keep: int) -> float:

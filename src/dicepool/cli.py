@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import binary_entropy, estimate_point, waste_per_roll
+from .analysis import binary_entropy, estimate_point
 from .harness import BenchReport, bench_naive, bench_recycler, enumerate_exact, shuffle
 from .pool import EntropyPool
 from .radix import RadixPlan, roll_batch
 from .sources import EntropySource, OsSource, SeededSource, TapeSource
 
 
-_SIZE_BITS_LIMIT = 1 << 16  # widest power parse_size will compute
+_SIZE_BITS_LIMIT = 1 << 16  # widest power parse_size computes, widest -W pool
 
 
 def parse_size(text: str) -> int:
@@ -49,11 +49,20 @@ def make_source(name: str, seed: int) -> EntropySource:
     raise ValueError(f"unknown source '{name}' (expected seeded, os, or tape:PATH)")
 
 
+def _pool_kwargs(args: argparse.Namespace) -> dict[str, int]:
+    """The -W/-B pair as keyword arguments, refusing pools wider than 2**16 bits."""
+    if args.word_bits > _SIZE_BITS_LIMIT:
+        raise ValueError(
+            f"word bits must be at most {_SIZE_BITS_LIMIT}, got {args.word_bits}"
+        )
+    return {"word_bits": args.word_bits, "chunk_bits": args.chunk_bits}
+
+
 def cmd_roll(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError(f"count must be nonnegative, got {args.count}")
     source = make_source(args.source, args.seed)
-    pool = EntropyPool(args.word_bits, args.chunk_bits)
+    pool = EntropyPool(**_pool_kwargs(args))
     if args.plan is not None:
         plan = RadixPlan(int(part) for part in args.plan.split(","))
         for _ in range(args.count):
@@ -69,20 +78,15 @@ def cmd_roll(args: argparse.Namespace) -> int:
 
 def cmd_shuffle(args: argparse.Namespace) -> int:
     source = make_source(args.source, args.seed)
-    order = shuffle(args.deck, source=source,
-                    word_bits=args.word_bits, chunk_bits=args.chunk_bits)
+    order = shuffle(args.deck, source=source, **_pool_kwargs(args))
     print(" ".join(str(card) for card in order))
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    reports = [
-        bench_recycler(args.sides, args.rolls, args.seed,
-                       word_bits=args.word_bits, chunk_bits=args.chunk_bits,
-                       jobs=args.jobs)
-    ]
+    reports = [bench_recycler(args.sides, args.rolls, args.seed, **_pool_kwargs(args))]
     if args.baseline:
-        reports.append(bench_naive(args.sides, args.rolls, args.seed, jobs=args.jobs))
+        reports.append(bench_naive(args.sides, args.rolls, args.seed))
     if args.output == "csv":
         print(BenchReport.csv_header())
         for report in reports:
@@ -112,10 +116,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print("m,p,binary_entropy,waste_per_roll,eta_estimate,in_regime")
     pool_size = m_from
     while pool_size <= m_to:
-        p = (pool_size - pool_size % sides) / pool_size
-        waste = waste_per_roll(p) if p > 0.0 else float("inf")
+        offcut = pool_size % sides
+        p = (pool_size - offcut) / pool_size
+        # h(p) = h(1 - p); the offcut share keeps its precision where p rounds to 1.
+        entropy = binary_entropy(offcut / pool_size)
+        waste = entropy / p if p > 0.0 else float("inf")
         point = estimate_point(sides, pool_size)
-        print(f"{pool_size},{p:.10g},{binary_entropy(p):.10g},{waste:.10g},"
+        print(f"{pool_size},{p:.10g},{entropy:.10g},{waste:.10g},"
               f"{point.eta:.10g},{int(point.in_regime)}")
         pool_size *= 2
     return 0
@@ -132,7 +139,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _add_pool_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-W", "--word-bits", type=int, default=64,
-                        help="pool capacity bound in bits (default 64)")
+                        help="pool capacity bound in bits, at most 2^16 (default 64)")
     parser.add_argument("-B", "--chunk-bits", type=int, default=8,
                         help="refill granularity in bits (default 8)")
 
@@ -170,9 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeded source for reproducibility (default 1)")
     bench.add_argument("--baseline", action="store_true",
                        help="also run the discard-everything rejection sampler")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="split rolls into shards run one after another, "
-                            "each on its own pool with seed+i (default 1)")
     bench.add_argument("--output", choices=("csv", "plain"), default="csv")
     _add_pool_options(bench)
     bench.set_defaults(func=cmd_bench)

@@ -22,6 +22,7 @@ from .sources import EntropySource, SeededSource
 
 MAX_ENUM_TAPE_BITS = 16
 MAX_ENUM_SIDES = 20
+MAX_TABLE_SIZE = 1 << 20  # largest bench die and shuffle deck: one list slot each
 
 
 def chi_square(counts: Sequence[int]) -> tuple[float, int]:
@@ -94,8 +95,17 @@ class BenchReport:
         )
 
 
+def _check_bench_args(sides: int, rolls: int) -> None:
+    if sides < 2:
+        raise ValueError(f"bench needs sides >= 2, got {sides}")
+    if sides > MAX_TABLE_SIZE:
+        raise ValueError(f"bench needs sides <= {MAX_TABLE_SIZE}, got {sides}")
+    if rolls < 1:
+        raise ValueError(f"rolls must be positive, got {rolls}")
+
+
 def _assemble(sampler: str, sides: int, rolls: int, bits_in: int,
-              pool_delta: float, counts: list[int]) -> BenchReport:
+              pool_delta: float, counts: list[int], start: float) -> BenchReport:
     entropy_out = rolls * math.log2(sides)
     spent = bits_in - pool_delta
     stat, dof = chi_square(counts)
@@ -111,82 +121,43 @@ def _assemble(sampler: str, sides: int, rolls: int, bits_in: int,
         chi_square=stat,
         dof=dof,
         counts=counts,
+        elapsed=time.perf_counter() - start,
     )
 
 
-def _shards(rolls: int, jobs: int):
-    """Yield the shard sizes: `rolls` split over min(jobs, rolls) shards."""
-    jobs = min(jobs, rolls)
-    base, extra = divmod(rolls, jobs)
-    for i in range(jobs):
-        yield base + (i < extra)
-
-
-def _run_sharded(sampler: str, sides: int, rolls: int, seed: int, jobs: int,
-                 single) -> BenchReport:
-    """Run the shards one after another and total them in one report.
-
-    Shard i gets seed + i and its own pool/source pair. `single` adds
-    its outcomes to the shared `counts` and returns the shard's
-    (bits_in, pool_delta).
-    """
-    if sides < 2:
-        raise ValueError(f"bench needs sides >= 2, got {sides}")
-    if rolls < 1:
-        raise ValueError(f"rolls must be positive, got {rolls}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
+def bench_recycler(sides: int, rolls: int, seed: int = 1, *,
+                   word_bits: int = 64, chunk_bits: int = 8) -> BenchReport:
+    """Benchmark the recycling roller: `rolls` draws on one pool."""
+    _check_bench_args(sides, rolls)
     start = time.perf_counter()
+    pool = EntropyPool(word_bits, chunk_bits)
+    source = SeededSource(seed)
     counts = [0] * sides
     bits_in = 0
-    pool_delta = 0.0
-    for i, size in enumerate(_shards(rolls, jobs)):
-        shard_bits, shard_delta = single(size, seed + i, counts)
-        bits_in += shard_bits
-        pool_delta += shard_delta
-    report = _assemble(sampler, sides, rolls, bits_in, pool_delta, counts)
-    report.elapsed = time.perf_counter() - start
-    return report
+    for _ in range(rolls):
+        record = pool.roll(sides, source)
+        counts[record.outcome] += 1
+        bits_in += record.bits_consumed
+    # A fresh pool holds no entropy, so its end entropy is the delta.
+    return _assemble("recycler", sides, rolls, bits_in, pool.entropy(), counts, start)
 
 
-def bench_recycler(sides: int, rolls: int, seed: int = 1, *,
-                   word_bits: int = 64, chunk_bits: int = 8,
-                   jobs: int = 1) -> BenchReport:
-    """Benchmark the recycling roller: `rolls` draws on one pool."""
-    def single(shard_rolls: int, shard_seed: int,
-               counts: list[int]) -> tuple[int, float]:
-        pool = EntropyPool(word_bits, chunk_bits)
-        source = SeededSource(shard_seed)
-        bits_in = 0
-        for _ in range(shard_rolls):
-            record = pool.roll(sides, source)
-            counts[record.outcome] += 1
-            bits_in += record.bits_consumed
-        # A fresh pool holds no entropy, so its end entropy is the delta.
-        return bits_in, pool.entropy()
-
-    return _run_sharded("recycler", sides, rolls, seed, jobs, single)
-
-
-def bench_naive(sides: int, rolls: int, seed: int = 1, *,
-                jobs: int = 1) -> BenchReport:
+def bench_naive(sides: int, rolls: int, seed: int = 1) -> BenchReport:
     """Benchmark tight-fit rejection: fresh word per try, discard on miss."""
+    _check_bench_args(sides, rolls)
+    start = time.perf_counter()
     word = (sides - 1).bit_length()
-
-    def single(shard_rolls: int, shard_seed: int,
-               counts: list[int]) -> tuple[int, float]:
-        source = SeededSource(shard_seed)
-        bits_in = 0
-        for _ in range(shard_rolls):
+    source = SeededSource(seed)
+    counts = [0] * sides
+    bits_in = 0
+    for _ in range(rolls):
+        draw = source.next_bits(word)
+        bits_in += word
+        while draw >= sides:
             draw = source.next_bits(word)
             bits_in += word
-            while draw >= sides:
-                draw = source.next_bits(word)
-                bits_in += word
-            counts[draw] += 1
-        return bits_in, 0.0
-
-    return _run_sharded("naive", sides, rolls, seed, jobs, single)
+        counts[draw] += 1
+    return _assemble("naive", sides, rolls, bits_in, 0.0, counts, start)
 
 
 @dataclass
@@ -252,8 +223,8 @@ def shuffle(deck: int, seed: int = 1, *, source: EntropySource | None = None,
     Rolls a deck-sided die, then deck-1, and so on down to 2: a
     different radix every round, all recycled through the same pool.
     """
-    if deck < 1:
-        raise ValueError(f"deck must be positive, got {deck}")
+    if not 1 <= deck <= MAX_TABLE_SIZE:
+        raise ValueError(f"deck must be in [1, {MAX_TABLE_SIZE}], got {deck}")
     if source is None:
         source = SeededSource(seed)
     pool = EntropyPool(word_bits, chunk_bits)

@@ -34,26 +34,25 @@ class EntropySource:
 class _BufferedSource(EntropySource):
     """Base for word-producing sources; serves arbitrary chunk sizes.
 
-    Subclasses implement `_pull() -> (value, nbits)` delivering the next
-    whole word of fresh bits. The FIFO buffer keeps the oldest bit in the
-    most significant position, which is what makes chunked reads agree
-    with one wide read.
+    Subclasses implement `_pull()` returning the next 64-bit word of
+    fresh bits. The FIFO buffer keeps the oldest bit in the most
+    significant position, which is what makes chunked reads agree with
+    one wide read.
     """
 
     def __init__(self) -> None:
         self._buf = 0
         self._nbuf = 0
 
-    def _pull(self) -> tuple[int, int]:
+    def _pull(self) -> int:
         raise NotImplementedError
 
     def next_bits(self, count: int) -> int:
         if count < 1:
             raise ValueError(f"bit count must be positive, got {count}")
         while self._nbuf < count:
-            value, nbits = self._pull()
-            self._buf = (self._buf << nbits) | value
-            self._nbuf += nbits
+            self._buf = (self._buf << 64) | self._pull()
+            self._nbuf += 64
         self._nbuf -= count
         out = self._buf >> self._nbuf
         self._buf &= (1 << self._nbuf) - 1
@@ -76,12 +75,12 @@ class SeededSource(_BufferedSource):
         super().__init__()
         self._state = seed & _MASK64
 
-    def _pull(self) -> tuple[int, int]:
+    def _pull(self) -> int:
         self._state = (self._state + _SPLITMIX_GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * _SPLITMIX_MULT1) & _MASK64
         z = ((z ^ (z >> 27)) * _SPLITMIX_MULT2) & _MASK64
-        return z ^ (z >> 31), 64
+        return z ^ (z >> 31)
 
 
 class OsSource(_BufferedSource):
@@ -91,11 +90,11 @@ class OsSource(_BufferedSource):
     randomness facility exists. Excluded from regression fixtures.
     """
 
-    def _pull(self) -> tuple[int, int]:
-        return int.from_bytes(os.urandom(8), "big"), 64
+    def _pull(self) -> int:
+        return int.from_bytes(os.urandom(8), "big")
 
 
-class TapeSource(_BufferedSource):
+class TapeSource(EntropySource):
     """Finite, replayable bit tape.
 
     The tape is the first `nbits` bits of `data`, most significant bit of
@@ -105,7 +104,6 @@ class TapeSource(_BufferedSource):
     """
 
     def __init__(self, data: bytes, nbits: int | None = None) -> None:
-        super().__init__()
         self._data = bytes(data)
         total = 8 * len(self._data)
         if nbits is None:
@@ -126,24 +124,24 @@ class TapeSource(_BufferedSource):
 
     @property
     def bits_remaining(self) -> int:
-        return self._nbits - self._pos + self._nbuf
+        return self._nbits - self._pos
 
     def fork(self) -> "TapeSource":
         """Independent reader over the same remaining bits."""
         twin = TapeSource(self._data, self._nbits)
         twin._pos = self._pos
-        twin._buf = self._buf
-        twin._nbuf = self._nbuf
         return twin
 
-    def _pull(self) -> tuple[int, int]:
-        if self._pos >= self._nbits:
+    def next_bits(self, count: int) -> int:
+        if count < 1:
+            raise ValueError(f"bit count must be positive, got {count}")
+        end = self._pos + count
+        if end > self._nbits:
             raise EntropyExhausted(f"tape exhausted after {self._nbits} bits")
-        byte_index, offset = divmod(self._pos, 8)
-        avail = min(8 - offset, self._nbits - self._pos)
-        value = (self._data[byte_index] >> (8 - offset - avail)) & ((1 << avail) - 1)
-        self._pos += avail
-        return value, avail
+        last = (end + 7) // 8  # the bytes covering [pos, end)
+        window = int.from_bytes(self._data[self._pos // 8:last], "big")
+        self._pos = end
+        return (window >> (8 * last - end)) & ((1 << count) - 1)
 
 
 class CountingSource(EntropySource):

@@ -28,6 +28,13 @@ def test_binary_entropy_value():
     assert binary_entropy(0.11) == pytest.approx(0.499915958164528, abs=1e-12)
 
 
+def test_binary_entropy_tiny_argument():
+    # the (1-p) term is p/ln 2 to first order, not lost to 1.0 - p == 1.0
+    p = 2.0**-60
+    model = p * (math.log2(1 / p) + 1 / math.log(2))
+    assert math.isclose(binary_entropy(p), model, rel_tol=1e-12)
+
+
 def test_binary_entropy_symmetry():
     for p in (0.01, 0.2, 0.37):
         assert binary_entropy(p) == pytest.approx(binary_entropy(1 - p), abs=1e-12)

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, frozen output formats."""
 
+import math
 import os
 import subprocess
 import sys
@@ -113,10 +114,22 @@ def test_bench_plain_output(capsys):
     assert "efficiency" in out
 
 
-def test_bench_jobs_shards(capsys):
-    assert main(["bench", "-n", "6", "--rolls", "2000", "--jobs", "4"]) == 0
-    row = capsys.readouterr().out.splitlines()[1].split(",")
-    assert row[2] == "2000"
+@pytest.mark.parametrize("argv", [
+    ["bench", "-n", "144115188075855872", "--rolls", "1"],
+    ["shuffle", "--deck", "144115188075855872", "--source", "seeded"],
+    ["roll", "-n", "6", "-W", "1125899906842624", "--source", "seeded"],
+    ["bench", "-n", "6", "--rolls", "1", "-W", "65537"],
+])
+def test_flags_that_size_an_allocation_are_bounded(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_widest_pool_accepted(capsys):
+    assert main(["roll", "-n", "6", "-W", "65536", "--source", "seeded"]) == 0
+    assert capsys.readouterr().out in {f"{i}\n" for i in range(6)}
 
 
 def test_analyze_single_row_exact_division(capsys):
@@ -161,6 +174,22 @@ def test_analyze_rejects_sizes_past_float_range(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_analyze_stays_accurate_past_float_precision(capsys):
+    # From m = 2^55 on, (m - m % 6) / m rounds to 1.0; the waste must not.
+    assert main(["analyze", "-n", "6", "--m-from", "2^55", "--m-to", "2^64"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == [1 << k for k in range(55, 65)]
+    wastes = [float(row[3]) for row in rows]
+    assert all(w > 0 for w in wastes)
+    assert wastes == sorted(wastes, reverse=True)
+    for row in rows:
+        m = int(row[0])
+        q = (m % 6) / m
+        model = q * (math.log2(1 / q) + 1 / math.log(2))
+        assert math.isclose(float(row[2]), model, rel_tol=1e-9)
+        assert math.isclose(float(row[3]), model, rel_tol=1e-9)
 
 
 def test_analyze_largest_float_size(capsys):

@@ -11,7 +11,7 @@ from dicepool import (
     enumerate_exact,
     shuffle,
 )
-from dicepool.harness import _shards
+from dicepool.harness import MAX_TABLE_SIZE
 
 SHUFFLE_52_SEED_7 = [
     21, 44, 14, 33, 6, 47, 22, 30, 34, 24, 35, 2, 27, 0, 36, 23, 4, 28,
@@ -59,33 +59,17 @@ def test_bench_is_deterministic():
     assert a.csv_row() == b.csv_row()
 
 
-def test_bench_sharding_merges_exactly():
-    whole = bench_recycler(6, 3000, seed=10, jobs=3)
-    parts = [bench_recycler(6, 1000, seed=10 + i) for i in range(3)]
-    assert whole.rolls == 3000
-    assert whole.bits_in == sum(part.bits_in for part in parts)
-    assert whole.counts == [sum(c) for c in zip(*(part.counts for part in parts))]
-    assert whole.pool_delta == pytest.approx(
-        sum(part.pool_delta for part in parts), abs=1e-9
-    )
-    # frozen row: the sharded report must stay byte-identical
-    assert whole.csv_row() == (
-        "recycler,6,3000,7920,165.1124978,7754.887502,0,1,2.368,5"
-    )
-
-
-def test_bench_more_jobs_than_rolls():
-    whole = bench_recycler(6, 5, seed=3, jobs=8)
-    parts = [bench_recycler(6, 1, seed=seed) for seed in range(3, 8)]
-    assert whole.rolls == 5
-    assert whole.bits_in == sum(part.bits_in for part in parts)
-    assert whole.counts == [sum(c) for c in zip(*(part.counts for part in parts))]
-    assert whole.pool_delta == sum(part.pool_delta for part in parts)
-
-
-def test_shards_capped_at_rolls():
-    assert list(_shards(10, 3)) == [4, 3, 3]
-    assert list(_shards(10, 10**12)) == [1] * 10
+@pytest.mark.parametrize("run,row", [
+    (lambda: bench_recycler(6, 3000, seed=10),
+     "recycler,6,3000,7816,61.11249784,7754.887502,0,1,2.568,5"),
+    (lambda: bench_naive(6, 3000, seed=10),
+     "naive,6,3000,11898,0,7754.887502,1.381037499,0.6517807617,0.628,5"),
+    (lambda: bench_recycler(33, 5000, seed=4, word_bits=13, chunk_bits=5),
+     "recycler,33,5000,25705,6.475733431,25221.9706,0.09531073396,"
+     "0.9814559908,18.7852,32"),
+], ids=["recycler-d6", "naive-d6", "recycler-d33-W13-B5"])
+def test_bench_pinned_rows(run, row):
+    assert run().csv_row() == row
 
 
 def test_bench_naive_power_of_two_bits_exact():
@@ -105,7 +89,10 @@ def test_bench_argument_validation():
     with pytest.raises(ValueError):
         bench_recycler(6, 0)
     with pytest.raises(ValueError):
-        bench_naive(6, 10, jobs=0)
+        bench_naive(1, 10)
+    for bench in (bench_recycler, bench_naive):
+        with pytest.raises(ValueError):
+            bench(MAX_TABLE_SIZE + 1, 1)  # refused before the histogram is made
 
 
 def test_csv_row_shape():
@@ -200,3 +187,5 @@ def test_shuffle_exhaustive_uniformity():
 def test_shuffle_domain():
     with pytest.raises(ValueError):
         shuffle(0)
+    with pytest.raises(ValueError):
+        shuffle(MAX_TABLE_SIZE + 1)

@@ -33,6 +33,7 @@ def test_tape_partial_read_then_exhaustion():
     assert tape.next_bits(4) == 0xA
     with pytest.raises(EntropyExhausted):
         tape.next_bits(8)
+    assert tape.next_bits(4) == 0xB  # the failed read consumed nothing
 
 
 def test_tape_bit_order_msb_first():
