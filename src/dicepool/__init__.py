@@ -30,7 +30,7 @@ from .harness import (
     enumerate_exact,
     shuffle,
 )
-from .pool import EntropyPool, PoolOverflow, RangeTooLarge, RollRecord
+from .pool import EntropyPool, RangeTooLarge
 from .radix import (
     RadixPlan,
     decode_mixed_radix,
@@ -60,11 +60,9 @@ __all__ = [
     "EnumerationResult",
     "NaiveModel",
     "OsSource",
-    "PoolOverflow",
     "RadixPlan",
     "RangeTooLarge",
     "RegimeWarning",
-    "RollRecord",
     "SeededSource",
     "TapeSource",
     "WastePoint",

@@ -8,6 +8,7 @@ fallback randomness in seeded or tape mode.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .analysis import binary_entropy, estimate_point
@@ -18,6 +19,7 @@ from .sources import EntropySource, OsSource, SeededSource, TapeSource
 
 
 _SIZE_BITS_LIMIT = 1 << 16  # widest power parse_size computes, widest -W pool
+MAX_TAPE_BYTES = 1 << 24  # longest tape:PATH file read into memory
 
 
 def parse_size(text: str) -> int:
@@ -45,7 +47,10 @@ def make_source(name: str, seed: int) -> EntropySource:
     if name.startswith("tape:"):
         path = name[len("tape:"):]
         with open(path, "rb") as handle:
-            return TapeSource(handle.read())
+            data = handle.read(MAX_TAPE_BYTES + 1)
+        if len(data) > MAX_TAPE_BYTES:
+            raise ValueError(f"tape {path} is longer than {MAX_TAPE_BYTES} bytes")
+        return TapeSource(data)
     raise ValueError(f"unknown source '{name}' (expected seeded, os, or tape:PATH)")
 
 
@@ -72,7 +77,7 @@ def cmd_roll(args: argparse.Namespace) -> int:
     if args.sides is None:
         raise ValueError("either -n/--sides or --plan is required")
     for _ in range(args.count):
-        print(pool.roll(args.sides, source).outcome)
+        print(pool.roll(args.sides, source))
     return 0
 
 
@@ -203,7 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe: stop quietly, and point stdout at
+        # devnull so the flush at interpreter exit has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OverflowError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

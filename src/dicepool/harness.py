@@ -1,9 +1,9 @@
 """Empirical validation: metered benchmarks, exhaustive small-pool
 enumeration, chi-square uniformity, and a variable-radix shuffle demo.
 
-Benchmarks total the fresh bits each roll draws, as the pool itself
-reports them in `RollRecord.bits_consumed`, and correct for entropy
-still resident in the pool at the end of a run, so short runs do not
+Benchmarks read the fresh bits drawn from the pool's own lifetime
+counter, `EntropyPool.bits_drawn`, and correct for entropy still
+resident in the pool at the end of a run, so short runs do not
 misreport up to a word's worth of stored bits as waste:
 
     waste_per_roll = (bits_in - pool_delta - entropy_out) / rolls
@@ -133,13 +133,11 @@ def bench_recycler(sides: int, rolls: int, seed: int = 1, *,
     pool = EntropyPool(word_bits, chunk_bits)
     source = SeededSource(seed)
     counts = [0] * sides
-    bits_in = 0
     for _ in range(rolls):
-        record = pool.roll(sides, source)
-        counts[record.outcome] += 1
-        bits_in += record.bits_consumed
+        counts[pool.roll(sides, source)] += 1
     # A fresh pool holds no entropy, so its end entropy is the delta.
-    return _assemble("recycler", sides, rolls, bits_in, pool.entropy(), counts, start)
+    return _assemble("recycler", sides, rolls, pool.bits_drawn, pool.entropy(),
+                     counts, start)
 
 
 def bench_naive(sides: int, rolls: int, seed: int = 1) -> BenchReport:
@@ -230,6 +228,6 @@ def shuffle(deck: int, seed: int = 1, *, source: EntropySource | None = None,
     pool = EntropyPool(word_bits, chunk_bits)
     order = list(range(deck))
     for i in range(deck - 1, 0, -1):
-        j = pool.roll(i + 1, source).outcome
+        j = pool.roll(i + 1, source)
         order[i], order[j] = order[j], order[i]
     return order

@@ -12,28 +12,13 @@ entropy only ever enters through `top_off`, in fixed-size chunks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log2
 
 from .sources import EntropySource
 
 
-class PoolOverflow(OverflowError):
-    """Feeding more bits would push the pool range past 2**word_bits."""
-
-
 class RangeTooLarge(ValueError):
     """Requested die range exceeds what a topped-off pool can cover."""
-
-
-@dataclass(slots=True)
-class RollRecord:
-    """One die-roll result plus per-roll accounting."""
-
-    sides: int          # requested range; outcome is uniform over [0, sides)
-    outcome: int
-    iterations: int     # loop passes until an accepted draw (>= 1)
-    bits_consumed: int  # fresh bits drawn from the source during this roll
 
 
 class EntropyPool:
@@ -43,14 +28,16 @@ class EntropyPool:
     in [0, size). `word_bits` bounds the range (size <= 2**word_bits) and
     `chunk_bits` is the refill granularity; the default (64, 8) refills
     byte-wise into a 64-bit word, `chunk_bits=1` gives bit-exact refills
-    for theoretical experiments.
+    for theoretical experiments. `bits_drawn` counts every fresh bit
+    the pool has read from its sources over its lifetime.
 
     A pool plus its source form one logical owner context: operations
     mutate state and must be externally serialized. Run parallel
     experiments on independent pool/source pairs.
     """
 
-    __slots__ = ("size", "value", "word_bits", "chunk_bits", "refill_ceiling")
+    __slots__ = ("size", "value", "word_bits", "chunk_bits", "refill_ceiling",
+                 "bits_drawn")
 
     def __init__(self, word_bits: int = 64, chunk_bits: int = 8) -> None:
         if word_bits < 1:
@@ -66,25 +53,11 @@ class EntropyPool:
         self.refill_ceiling = 1 << (word_bits - chunk_bits)
         self.size = 1    # the empty pool: one state, zero entropy
         self.value = 0
-
-    @property
-    def capacity(self) -> int:
-        return 1 << self.word_bits
+        self.bits_drawn = 0
 
     def entropy(self) -> float:
         """Stored entropy in bits: log2(size)."""
         return log2(self.size)
-
-    def feed_bit(self, bit: int) -> None:
-        """Shift one fresh bit in: size doubles, value becomes 2*value + bit."""
-        if bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {bit}")
-        if self.size << 1 > self.capacity:
-            raise PoolOverflow(
-                f"pool of size {self.size} cannot double within {self.word_bits} bits"
-            )
-        self.size <<= 1
-        self.value = (self.value << 1) | bit
 
     def top_off(self, source: EntropySource) -> int:
         """Refill from `source` until size exceeds 2**(word_bits - chunk_bits).
@@ -94,7 +67,7 @@ class EntropyPool:
         source contract makes that read equal to reading chunk by chunk.
         On return the pool holds more than word_bits - chunk_bits bits of
         entropy (it is left untouched if it already did). Returns the
-        number of fresh bits drawn.
+        number of fresh bits drawn and adds it to `bits_drawn`.
 
         The refill is atomic: the read comes before any write, so if the
         source runs out, EntropyExhausted propagates with the pool
@@ -112,6 +85,7 @@ class EntropyPool:
         piece = source.next_bits(drawn)
         self.size = size << drawn
         self.value = (self.value << drawn) | piece
+        self.bits_drawn += drawn
         return drawn
 
     def roll_step(self, sides: int) -> int | None:
@@ -138,12 +112,13 @@ class EntropyPool:
         self.value = value - cutoff
         return None
 
-    def roll(self, sides: int, source: EntropySource) -> RollRecord:
+    def roll(self, sides: int, source: EntropySource) -> int:
         """Roll a fair `sides`-sided die, refilling from `source` as needed.
 
-        Tops off before any pass that finds the pool at or below the
-        ceiling, not just on entry, so the accept chance stays high even
-        once recycling has shrunk the pool. Requires
+        Returns the outcome in [0, sides); the fresh bits it draws are
+        added to `bits_drawn`. Tops off before any pass that finds the
+        pool at or below the ceiling, not just on entry, so the accept
+        chance stays high even once recycling has shrunk the pool. Requires
         1 <= sides <= 2**(word_bits - chunk_bits): that guarantees the
         topped-off pool covers the range and the loop cannot stall. If a
         refill runs out of bits, EntropyExhausted propagates and the
@@ -156,15 +131,12 @@ class EntropyPool:
             raise RangeTooLarge(
                 f"sides={sides} exceeds 2**(word_bits-chunk_bits)={ceiling}"
             )
-        iterations = 0
-        drawn = 0
         while True:
-            iterations += 1
             if self.size <= ceiling:
-                drawn += self.top_off(source)
+                self.top_off(source)
             outcome = self.roll_step(sides)
             if outcome is not None:
-                return RollRecord(sides, outcome, iterations, drawn)
+                return outcome
 
     def snapshot(self) -> tuple[int, int, int, int]:
         """State as plain integers: (size, value, word_bits, chunk_bits)."""
@@ -175,7 +147,7 @@ class EntropyPool:
         """Rebuild a pool from `snapshot` output; also handy for preloads."""
         size, value, word_bits, chunk_bits = (int(x) for x in snap)
         pool = cls(word_bits, chunk_bits)
-        if not 1 <= size <= pool.capacity:
+        if not 1 <= size <= 1 << word_bits:
             raise ValueError(f"size must be in [1, 2**{word_bits}], got {size}")
         if not 0 <= value < size:
             raise ValueError(f"value must be in [0, {size}), got {value}")

@@ -65,8 +65,7 @@ def roll_batch(pool: EntropyPool, plan: RadixPlan, source: EntropySource) -> lis
     """
     if not plan.ranges:
         return []
-    record = pool.roll(plan.product, source)
-    return decode_mixed_radix(record.outcome, plan.ranges)
+    return decode_mixed_radix(pool.roll(plan.product, source), plan.ranges)
 
 
 def equivalence_check(

@@ -148,7 +148,7 @@ def _sequential_attempt(data, plan):
     digits = []
     try:
         for sides in plan.ranges:
-            digits.append(pool.roll(sides, tape).outcome)
+            digits.append(pool.roll(sides, tape))
     except EntropyExhausted:
         return None
     return digits, pool.snapshot()
@@ -192,8 +192,10 @@ def test_power_of_two_exactness():
         before = pool.entropy()
         rolls = 2000
         for _ in range(rolls):
-            record = pool.roll(sides, source)
-            assert record.iterations == 1  # the discard branch never fires
+            pool.roll(sides, source)
+            # The pool size stays a power of two, so sides divides it and
+            # there is never an offcut to reject.
+            assert pool.size & (pool.size - 1) == 0
         spent = source.bits_delivered - (pool.entropy() - before)
         assert spent == rolls * exponent  # exactly log2(sides) bits per roll
         assert bench_recycler(sides, 500, seed=1).waste_per_roll == 0.0

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dicepool
+from dicepool import cli
 from dicepool.cli import main, parse_size
 
 SHUFFLE_52_SEED_7 = (
@@ -59,16 +60,33 @@ def test_roll_count_bounds(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_python_dash_m_runs_the_cli():
+def _module_env():
+    """The environment with this checkout's dicepool first on PYTHONPATH."""
     src = str(Path(dicepool.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
     done = subprocess.run(
         [sys.executable, "-m", "dicepool", "roll", "-n", "6", "--source", "seeded"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_module_env(), timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "5\n"
+
+
+def test_closed_pipe_exits_quietly():
+    argv = [sys.executable, "-m", "dicepool", "roll", "-n", "6", "-c", "100000",
+            "--source", "seeded"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=_module_env()) as proc:
+        assert proc.stdout.readline() == "5\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == ""
 
 
 def test_roll_needs_sides_or_plan(capsys):
@@ -86,6 +104,10 @@ def test_roll_batched_plan(capsys):
         first, second = (int(part) for part in line.split())
         assert 0 <= first < 2
         assert 0 <= second < 3
+    assert main(
+        ["roll", "--plan", "2,3,52", "-c", "3", "--source", "seeded", "--seed", "1"]
+    ) == 0
+    assert capsys.readouterr().out == "1 2 50\n0 1 46\n1 1 36\n"
 
 
 def test_bench_csv_contract(capsys):
@@ -240,6 +262,26 @@ def test_short_tape_surfaces_exhaustion(tmp_path, capsys):
     tape.write_bytes(bytes(7))
     assert main(["roll", "-n", "6", "-c", "1", "--source", f"tape:{tape}"]) == 1
     assert "exhausted" in capsys.readouterr().err
+
+
+def test_tape_length_is_capped(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_TAPE_BYTES", 8)
+    tape = tmp_path / "tape.bin"
+    tape.write_bytes(bytes(8))
+    assert main(["roll", "-n", "6", "--source", f"tape:{tape}"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    tape.write_bytes(bytes(9))
+    assert main(["roll", "-n", "6", "--source", f"tape:{tape}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_endless_tape_is_refused(capsys):
+    assert main(["roll", "-n", "6", "--source", "tape:/dev/zero"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_missing_tape_file(capsys):

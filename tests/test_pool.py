@@ -11,7 +11,6 @@ from dicepool import (
     CountingSource,
     EntropyExhausted,
     EntropyPool,
-    PoolOverflow,
     RangeTooLarge,
     SeededSource,
     TapeSource,
@@ -34,26 +33,6 @@ def test_minimal_bit_granular_pool():
 def test_bad_capacity_parameters(word_bits, chunk_bits):
     with pytest.raises(ValueError):
         EntropyPool(word_bits, chunk_bits)
-
-
-def test_feed_bit_doubles_and_appends():
-    pool = EntropyPool(8, 1)
-    pool.feed_bit(1)
-    assert (pool.size, pool.value) == (2, 1)
-    pool = EntropyPool.from_snapshot((4, 2, 8, 1))
-    pool.feed_bit(0)
-    assert (pool.size, pool.value) == (8, 4)
-
-
-def test_feed_bit_overflow_at_capacity():
-    pool = EntropyPool.from_snapshot((256, 0, 8, 1))
-    with pytest.raises(PoolOverflow):
-        pool.feed_bit(0)
-
-
-def test_feed_bit_validates_bit():
-    with pytest.raises(ValueError):
-        EntropyPool().feed_bit(2)
 
 
 def test_top_off_single_chunk():
@@ -124,7 +103,7 @@ def test_roll_rejects_uncoverable_range():
     pool = EntropyPool(16, 8)
     with pytest.raises(RangeTooLarge):
         pool.roll(257, SeededSource(1))
-    assert 0 <= EntropyPool(16, 8).roll(256, SeededSource(1)).outcome < 256
+    assert 0 <= EntropyPool(16, 8).roll(256, SeededSource(1)) < 256
 
 
 def test_roll_invalid_sides():
@@ -134,30 +113,35 @@ def test_roll_invalid_sides():
 
 def test_roll_one_sided_consumes_nothing_beyond_top_off():
     pool = EntropyPool.from_snapshot((1 << 64, 123456, 64, 8))
-    record = pool.roll(1, TapeSource(b""))
-    assert (record.outcome, record.iterations, record.bits_consumed) == (0, 1, 0)
+    assert pool.roll(1, TapeSource(b"")) == 0
+    assert pool.bits_drawn == 0
     assert (pool.size, pool.value) == (1 << 64, 123456)
 
 
 def test_roll_accounting_matches_counting_source():
     pool = EntropyPool()
     source = CountingSource(SeededSource(3))
-    total = 0
     for _ in range(200):
-        record = pool.roll(6, source)
-        assert 0 <= record.outcome < 6
-        assert record.iterations >= 1
-        total += record.bits_consumed
-    assert total == source.bits_delivered
+        assert 0 <= pool.roll(6, source) < 6
+        assert pool.bits_drawn == source.bits_delivered
 
 
 def test_roll_determinism():
     def run():
         pool = EntropyPool(64, 8)
         source = SeededSource(99)
-        return [pool.roll(sides, source).outcome for sides in (6, 33, 2, 52) * 25]
+        return [pool.roll(sides, source) for sides in (6, 33, 2, 52) * 25]
 
     assert run() == run()
+
+
+def test_roll_pinned_outcomes_and_bits():
+    pool = EntropyPool()
+    source = SeededSource(1)
+    outcomes = [pool.roll(sides, source) for sides in (6, 33, 2, 52, 1000)]
+    assert outcomes == [5, 30, 0, 6, 582]
+    assert pool.bits_drawn == 72
+    assert pool.snapshot() == (229330151654508, 129929651955876, 64, 8)
 
 
 def test_seeded_stream_replayed_from_tape_gives_same_rolls():
@@ -166,7 +150,7 @@ def test_seeded_stream_replayed_from_tape_gives_same_rolls():
 
     def run(source):
         pool = EntropyPool()
-        return [pool.roll(6, source).outcome for _ in range(100)]
+        return [pool.roll(6, source) for _ in range(100)]
 
     assert run(SeededSource(5)) == run(TapeSource(raw))
 
@@ -186,14 +170,11 @@ def test_state_validity_over_random_operations():
     pool = EntropyPool(16, 4)
     source = SeededSource(11)
     for _ in range(3000):
-        op = rng.randrange(3)
-        if op == 0 and pool.size << 1 <= pool.capacity:
-            pool.feed_bit(rng.randrange(2))
-        elif op == 1:
+        if rng.randrange(2):
             pool.top_off(source)
         else:
             pool.roll_step(rng.randrange(1, 20))
-        assert 0 <= pool.value < pool.size <= pool.capacity
+        assert 0 <= pool.value < pool.size <= 1 << 16
 
 
 def test_snapshot_round_trip():
@@ -245,13 +226,12 @@ def reference_top_off(pool, source):
 
 
 def reference_roll(pool, sides, source):
-    iterations = drawn = 0
+    drawn = 0
     while True:
-        iterations += 1
         drawn += reference_top_off(pool, source)
         outcome = pool.roll_step(sides)
         if outcome is not None:
-            return (outcome, iterations, drawn)
+            return (outcome, drawn)
 
 
 def source_pair(tape, seed):
@@ -317,8 +297,8 @@ def test_roll_matches_refill_every_pass_reference(setup):
             with pytest.raises(EntropyExhausted):
                 pool.roll(sides, source)
             return
-        record = pool.roll(sides, source)
-        assert (record.outcome, record.iterations, record.bits_consumed) == want
+        before = pool.bits_drawn
+        assert (pool.roll(sides, source), pool.bits_drawn - before) == want
     assert pool.snapshot() == expected.snapshot()
     assert rest_of(source) == rest_of(reference)
 
