@@ -9,17 +9,15 @@ prices that waste in closed form; the harness measures it.
 
 from .analysis import (
     ESTIMATE_REGIME_FACTOR,
-    EfficiencyEstimate,
     NaiveModel,
-    RegimeWarning,
     WastePoint,
     binary_entropy,
     efficiency_estimate,
-    estimate_point,
     naive_baseline,
     waste_monotonicity_table,
     waste_per_iteration,
     waste_per_roll,
+    waste_point,
 )
 from .harness import (
     BenchReport,
@@ -53,7 +51,6 @@ __all__ = [
     "ESTIMATE_REGIME_FACTOR",
     "BenchReport",
     "CountingSource",
-    "EfficiencyEstimate",
     "EntropyExhausted",
     "EntropyPool",
     "EntropySource",
@@ -62,7 +59,6 @@ __all__ = [
     "OsSource",
     "RadixPlan",
     "RangeTooLarge",
-    "RegimeWarning",
     "SeededSource",
     "TapeSource",
     "WastePoint",
@@ -76,11 +72,11 @@ __all__ = [
     "encode_mixed_radix",
     "enumerate_exact",
     "equivalence_check",
-    "estimate_point",
     "naive_baseline",
     "roll_batch",
     "shuffle",
     "waste_monotonicity_table",
     "waste_per_iteration",
     "waste_per_roll",
+    "waste_point",
 ]

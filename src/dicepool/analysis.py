@@ -1,23 +1,18 @@
 """Closed-form model of entropy waste in recycled die rolling.
 
-Pure double-precision functions. The accept/reject test of each
-reduction pass is a biased coin flip, and the information that flip
-reveals is exactly the entropy the pass loses; everything here follows
-from that. The 0 * log 0 = 0 convention applies throughout, making the
-p in {0, 1} edges total.
+Pure functions. Pool sizes enter as integers, so each accept or offcut
+share is one correctly rounded int/int division. The accept/reject test
+of each reduction pass is a biased coin flip, and the information that
+flip reveals is exactly the entropy the pass loses; everything here
+follows from that. The 0 * log 0 = 0 convention makes p in {0, 1} total.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 ESTIMATE_REGIME_FACTOR = 4  # large-pool estimate wants pool_size >= 4 * sides
-
-
-class RegimeWarning(UserWarning):
-    """Efficiency estimate evaluated outside its large-pool regime."""
 
 
 def binary_entropy(p: float) -> float:
@@ -72,45 +67,18 @@ def efficiency_estimate(sides: int, pool_size: int) -> float:
 
     1 - (sides / (2*pool_size)) * (1 + ln 2 + ln pool_size - ln sides) / ln sides
 
-    Valid for 2 <= sides and pool_size well above sides; below
-    ESTIMATE_REGIME_FACTOR * sides the point value is still returned but
-    a RegimeWarning is issued.
+    Valid for 2 <= sides and pool_size >= ESTIMATE_REGIME_FACTOR * sides;
+    below that the point value is an extrapolation.
     """
     if sides < 2:
         raise ValueError(f"estimate needs sides >= 2, got {sides}")
     if pool_size < 1:
         raise ValueError(f"pool_size must be positive, got {pool_size}")
-    if pool_size < ESTIMATE_REGIME_FACTOR * sides:
-        warnings.warn(
-            f"pool_size={pool_size} below {ESTIMATE_REGIME_FACTOR}*sides; "
-            "estimate is out of its regime",
-            RegimeWarning,
-            stacklevel=2,
-        )
     ln_sides = math.log(sides)
     deficit = (sides / (2.0 * pool_size)) * (
         (1.0 + math.log(2.0) + math.log(pool_size) - ln_sides) / ln_sides
     )
     return 1.0 - deficit
-
-
-@dataclass(frozen=True)
-class EfficiencyEstimate:
-    """One point of the large-pool efficiency estimate."""
-
-    sides: int
-    pool_size: int
-    eta: float
-    in_regime: bool
-
-
-def estimate_point(sides: int, pool_size: int) -> EfficiencyEstimate:
-    """efficiency_estimate plus an explicit regime flag, warning-free."""
-    in_regime = pool_size >= ESTIMATE_REGIME_FACTOR * sides
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        eta = efficiency_estimate(sides, pool_size)
-    return EfficiencyEstimate(sides, pool_size, eta, in_regime)
 
 
 @dataclass(frozen=True)
@@ -144,6 +112,21 @@ class WastePoint:
     waste_roll: float # bits lost per accepted roll
 
 
+def waste_point(sides: int, pool_size: int, keep: int) -> WastePoint:
+    """Waste of one reduction pass that keeps `keep` states on success.
+
+    sides*keep of the pool_size states are accepted. The entropy comes
+    from the offcut share, since h(p) = h(1 - p) and that share keeps
+    its precision where p rounds to 1. keep = 0 accepts nothing: p is 0
+    and the waste per roll is infinite.
+    """
+    accepted = sides * keep
+    p = accepted / pool_size
+    waste_iter = binary_entropy((pool_size - accepted) / pool_size)
+    waste_roll = waste_iter / p if accepted else math.inf
+    return WastePoint(keep, p, waste_iter, waste_roll)
+
+
 def waste_monotonicity_table(sides: int, pool_size: int) -> list[WastePoint]:
     """Waste per roll for every feasible keep value, 1..pool_size//sides.
 
@@ -157,9 +140,5 @@ def waste_monotonicity_table(sides: int, pool_size: int) -> list[WastePoint]:
         raise ValueError(
             f"pool_size must be at least sides, got {pool_size} < {sides}"
         )
-    points = []
-    for keep in range(1, pool_size // sides + 1):
-        p = sides * keep / pool_size
-        waste_iter = binary_entropy(p)
-        points.append(WastePoint(keep, p, waste_iter, waste_iter / p))
-    return points
+    return [waste_point(sides, pool_size, keep)
+            for keep in range(1, pool_size // sides + 1)]

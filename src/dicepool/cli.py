@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .analysis import binary_entropy, estimate_point
+from .analysis import ESTIMATE_REGIME_FACTOR, efficiency_estimate, waste_point
 from .harness import BenchReport, bench_naive, bench_recycler, enumerate_exact, shuffle
 from .pool import EntropyPool
 from .radix import RadixPlan, roll_batch
@@ -66,6 +66,8 @@ def _pool_kwargs(args: argparse.Namespace) -> dict[str, int]:
 def cmd_roll(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError(f"count must be nonnegative, got {args.count}")
+    if (args.sides is None) == (args.plan is None):
+        raise ValueError("give -n/--sides or --plan, not both")
     source = make_source(args.source, args.seed)
     pool = EntropyPool(**_pool_kwargs(args))
     if args.plan is not None:
@@ -74,8 +76,6 @@ def cmd_roll(args: argparse.Namespace) -> int:
             digits = roll_batch(pool, plan, source)
             print(" ".join(str(d) for d in digits))
         return 0
-    if args.sides is None:
-        raise ValueError("either -n/--sides or --plan is required")
     for _ in range(args.count):
         print(pool.roll(args.sides, source))
     return 0
@@ -121,14 +121,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print("m,p,binary_entropy,waste_per_roll,eta_estimate,in_regime")
     pool_size = m_from
     while pool_size <= m_to:
-        offcut = pool_size % sides
-        p = (pool_size - offcut) / pool_size
-        # h(p) = h(1 - p); the offcut share keeps its precision where p rounds to 1.
-        entropy = binary_entropy(offcut / pool_size)
-        waste = entropy / p if p > 0.0 else float("inf")
-        point = estimate_point(sides, pool_size)
-        print(f"{pool_size},{p:.10g},{entropy:.10g},{waste:.10g},"
-              f"{point.eta:.10g},{int(point.in_regime)}")
+        point = waste_point(sides, pool_size, pool_size // sides)
+        eta = efficiency_estimate(sides, pool_size)
+        in_regime = pool_size >= ESTIMATE_REGIME_FACTOR * sides
+        print(f"{pool_size},{point.p:.10g},{point.waste_iter:.10g},"
+              f"{point.waste_roll:.10g},{eta:.10g},{int(in_regime)}")
         pool_size *= 2
     return 0
 
@@ -149,6 +146,12 @@ def _add_pool_options(parser: argparse.ArgumentParser) -> None:
                         help="refill granularity in bits (default 8)")
 
 
+def _add_source_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--source", default="os", help="seeded | os | tape:PATH")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="seed for --source seeded (default 1)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dicepool",
@@ -162,16 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="ranges rolled as one batched product draw")
     roll.add_argument("-c", "--count", type=int, default=1,
                       help="number of rolls (default 1)")
-    roll.add_argument("--source", default="os", help="seeded | os | tape:PATH")
-    roll.add_argument("--seed", type=int, default=1,
-                      help="seed for --source seeded (default 1)")
+    _add_source_options(roll)
     _add_pool_options(roll)
     roll.set_defaults(func=cmd_roll)
 
     shuf = sub.add_parser("shuffle", help="print a fair permutation of a deck")
     shuf.add_argument("--deck", type=int, required=True, help="deck size")
-    shuf.add_argument("--source", default="os", help="seeded | os | tape:PATH")
-    shuf.add_argument("--seed", type=int, default=1)
+    _add_source_options(shuf)
     _add_pool_options(shuf)
     shuf.set_defaults(func=cmd_shuffle)
 

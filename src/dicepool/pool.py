@@ -74,10 +74,9 @@ class EntropyPool:
         unchanged, and a tape keeps every bit it had.
         """
         size = self.size
-        # size << d first exceeds the ceiling at d = deficit; a power of
-        # two sitting exactly on a bit boundary needs one bit more.
-        deficit = (self.refill_ceiling.bit_length() - size.bit_length()
-                   + (size & (size - 1) == 0))
+        # size << d exceeds the ceiling 2**k iff size - 1 >= 2**(k - d),
+        # so d = deficit is the least shift that lifts it past.
+        deficit = self.refill_ceiling.bit_length() - (size - 1).bit_length()
         if deficit <= 0:
             return 0
         chunk = self.chunk_bits

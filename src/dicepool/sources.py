@@ -66,7 +66,7 @@ class SeededSource(_BufferedSource):
     is fixed per release: regression fixtures freeze the exact stream,
     so changing the generator is a breaking change. Statistical quality
     is ample for the uniformity harness; this is not a cryptographic
-    source.
+    source. The seed is taken mod 2**64, so seed + 2**64 replays seed.
     """
 
     def __init__(self, seed: int) -> None:

@@ -7,14 +7,13 @@ import pytest
 
 from dicepool import (
     ESTIMATE_REGIME_FACTOR,
-    RegimeWarning,
     binary_entropy,
     efficiency_estimate,
-    estimate_point,
     naive_baseline,
     waste_monotonicity_table,
     waste_per_iteration,
     waste_per_roll,
+    waste_point,
 )
 
 
@@ -70,6 +69,21 @@ def test_waste_equals_flip_information_sampled():
         ledger = waste_per_iteration(pool_size, sides, keep)
         flip = binary_entropy(sides * keep / pool_size)
         assert ledger == pytest.approx(flip, abs=1e-12)
+        point = waste_point(sides, pool_size, keep)
+        assert point.waste_iter == pytest.approx(ledger, abs=1e-12)
+
+
+def test_waste_point_past_float_precision():
+    # At m = 2^60, p = (m - m % 6) / m rounds to 1.0; the waste must not.
+    m = 1 << 60
+    point = waste_point(6, m, m // 6)
+    q = (m % 6) / m
+    model = q * (math.log2(1 / q) + 1 / math.log(2))
+    assert point.waste_roll > 0
+    assert math.isclose(point.waste_roll, model, rel_tol=1e-9)
+    empty = waste_point(6, m, 0)
+    assert empty.p == 0
+    assert empty.waste_roll == math.inf
 
 
 def test_waste_per_roll_values():
@@ -113,16 +127,6 @@ def test_efficiency_estimate_domain():
         efficiency_estimate(1, 1024)
     with pytest.raises(ValueError):
         efficiency_estimate(33, 0)
-
-
-def test_efficiency_estimate_warns_out_of_regime():
-    with pytest.warns(RegimeWarning):
-        efficiency_estimate(33, 66)
-
-
-def test_estimate_point_flags_regime():
-    assert estimate_point(33, ESTIMATE_REGIME_FACTOR * 33).in_regime
-    assert not estimate_point(33, ESTIMATE_REGIME_FACTOR * 33 - 1).in_regime
 
 
 def test_estimate_monotone_under_doubling():

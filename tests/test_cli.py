@@ -89,9 +89,13 @@ def test_closed_pipe_exits_quietly():
     assert err == ""
 
 
-def test_roll_needs_sides_or_plan(capsys):
-    assert main(["roll", "--source", "seeded"]) == 1
-    assert "error" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [[], ["-n", "6", "--plan", "2,3"]],
+                         ids=["neither", "both"])
+def test_roll_needs_sides_or_plan(capsys, argv):
+    assert main(["roll", *argv, "--source", "seeded"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: give -n/--sides or --plan, not both\n"
 
 
 def test_roll_batched_plan(capsys):
@@ -179,6 +183,10 @@ def test_analyze_out_of_regime_marker(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[1].split(",")[5] == "0"
+    # the regime starts at m = 4 * 33 = 132
+    for m_from, flag in (("132", "1"), ("131", "0")):
+        assert main(["analyze", "-n", "33", "--m-from", m_from]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[5] == flag
 
 
 def test_analyze_invalid_range(capsys):
