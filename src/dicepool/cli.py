@@ -8,8 +8,10 @@ fallback randomness in seeded or tape mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
+from typing import Iterable
 
 from .analysis import ESTIMATE_REGIME_FACTOR, efficiency_estimate, waste_point
 from .harness import BenchReport, bench_naive, bench_recycler, enumerate_exact, shuffle
@@ -20,6 +22,7 @@ from .sources import EntropySource, OsSource, SeededSource, TapeSource
 
 _SIZE_BITS_LIMIT = 1 << 16  # widest power parse_size computes, widest -W pool
 MAX_TAPE_BYTES = 1 << 24  # longest tape:PATH file read into memory
+LINE_BLOCK = 1024  # roll lines gathered into one stdout write
 
 
 def parse_size(text: str) -> int:
@@ -63,6 +66,25 @@ def _pool_kwargs(args: argparse.Namespace) -> dict[str, int]:
     return {"word_bits": args.word_bits, "chunk_bits": args.chunk_bits}
 
 
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write `lines` to stdout, LINE_BLOCK newline-terminated lines per write.
+
+    If making a line raises, the lines made before it are still written,
+    in order, before the exception propagates.
+    """
+    block: list[str] = []
+    try:
+        for line in lines:
+            block.append(line)
+            if len(block) == LINE_BLOCK:
+                text = "\n".join(block) + "\n"
+                block.clear()  # before the write, so a failed write is not retried
+                sys.stdout.write(text)
+    finally:
+        if block:
+            sys.stdout.write("\n".join(block) + "\n")
+
+
 def cmd_roll(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError(f"count must be nonnegative, got {args.count}")
@@ -72,12 +94,12 @@ def cmd_roll(args: argparse.Namespace) -> int:
     pool = EntropyPool(**_pool_kwargs(args))
     if args.plan is not None:
         plan = RadixPlan(int(part) for part in args.plan.split(","))
-        for _ in range(args.count):
-            digits = roll_batch(pool, plan, source)
-            print(" ".join(str(d) for d in digits))
-        return 0
-    for _ in range(args.count):
-        print(pool.roll(args.sides, source))
+        form = " ".join(["%d"] * len(plan.ranges))
+        _write_lines(form % tuple(roll_batch(pool, plan, source))
+                     for _ in range(args.count))
+    else:
+        sides = args.sides
+        _write_lines(str(pool.roll(sides, source)) for _ in range(args.count))
     return 0
 
 
@@ -152,7 +174,9 @@ def _add_source_options(parser: argparse.ArgumentParser) -> None:
                         help="seed for --source seeded (default 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The dicepool parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="dicepool",
         description="Fair die rolls from coin flips with entropy recycling.",

@@ -133,8 +133,9 @@ def bench_recycler(sides: int, rolls: int, seed: int = 1, *,
     pool = EntropyPool(word_bits, chunk_bits)
     source = SeededSource(seed)
     counts = [0] * sides
+    roll = pool.roll
     for _ in range(rolls):
-        counts[pool.roll(sides, source)] += 1
+        counts[roll(sides, source)] += 1
     # A fresh pool holds no entropy, so its end entropy is the delta.
     return _assemble("recycler", sides, rolls, pool.bits_drawn, pool.entropy(),
                      counts, start)
@@ -146,13 +147,14 @@ def bench_naive(sides: int, rolls: int, seed: int = 1) -> BenchReport:
     start = time.perf_counter()
     word = (sides - 1).bit_length()
     source = SeededSource(seed)
+    next_bits = source.next_bits
     counts = [0] * sides
     bits_in = 0
     for _ in range(rolls):
-        draw = source.next_bits(word)
+        draw = next_bits(word)
         bits_in += word
         while draw >= sides:
-            draw = source.next_bits(word)
+            draw = next_bits(word)
             bits_in += word
         counts[draw] += 1
     return _assemble("naive", sides, rolls, bits_in, 0.0, counts, start)

@@ -10,6 +10,7 @@ which is what makes the two procedures agree draw for draw.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -30,7 +31,7 @@ class RadixPlan:
             if n < 1:
                 raise ValueError(f"every range must be >= 1, got {n}")
 
-    @property
+    @functools.cached_property
     def product(self) -> int:
         return math.prod(self.ranges)
 

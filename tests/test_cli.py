@@ -114,6 +114,73 @@ def test_roll_batched_plan(capsys):
     assert capsys.readouterr().out == "1 2 50\n0 1 46\n1 1 36\n"
 
 
+@pytest.mark.parametrize("count", [1023, 1024, 1025, 2500])
+def test_roll_lines_across_block_boundaries(capsys, count):
+    assert cli.LINE_BLOCK == 1024
+    assert main(["roll", "-n", "6", "-c", str(count), "--source", "seeded",
+                 "--seed", "3"]) == 0
+    pool, source = dicepool.EntropyPool(), dicepool.SeededSource(3)
+    want = "".join(f"{pool.roll(6, source)}\n" for _ in range(count))
+    assert capsys.readouterr().out == want
+
+
+def test_roll_plan_lines_across_block_boundaries(capsys):
+    assert main(["roll", "--plan", "2,3,52", "-c", "1500", "--source", "seeded",
+                 "--seed", "3"]) == 0
+    pool, source = dicepool.EntropyPool(), dicepool.SeededSource(3)
+    plan = dicepool.RadixPlan((2, 3, 52))
+    want = "".join(" ".join(map(str, dicepool.roll_batch(pool, plan, source))) + "\n"
+                   for _ in range(1500))
+    assert capsys.readouterr().out == want
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["roll", "--plan", "2,3", "-c", "2", "--source", "seeded"]) == 0
+    assert main(["roll", "-n", "6", "-c", "2", "--source", "seeded"]) == 0
+    assert capsys.readouterr().out == "1 2\n0 0\n5\n0\n"
+
+
+TAPE_9_BYTES = bytes.fromhex("123456789abcdef011")
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["-n", "6"], ["0", "4", "2", "4", "5", "4", "1"]),
+    (["--plan", "6,6,6"], ["0 4 2", "4 3 0", "3 3 5"]),
+], ids=["sides", "plan"])
+def test_lines_before_tape_runs_out_are_kept(tmp_path, capsys, argv, lines):
+    tape = tmp_path / "tape.bin"
+    tape.write_bytes(TAPE_9_BYTES)
+    assert main(["roll", *argv, "-c", "100", "--source", f"tape:{tape}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "".join(line + "\n" for line in lines)
+    assert captured.err == "error: tape exhausted after 72 bits\n"
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Replace owner.name with a spy that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_traced_entry_points_are_called_per_roll(monkeypatch):
+    # The benchmark's span tracer wraps these very names; a refactor that
+    # stops calling them would make its traced run read 0.
+    batches = _count_calls(monkeypatch, cli, "roll_batch")
+    assert main(["roll", "--plan", "6,6", "-c", "2500", "--source", "seeded"]) == 0
+    assert len(batches) == 2500
+    rolls = _count_calls(monkeypatch, dicepool.EntropyPool, "roll")
+    assert main(["bench", "-n", "6", "--rolls", "3000"]) == 0
+    assert len(rolls) == 3000
+
+
 def test_bench_csv_contract(capsys):
     assert main(["bench", "-n", "32", "--rolls", "1000"]) == 0
     lines = capsys.readouterr().out.splitlines()

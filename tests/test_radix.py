@@ -18,6 +18,15 @@ def test_plan_product():
     assert RadixPlan((2, 3)).product == 6
     assert RadixPlan([4, 4, 4]).product == 64
     assert RadixPlan(()).product == 1
+    # product is computed once per plan; the cached value must not leak
+    # into equality, hashing or repr
+    plan = RadixPlan((2, 3, 52))
+    fresh_repr = repr(plan)
+    assert plan.product == plan.product == 312
+    fresh = RadixPlan((2, 3, 52))
+    assert plan == fresh
+    assert hash(plan) == hash(fresh)
+    assert repr(plan) == fresh_repr == repr(fresh)
 
 
 def test_plan_rejects_nonpositive_range():
