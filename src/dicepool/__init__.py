@@ -29,13 +29,7 @@ from .harness import (
     shuffle,
 )
 from .pool import EntropyPool, RangeTooLarge
-from .radix import (
-    RadixPlan,
-    decode_mixed_radix,
-    encode_mixed_radix,
-    equivalence_check,
-    roll_batch,
-)
+from .radix import RadixPlan, decode_mixed_radix, roll_batch
 from .sources import (
     CountingSource,
     EntropyExhausted,
@@ -69,9 +63,7 @@ __all__ = [
     "chi_square",
     "decode_mixed_radix",
     "efficiency_estimate",
-    "encode_mixed_radix",
     "enumerate_exact",
-    "equivalence_check",
     "naive_baseline",
     "roll_batch",
     "shuffle",

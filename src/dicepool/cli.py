@@ -133,12 +133,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if m_from < 1 or m_to < m_from:
         raise ValueError(f"invalid pool range [{m_from}, {m_to}]")
     last = m_from << ((m_to // m_from).bit_length() - 1)  # largest size swept
+    widest = max(last, sides)  # the model divides both as floats
     try:
-        float(last)
+        float(widest)
     except OverflowError:
         raise ValueError(
-            f"a {last.bit_length()}-bit pool size overflows a float; "
-            "keep pool sizes below 2^1024"
+            f"a {widest.bit_length()}-bit -n or pool size overflows a float; "
+            "keep -n and pool sizes below 2^1024"
         ) from None
     print("m,p,binary_entropy,waste_per_roll,eta_estimate,in_regime")
     pool_size = m_from

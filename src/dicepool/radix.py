@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .pool import EntropyPool
-from .sources import EntropySource, TapeSource
+from .sources import EntropySource
 
 
 @dataclass(frozen=True)
@@ -45,18 +45,6 @@ def decode_mixed_radix(value: int, ranges: Sequence[int]) -> list[int]:
     return digits
 
 
-def encode_mixed_radix(digits: Sequence[int], ranges: Sequence[int]) -> int:
-    """Inverse of decode: digits back to the product-range value."""
-    if len(digits) != len(ranges):
-        raise ValueError("digit count must match range count")
-    value = 0
-    for digit, n in zip(reversed(digits), reversed(ranges)):
-        if not 0 <= digit < n:
-            raise ValueError(f"digit {digit} out of range [0, {n})")
-        value = value * n + digit
-    return value
-
-
 def roll_batch(pool: EntropyPool, plan: RadixPlan, source: EntropySource) -> list[int]:
     """Roll every range in `plan` via one product-range draw.
 
@@ -68,44 +56,3 @@ def roll_batch(pool: EntropyPool, plan: RadixPlan, source: EntropySource) -> lis
         return []
     return decode_mixed_radix(pool.roll(plan.product, source), plan.ranges)
 
-
-def equivalence_check(
-    tape: TapeSource,
-    plan: RadixPlan,
-    *,
-    word_bits: int = 64,
-    chunk_bits: int = 8,
-) -> bool:
-    """Check that one batched draw equals sequential rolls, bit for bit.
-
-    Two pools are preloaded by topping off from identical copies of
-    `tape` (the given source is forked, not consumed), then a single
-    composite attempt runs on each with no further refill: one reduction
-    over the product range on the first pool, a chain of one reduction
-    per range on the second. Returns True when both succeed with
-    identical digit sequences and identical final pool states, or both
-    fail their accept test. After a failure the two leftover pools
-    legitimately differ (the sequential side has already emitted early
-    digits), so failure states are not compared.
-    """
-    if not plan.ranges:
-        return True
-    batch_pool = EntropyPool(word_bits, chunk_bits)
-    batch_pool.top_off(tape.fork())
-    seq_pool = EntropyPool(word_bits, chunk_bits)
-    seq_pool.top_off(tape.fork())
-
-    outcome = batch_pool.roll_step(plan.product)
-    batch_digits = None if outcome is None else decode_mixed_radix(outcome, plan.ranges)
-
-    seq_digits: list[int] | None = []
-    for n in plan.ranges:
-        digit = seq_pool.roll_step(n)
-        if digit is None:
-            seq_digits = None
-            break
-        seq_digits.append(digit)
-
-    if batch_digits is None or seq_digits is None:
-        return batch_digits is None and seq_digits is None
-    return batch_digits == seq_digits and batch_pool.snapshot() == seq_pool.snapshot()

@@ -126,12 +126,6 @@ class TapeSource(EntropySource):
     def bits_remaining(self) -> int:
         return self._nbits - self._pos
 
-    def fork(self) -> "TapeSource":
-        """Independent reader over the same remaining bits."""
-        twin = TapeSource(self._data, self._nbits)
-        twin._pos = self._pos
-        return twin
-
     def next_bits(self, count: int) -> int:
         if count < 1:
             raise ValueError(f"bit count must be positive, got {count}")

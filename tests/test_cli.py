@@ -273,6 +273,16 @@ def test_analyze_rejects_sizes_past_float_range(capsys, argv):
     assert captured.err.startswith("error:")
 
 
+def test_analyze_rejects_sides_past_float_range(capsys):
+    # -n also enters the model as a float; the check runs before the header
+    assert main(["analyze", "-n", str(1 << 1024), "--m-from", "64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "-n" in captured.err
+    assert main(["analyze", "-n", str(1 << 1023), "--m-from", "64"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 def test_analyze_stays_accurate_past_float_precision(capsys):
     # From m = 2^55 on, (m - m % 6) / m rounds to 1.0; the waste must not.
     assert main(["analyze", "-n", "6", "--m-from", "2^55", "--m-to", "2^64"]) == 0

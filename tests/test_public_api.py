@@ -11,10 +11,9 @@ PUBLIC_NAMES = [
     "NaiveModel", "OsSource", "RadixPlan", "RangeTooLarge", "SeededSource",
     "TapeSource", "WastePoint", "__version__", "bench_naive",
     "bench_recycler", "binary_entropy", "chi_square", "decode_mixed_radix",
-    "efficiency_estimate", "encode_mixed_radix", "enumerate_exact",
-    "equivalence_check", "naive_baseline", "roll_batch", "shuffle",
-    "waste_monotonicity_table", "waste_per_iteration", "waste_per_roll",
-    "waste_point",
+    "efficiency_estimate", "enumerate_exact", "naive_baseline", "roll_batch",
+    "shuffle", "waste_monotonicity_table", "waste_per_iteration",
+    "waste_per_roll", "waste_point",
 ]
 
 

@@ -71,14 +71,6 @@ def test_tape_nbits_trims():
         tape.next_bits(1)
 
 
-def test_tape_fork_is_independent():
-    tape = TapeSource(bytes([0xA7]))
-    twin = tape.fork()
-    assert twin.next_bits(8) == 167
-    assert tape.bits_remaining == 8
-    assert tape.next_bits(8) == 167
-
-
 def test_seeded_determinism():
     a, b = SeededSource(42), SeededSource(42)
     assert [a.next_bits(8) for _ in range(32)] == [b.next_bits(8) for _ in range(32)]
