@@ -9,13 +9,9 @@ prices that waste in closed form; the harness measures it.
 
 from .analysis import (
     ESTIMATE_REGIME_FACTOR,
-    NaiveModel,
     WastePoint,
     binary_entropy,
     efficiency_estimate,
-    naive_baseline,
-    waste_monotonicity_table,
-    waste_per_iteration,
     waste_per_roll,
     waste_point,
 )
@@ -49,7 +45,6 @@ __all__ = [
     "EntropyPool",
     "EntropySource",
     "EnumerationResult",
-    "NaiveModel",
     "OsSource",
     "RadixPlan",
     "RangeTooLarge",
@@ -64,11 +59,8 @@ __all__ = [
     "decode_mixed_radix",
     "efficiency_estimate",
     "enumerate_exact",
-    "naive_baseline",
     "roll_batch",
     "shuffle",
-    "waste_monotonicity_table",
-    "waste_per_iteration",
     "waste_per_roll",
     "waste_point",
 ]

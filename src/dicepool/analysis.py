@@ -1,10 +1,10 @@
-"""Closed-form model of entropy waste in recycled die rolling.
+"""Closed-form model of the entropy the pool's reduction pass wastes.
 
-Pure functions. Pool sizes enter as integers, so each accept or offcut
-share is one correctly rounded int/int division. The accept/reject test
-of each reduction pass is a biased coin flip, and the information that
-flip reveals is exactly the entropy the pass loses; everything here
-follows from that. The 0 * log 0 = 0 convention makes p in {0, 1} total.
+The accept/reject test of each pass is a biased coin flip, and the
+information that flip reveals is exactly the entropy the pass loses.
+`waste_point` prices the pass on a pool size, with each accept or offcut
+share one correctly rounded int/int division; `efficiency_estimate` is
+the large-pool estimate. 0 * log 0 = 0 makes p in {0, 1} total.
 """
 
 from __future__ import annotations
@@ -23,32 +23,6 @@ def binary_entropy(p: float) -> float:
         return 0.0
     # log1p keeps the (1-p) term accurate for tiny p, where 1.0 - p rounds to 1.
     return -p * math.log2(p) - (1.0 - p) * math.log1p(-p) / math.log(2.0)
-
-
-def waste_per_iteration(pool_size: int, sides: int, keep: int) -> float:
-    """Expected entropy lost by one reduction pass, from the ledger.
-
-    Before the pass the pool holds log2(pool_size) bits. With
-    probability sides*keep/pool_size the pass succeeds, leaving
-    log2(keep) bits in the pool plus log2(sides) bits of output;
-    otherwise the leftover sliver holds log2(pool_size - sides*keep)
-    bits. The shortfall of the expected after-total is the waste.
-    Equals binary_entropy(sides*keep/pool_size); the identity is checked
-    numerically in the tests rather than assumed here.
-    """
-    if pool_size < 1 or sides < 1 or keep < 1:
-        raise ValueError("pool_size, sides and keep must all be positive")
-    accepted = sides * keep
-    if accepted > pool_size:
-        raise ValueError(
-            f"sides*keep = {accepted} exceeds pool_size = {pool_size}"
-        )
-    p = accepted / pool_size
-    waste = math.log2(pool_size) - p * (math.log2(keep) + math.log2(sides))
-    leftover = pool_size - accepted
-    if leftover:
-        waste -= (leftover / pool_size) * math.log2(leftover)
-    return waste
 
 
 def waste_per_roll(p: float) -> float:
@@ -82,63 +56,28 @@ def efficiency_estimate(sides: int, pool_size: int) -> float:
 
 
 @dataclass(frozen=True)
-class NaiveModel:
-    """Tight-fit rejection sampling: draw ceil(log2(sides)) fresh bits,
-    reject and redraw everything if the word is out of range."""
-
-    sides: int
-    word_bits: int       # ceil(log2(sides))
-    expected_bits: float
-    efficiency: float
-
-
-def naive_baseline(sides: int) -> NaiveModel:
-    """Analytical cost of the discard-everything rejection sampler."""
-    if sides < 2:
-        raise ValueError(f"baseline needs sides >= 2, got {sides}")
-    word_bits = (sides - 1).bit_length()
-    accept = sides / float(1 << word_bits)
-    expected_bits = word_bits / accept
-    return NaiveModel(sides, word_bits, expected_bits, math.log2(sides) / expected_bits)
-
-
-@dataclass(frozen=True)
 class WastePoint:
     """Waste at one operating point of the reduction pass."""
 
-    keep: int         # states retained in the pool on success
-    p: float          # accept probability sides*keep/pool_size
+    p: float          # accept probability (pool_size - pool_size % sides) / pool_size
     waste_iter: float # bits lost per pass
     waste_roll: float # bits lost per accepted roll
 
 
-def waste_point(sides: int, pool_size: int, keep: int) -> WastePoint:
-    """Waste of one reduction pass that keeps `keep` states on success.
+def waste_point(sides: int, pool_size: int) -> WastePoint:
+    """Waste of the reduction pass the pool makes on `pool_size` states.
 
-    sides*keep of the pool_size states are accepted. The entropy comes
-    from the offcut share, since h(p) = h(1 - p) and that share keeps
-    its precision where p rounds to 1. keep = 0 accepts nothing: p is 0
-    and the waste per roll is infinite.
+    The pass keeps pool_size // sides states on success, so all but the
+    pool_size % sides offcut states are accepted. The entropy comes from
+    the offcut share, since h(p) = h(1 - p) and that share keeps its
+    precision where p rounds to 1. A pool smaller than the die accepts
+    nothing: p is 0 and the waste per roll is infinite.
     """
-    accepted = sides * keep
+    if sides < 1 or pool_size < 1:
+        raise ValueError(f"sides and pool_size must be >= 1, got {sides}, {pool_size}")
+    offcut = pool_size % sides
+    accepted = pool_size - offcut
     p = accepted / pool_size
-    waste_iter = binary_entropy((pool_size - accepted) / pool_size)
+    waste_iter = binary_entropy(offcut / pool_size)
     waste_roll = waste_iter / p if accepted else math.inf
-    return WastePoint(keep, p, waste_iter, waste_roll)
-
-
-def waste_monotonicity_table(sides: int, pool_size: int) -> list[WastePoint]:
-    """Waste per roll for every feasible keep value, 1..pool_size//sides.
-
-    waste_roll decreases strictly as p grows, so the maximal keep
-    (= pool_size // sides) is always the cheapest; this table makes that
-    claim checkable point by point.
-    """
-    if sides < 1:
-        raise ValueError(f"sides must be positive, got {sides}")
-    if pool_size < sides:
-        raise ValueError(
-            f"pool_size must be at least sides, got {pool_size} < {sides}"
-        )
-    return [waste_point(sides, pool_size, keep)
-            for keep in range(1, pool_size // sides + 1)]
+    return WastePoint(p, waste_iter, waste_roll)

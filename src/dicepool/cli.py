@@ -28,17 +28,19 @@ LINE_BLOCK = 1024  # roll lines gathered into one stdout write
 def parse_size(text: str) -> int:
     """Integer literal, optionally in base^exponent form like 2^24.
 
-    A power wider than 2**16 bits is refused before it is computed, so
-    2^1000000000 fails at once.
+    A power wider than 2**16 bits is refused; 2^1000000000 and any other
+    power that cannot be narrower fail before they are computed.
     """
     if "^" in text:
         base_text, _, exponent_text = text.partition("^")
         base, exponent = int(base_text), int(exponent_text)
         if exponent < 0:
             raise ValueError(f"exponent must be nonnegative, got {exponent}")
-        if (abs(base).bit_length() - 1) * exponent > _SIZE_BITS_LIMIT:
-            raise ValueError(f"{text} is wider than {_SIZE_BITS_LIMIT} bits")
-        return base ** exponent
+        if (abs(base).bit_length() - 1) * exponent < _SIZE_BITS_LIMIT:
+            power = base ** exponent
+            if power.bit_length() <= _SIZE_BITS_LIMIT:
+                return power
+        raise ValueError(f"{text} is wider than {_SIZE_BITS_LIMIT} bits")
     return int(text)
 
 
@@ -144,7 +146,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print("m,p,binary_entropy,waste_per_roll,eta_estimate,in_regime")
     pool_size = m_from
     while pool_size <= m_to:
-        point = waste_point(sides, pool_size, pool_size // sides)
+        point = waste_point(sides, pool_size)
         eta = efficiency_estimate(sides, pool_size)
         in_regime = pool_size >= ESTIMATE_REGIME_FACTOR * sides
         print(f"{pool_size},{point.p:.10g},{point.waste_iter:.10g},"

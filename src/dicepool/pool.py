@@ -12,6 +12,7 @@ entropy only ever enters through `top_off`, in fixed-size chunks.
 
 from __future__ import annotations
 
+import operator
 from math import log2
 
 from .sources import EntropySource
@@ -144,7 +145,7 @@ class EntropyPool:
     @classmethod
     def from_snapshot(cls, snap: tuple[int, int, int, int]) -> "EntropyPool":
         """Rebuild a pool from `snapshot` output; also handy for preloads."""
-        size, value, word_bits, chunk_bits = (int(x) for x in snap)
+        size, value, word_bits, chunk_bits = map(operator.index, snap)
         pool = cls(word_bits, chunk_bits)
         if not 1 <= size <= 1 << word_bits:
             raise ValueError(f"size must be in [1, 2**{word_bits}], got {size}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,7 +27,7 @@ class RadixPlan:
     ranges: tuple[int, ...]
 
     def __init__(self, ranges: Iterable[int]) -> None:
-        object.__setattr__(self, "ranges", tuple(int(n) for n in ranges))
+        object.__setattr__(self, "ranges", tuple(map(operator.index, ranges)))
         for n in self.ranges:
             if n < 1:
                 raise ValueError(f"every range must be >= 1, got {n}")

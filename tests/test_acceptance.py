@@ -22,8 +22,8 @@ from dicepool import (
     efficiency_estimate,
     enumerate_exact,
     roll_batch,
-    waste_monotonicity_table,
-    waste_per_iteration,
+    waste_per_roll,
+    waste_point,
 )
 
 # Central 99.8% bands of the chi-square distribution, keyed by degrees of
@@ -79,6 +79,22 @@ def _brute_force_histogram(tape_bits, sides):
     return counts, leftovers
 
 
+def _ledger_waste(pool_size, sides, keep):
+    # Independent oracle: the entropy one pass that keeps `keep` states
+    # loses, from the ledger. Before the pass the pool holds
+    # log2(pool_size) bits. With probability sides*keep/pool_size it
+    # succeeds, leaving log2(keep) bits plus log2(sides) bits of output;
+    # otherwise the offcut holds log2(pool_size - sides*keep) bits. The
+    # shortfall of the expected after-total is the waste.
+    accepted = sides * keep
+    p = accepted / pool_size
+    waste = math.log2(pool_size) - p * (math.log2(keep) + math.log2(sides))
+    offcut = pool_size - accepted
+    if offcut:
+        waste -= (offcut / pool_size) * math.log2(offcut)
+    return waste
+
+
 def test_exact_uniformity_oracle():
     start = time.perf_counter()
     cases = 0
@@ -102,11 +118,23 @@ def test_waste_identity():
         pool_size = rng.randrange(1, 1 << 20)
         sides = rng.randrange(1, pool_size + 1)
         keep = rng.randrange(1, pool_size // sides + 1)
-        ledger = waste_per_iteration(pool_size, sides, keep)
+        ledger = _ledger_waste(pool_size, sides, keep)
         flip = binary_entropy(sides * keep / pool_size)
-        worst = max(worst, abs(ledger - flip))
-        assert abs(ledger - flip) <= 1e-12
+        pooled = _ledger_waste(pool_size, sides, pool_size // sides)
+        point = waste_point(sides, pool_size).waste_iter
+        gap = max(abs(ledger - flip), abs(pooled - point))
+        worst = max(worst, gap)
+        assert gap <= 1e-12
     print(f"PASS waste identity: 10^4 random triples, worst gap {worst:.2e}")
+
+
+def _waste_rows(sides, pool_size):
+    # (p, waste per roll) for every pass that keeps 1..pool_size//sides states
+    rows = []
+    for keep in range(1, pool_size // sides + 1):
+        p = sides * keep / pool_size
+        rows.append((p, waste_per_roll(p)))
+    return rows
 
 
 def test_waste_monotonicity():
@@ -114,11 +142,16 @@ def test_waste_monotonicity():
     for _ in range(100):
         sides = rng.randrange(2, 65)
         pool_size = rng.randrange(sides, 4097)
-        table = waste_monotonicity_table(sides, pool_size)
-        for a, b in zip(table, table[1:]):
-            assert b.waste_roll <= a.waste_roll
-            if b.p > a.p:
-                assert b.waste_roll < a.waste_roll
+        rows = _waste_rows(sides, pool_size)
+        for (p_a, waste_a), (p_b, waste_b) in zip(rows, rows[1:]):
+            assert waste_b <= waste_a
+            if p_b > p_a:
+                assert waste_b < waste_a
+    rows = _waste_rows(3, 64)
+    assert len(rows) == 21 and rows[-1][0] == 63 / 64
+    assert all(b[1] < a[1] for a, b in zip(rows, rows[1:]))
+    assert _waste_rows(2, 4)[-1] == (1.0, 0.0)  # exact division wastes nothing
+    assert _waste_rows(5, 5) == [(1.0, 0.0)]
     steps = 0
     for sides in (3, 6, 33):
         pool_size = 4 * sides

@@ -28,9 +28,12 @@ def test_parse_size():
     assert parse_size("123") == 123
     assert parse_size("2^24") == 1 << 24
     assert parse_size("1^1000000000") == 1  # a base that cannot grow is not bounded
+    assert parse_size("2^65535") == 1 << 65535  # exactly 2**16 bits wide
 
 
-@pytest.mark.parametrize("text", ["2^1000000000", "3^70000", "2^-1"])
+@pytest.mark.parametrize(
+    "text", ["2^1000000000", "3^70000", "2^-1", "2^65536", "256^8192", "3^65536"]
+)
 def test_parse_size_refuses_huge_or_negative_powers(text):
     with pytest.raises(ValueError):
         parse_size(text)

@@ -14,7 +14,7 @@ from dicepool import (
     RangeTooLarge,
     SeededSource,
     TapeSource,
-    waste_per_iteration,
+    waste_point,
 )
 
 
@@ -191,6 +191,12 @@ def test_snapshot_validation(snap):
         EntropyPool.from_snapshot(snap)
 
 
+@pytest.mark.parametrize("snap", [(6.7, 5.9, 8, 1), (8, 3, "8", 1)])
+def test_snapshot_refuses_non_integers(snap):
+    with pytest.raises(TypeError):
+        EntropyPool.from_snapshot(snap)
+
+
 def test_entropy_values():
     assert EntropyPool().entropy() == 0.0
     assert EntropyPool.from_snapshot((64, 10, 8, 1)).entropy() == 6.0
@@ -208,7 +214,7 @@ def test_reduction_ledger_matches_waste_model():
             gained = math.log2(sides) if outcome is not None else 0.0
             after_total += pool.entropy() + gained
         shortfall = math.log2(size) - after_total / size
-        expected = waste_per_iteration(size, sides, size // sides)
+        expected = waste_point(sides, size).waste_iter
         assert shortfall == pytest.approx(expected, abs=1e-12)
 
 

@@ -8,11 +8,10 @@ import dicepool
 PUBLIC_NAMES = [
     "ESTIMATE_REGIME_FACTOR", "BenchReport", "CountingSource",
     "EntropyExhausted", "EntropyPool", "EntropySource", "EnumerationResult",
-    "NaiveModel", "OsSource", "RadixPlan", "RangeTooLarge", "SeededSource",
-    "TapeSource", "WastePoint", "__version__", "bench_naive",
-    "bench_recycler", "binary_entropy", "chi_square", "decode_mixed_radix",
-    "efficiency_estimate", "enumerate_exact", "naive_baseline", "roll_batch",
-    "shuffle", "waste_monotonicity_table", "waste_per_iteration",
+    "OsSource", "RadixPlan", "RangeTooLarge", "SeededSource", "TapeSource",
+    "WastePoint", "__version__", "bench_naive", "bench_recycler",
+    "binary_entropy", "chi_square", "decode_mixed_radix",
+    "efficiency_estimate", "enumerate_exact", "roll_batch", "shuffle",
     "waste_per_roll", "waste_point",
 ]
 

@@ -34,6 +34,13 @@ def test_plan_rejects_nonpositive_range():
         RadixPlan((2, 0))
 
 
+@pytest.mark.parametrize("ranges", [[6.9, 2.2], ["6", "2"]])
+def test_plan_refuses_non_integer_ranges(ranges):
+    with pytest.raises(TypeError):
+        RadixPlan(ranges)
+    assert RadixPlan([True, 6]).ranges == (1, 6)  # int subclasses pass
+
+
 def test_decode_least_significant_first():
     assert decode_mixed_radix(5, (2, 3)) == [1, 2]
 
