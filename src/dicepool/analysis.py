@@ -10,7 +10,7 @@ the large-pool estimate. 0 * log 0 = 0 makes p in {0, 1} total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 ESTIMATE_REGIME_FACTOR = 4  # large-pool estimate wants pool_size >= 4 * sides
 
@@ -55,13 +55,10 @@ def efficiency_estimate(sides: int, pool_size: int) -> float:
     return 1.0 - deficit
 
 
-@dataclass(frozen=True)
-class WastePoint:
-    """Waste at one operating point of the reduction pass."""
+class WastePoint(namedtuple("WastePoint", "p waste_iter waste_roll")):
+    """Accept probability p, bits lost per pass and per accepted roll."""
 
-    p: float          # accept probability (pool_size - pool_size % sides) / pool_size
-    waste_iter: float # bits lost per pass
-    waste_roll: float # bits lost per accepted roll
+    __slots__ = ()
 
 
 def waste_point(sides: int, pool_size: int) -> WastePoint:

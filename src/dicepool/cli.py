@@ -11,7 +11,7 @@ import argparse
 import functools
 import os
 import sys
-from typing import Iterable
+from collections.abc import Iterable
 
 from .analysis import ESTIMATE_REGIME_FACTOR, efficiency_estimate, waste_point
 from .harness import BenchReport, bench_naive, bench_recycler, enumerate_exact, shuffle
@@ -44,9 +44,12 @@ def parse_size(text: str) -> int:
     return int(text)
 
 
-def make_source(name: str, seed: int) -> EntropySource:
+def make_source(name: str, seed: int | None) -> EntropySource:
+    """The source `name` names; only `seeded` takes a seed (default 1)."""
     if name == "seeded":
-        return SeededSource(seed)
+        return SeededSource(1 if seed is None else seed)
+    if seed is not None:
+        raise ValueError(f"--seed needs --source seeded, got --source {name}")
     if name == "os":
         return OsSource()
     if name.startswith("tape:"):
@@ -173,8 +176,8 @@ def _add_pool_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_source_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--source", default="os", help="seeded | os | tape:PATH")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="seed for --source seeded (default 1)")
+    parser.add_argument("--seed", type=int,
+                        help="seed for --source seeded (default 1); other sources refuse it")
 
 
 @functools.cache

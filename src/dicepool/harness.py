@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import ClassVar, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .pool import EntropyPool
 from .sources import EntropySource, SeededSource
@@ -44,32 +44,28 @@ def chi_square(counts: Sequence[int]) -> tuple[float, int]:
     return stat, len(counts) - 1
 
 
-@dataclass
-class BenchReport:
+_CSV_COLUMNS = (
+    "sampler", "n", "rolls", "bits_in", "pool_delta", "entropy_out",
+    "waste_per_roll", "efficiency", "chi_square", "dof",
+)
+
+
+class BenchReport(namedtuple("BenchReport", _CSV_COLUMNS + ("counts", "elapsed"),
+                             defaults=((), 0.0))):
     """Aggregate statistics of one benchmark run.
 
     The first ten fields are the frozen CSV row, in column order.
-    `counts` (per-outcome histogram) and `elapsed` (wall-clock seconds,
-    reported but never asserted) are extras kept out of the CSV.
+    `counts` (per-outcome histogram, up to 2**20 ints, so left out of
+    the repr) and `elapsed` (wall-clock seconds, reported but never
+    asserted) are extras kept out of the CSV.
     """
 
-    sampler: str
-    n: int
-    rolls: int
-    bits_in: int
-    pool_delta: float
-    entropy_out: float
-    waste_per_roll: float
-    efficiency: float
-    chi_square: float
-    dof: int
-    counts: list[int] = field(default_factory=list, repr=False)
-    elapsed: float = 0.0
+    __slots__ = ()
+    CSV_COLUMNS = _CSV_COLUMNS
 
-    CSV_COLUMNS: ClassVar[tuple[str, ...]] = (
-        "sampler", "n", "rolls", "bits_in", "pool_delta", "entropy_out",
-        "waste_per_roll", "efficiency", "chi_square", "dof",
-    )
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items() if k != "counts")
+        return f"BenchReport({shown})"
 
     @classmethod
     def csv_header(cls) -> str:
@@ -160,8 +156,8 @@ def bench_naive(sides: int, rolls: int, seed: int = 1) -> BenchReport:
     return _assemble("naive", sides, rolls, bits_in, 0.0, counts, start)
 
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(namedtuple("EnumerationResult",
+                                    "tape_bits sides counts discard_states")):
     """Exact outcome histogram of one reduction pass over all tapes.
 
     Every pool value in [0, 2**tape_bits) is driven through one
@@ -170,10 +166,7 @@ class EnumerationResult:
     once on every leftover state.
     """
 
-    tape_bits: int
-    sides: int
-    counts: list[int]
-    discard_states: list[tuple[int, int]]
+    __slots__ = ()
 
     @property
     def pool_size(self) -> int:

@@ -10,31 +10,36 @@ which is what makes the two procedures agree draw for draw.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .pool import EntropyPool
 from .sources import EntropySource
 
 
-@dataclass(frozen=True)
-class RadixPlan:
-    """An ordered sequence of die ranges rolled as one product draw."""
+class RadixPlan(namedtuple("RadixPlan", "ranges product")):
+    """An ordered sequence of die ranges rolled as one product draw.
 
-    ranges: tuple[int, ...]
+    `product` is computed from the ranges when the plan is made, so a
+    plan compares, hashes, prints and pickles by its ranges alone.
+    """
 
-    def __init__(self, ranges: Iterable[int]) -> None:
-        object.__setattr__(self, "ranges", tuple(map(operator.index, ranges)))
-        for n in self.ranges:
+    __slots__ = ()
+
+    def __new__(cls, ranges: Iterable[int]) -> RadixPlan:
+        ranges = tuple(map(operator.index, ranges))
+        for n in ranges:
             if n < 1:
                 raise ValueError(f"every range must be >= 1, got {n}")
+        return super().__new__(cls, ranges, math.prod(ranges))
 
-    @functools.cached_property
-    def product(self) -> int:
-        return math.prod(self.ranges)
+    def __getnewargs__(self) -> tuple[tuple[int, ...]]:
+        return (self.ranges,)
+
+    def __repr__(self) -> str:
+        return f"RadixPlan(ranges={self.ranges!r})"
 
 
 def decode_mixed_radix(value: int, ranges: Sequence[int]) -> list[int]:

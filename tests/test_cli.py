@@ -380,3 +380,17 @@ def test_missing_tape_file(capsys):
 def test_unknown_source(capsys):
     assert main(["roll", "-n", "6", "--source", "quantum"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["shuffle", "--deck", "8", "--seed", "7"],
+    ["roll", "-n", "6", "--seed", "7", "--source", "tape:{tape}"],
+], ids=["shuffle-os", "roll-tape"])
+def test_seed_needs_seeded_source(tmp_path, capsys, argv):
+    # a seed the source would ignore is refused, not silently dropped
+    tape = tmp_path / "tape.bin"
+    tape.write_bytes(bytes(8))
+    assert main([arg.format(tape=tape) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --seed needs --source seeded")
