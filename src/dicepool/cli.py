@@ -102,7 +102,7 @@ def cmd_roll(args: argparse.Namespace) -> int:
         form = " ".join(["%d"] * len(plan.ranges))
         _write_lines(form % tuple(roll_batch(pool, plan, source))
                      for _ in range(args.count))
-    else:
+    else:  # not via roll_batch: routed through it, -n lines ran about 40% slower
         sides = args.sides
         _write_lines(str(pool.roll(sides, source)) for _ in range(args.count))
     return 0

@@ -50,33 +50,24 @@ _CSV_COLUMNS = (
 )
 
 
-class BenchReport(namedtuple("BenchReport", _CSV_COLUMNS + ("counts", "elapsed"),
-                             defaults=((), 0.0))):
+class BenchReport(namedtuple("BenchReport", _CSV_COLUMNS + ("elapsed",),
+                             defaults=(0.0,))):
     """Aggregate statistics of one benchmark run.
 
-    The first ten fields are the frozen CSV row, in column order.
-    `counts` (per-outcome histogram, up to 2**20 ints, so left out of
-    the repr) and `elapsed` (wall-clock seconds, reported but never
-    asserted) are extras kept out of the CSV.
+    The first ten fields are the frozen CSV row, in column order;
+    `elapsed` (wall-clock seconds, reported but never asserted) is kept
+    out of the CSV.
     """
 
     __slots__ = ()
-    CSV_COLUMNS = _CSV_COLUMNS
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items() if k != "counts")
-        return f"BenchReport({shown})"
 
     @classmethod
     def csv_header(cls) -> str:
-        return ",".join(cls.CSV_COLUMNS)
+        return ",".join(_CSV_COLUMNS)
 
     def csv_row(self) -> str:
-        cells = []
-        for name in self.CSV_COLUMNS:
-            value = getattr(self, name)
-            cells.append(format(value, ".10g") if isinstance(value, float) else str(value))
-        return ",".join(cells)
+        return ",".join(format(value, ".10g") if isinstance(value, float) else str(value)
+                        for value in self[:len(_CSV_COLUMNS)])
 
     def summary(self) -> str:
         return (
@@ -116,7 +107,6 @@ def _assemble(sampler: str, sides: int, rolls: int, bits_in: int,
         efficiency=entropy_out / spent,
         chi_square=stat,
         dof=dof,
-        counts=counts,
         elapsed=time.perf_counter() - start,
     )
 
@@ -173,19 +163,11 @@ class EnumerationResult(namedtuple("EnumerationResult",
         return 1 << self.tape_bits
 
     @property
-    def uniform(self) -> bool:
-        keep = self.pool_size // self.sides
-        return all(c == keep for c in self.counts)
-
-    @property
-    def coverage_exact(self) -> bool:
-        leftover = self.pool_size % self.sides
-        want = [(leftover, v) for v in range(leftover)]
-        return sorted(self.discard_states) == want
-
-    @property
     def exact(self) -> bool:
-        return self.uniform and self.coverage_exact
+        keep, leftover = divmod(self.pool_size, self.sides)
+        want = [(leftover, v) for v in range(leftover)]
+        return (all(c == keep for c in self.counts)
+                and sorted(self.discard_states) == want)
 
 
 def enumerate_exact(tape_bits: int, sides: int) -> EnumerationResult:
@@ -209,17 +191,18 @@ def enumerate_exact(tape_bits: int, sides: int) -> EnumerationResult:
     return EnumerationResult(tape_bits, sides, counts, discard_states)
 
 
-def shuffle(deck: int, seed: int = 1, *, source: EntropySource | None = None,
+def shuffle(deck: int, source: EntropySource | None = None, *,
             word_bits: int = 64, chunk_bits: int = 8) -> list[int]:
     """Fisher-Yates permutation of range(deck) driven by one shared pool.
 
     Rolls a deck-sided die, then deck-1, and so on down to 2: a
     different radix every round, all recycled through the same pool.
+    `source` defaults to SeededSource(1).
     """
     if not 1 <= deck <= MAX_TABLE_SIZE:
         raise ValueError(f"deck must be in [1, {MAX_TABLE_SIZE}], got {deck}")
     if source is None:
-        source = SeededSource(seed)
+        source = SeededSource(1)
     pool = EntropyPool(word_bits, chunk_bits)
     order = list(range(deck))
     for i in range(deck - 1, 0, -1):

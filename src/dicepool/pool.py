@@ -12,8 +12,8 @@ entropy only ever enters through `top_off`, in fixed-size chunks.
 
 from __future__ import annotations
 
-import operator
 from math import log2
+from operator import index
 
 from .sources import EntropySource
 
@@ -97,8 +97,10 @@ class EntropyPool:
         [0, keep)) and the remainder mod `sides` is returned as the
         outcome. Otherwise returns None and the pool becomes the sliver,
         re-based to start at zero; no entropy beyond the accept/reject
-        test outcome is lost.
+        test outcome is lost. `sides` must be an int (operator.index),
+        so a float range raises TypeError.
         """
+        sides = index(sides)
         if sides < 1:
             raise ValueError(f"die must have at least one side, got {sides}")
         size, value = self.size, self.value
@@ -122,8 +124,10 @@ class EntropyPool:
         1 <= sides <= 2**(word_bits - chunk_bits): that guarantees the
         topped-off pool covers the range and the loop cannot stall. If a
         refill runs out of bits, EntropyExhausted propagates and the
-        passes already made stay applied.
+        passes already made stay applied. A non-int `sides` raises
+        TypeError before any bit is drawn.
         """
+        sides = index(sides)
         ceiling = self.refill_ceiling
         if not 1 <= sides <= ceiling:
             if sides < 1:
@@ -145,7 +149,7 @@ class EntropyPool:
     @classmethod
     def from_snapshot(cls, snap: tuple[int, int, int, int]) -> "EntropyPool":
         """Rebuild a pool from `snapshot` output; also handy for preloads."""
-        size, value, word_bits, chunk_bits = map(operator.index, snap)
+        size, value, word_bits, chunk_bits = map(index, snap)
         pool = cls(word_bits, chunk_bits)
         if not 1 <= size <= 1 << word_bits:
             raise ValueError(f"size must be in [1, 2**{word_bits}], got {size}")

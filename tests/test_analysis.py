@@ -48,6 +48,12 @@ def test_waste_point_domain():
             waste_point(sides, pool_size)
 
 
+@pytest.mark.parametrize("model", [waste_point, efficiency_estimate])
+def test_model_refuses_non_integer_die(model):
+    with pytest.raises(TypeError):
+        model(6.5, 64)
+
+
 def test_waste_point_past_float_precision():
     # At m = 2^60, p = (m - m % 6) / m rounds to 1.0; the waste must not.
     m = 1 << 60

@@ -125,6 +125,10 @@ def test_roll_lines_across_block_boundaries(capsys, count):
     pool, source = dicepool.EntropyPool(), dicepool.SeededSource(3)
     want = "".join(f"{pool.roll(6, source)}\n" for _ in range(count))
     assert capsys.readouterr().out == want
+    # --plan 6 rolls the same die through roll_batch: the same lines
+    assert main(["roll", "--plan", "6", "-c", str(count), "--source", "seeded",
+                 "--seed", "3"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_roll_plan_lines_across_block_boundaries(capsys):
@@ -257,6 +261,13 @@ def test_analyze_out_of_regime_marker(capsys):
     for m_from, flag in (("132", "1"), ("131", "0")):
         assert main(["analyze", "-n", "33", "--m-from", m_from]) == 0
         assert capsys.readouterr().out.splitlines()[1].split(",")[5] == flag
+
+
+def test_analyze_refuses_one_sided_die(capsys):
+    assert main(["analyze", "-n", "1", "--m-from", "64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: analyze needs -n >= 2, got 1\n"
 
 
 def test_analyze_invalid_range(capsys):

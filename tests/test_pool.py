@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -195,6 +196,23 @@ def test_snapshot_validation(snap):
 def test_snapshot_refuses_non_integers(snap):
     with pytest.raises(TypeError):
         EntropyPool.from_snapshot(snap)
+
+
+@pytest.mark.parametrize("sides", [6.0, 6.5, Fraction(6)], ids=str)
+def test_roll_refuses_non_integer_die(sides):
+    pool, tape = EntropyPool(), TapeSource(bytes(range(16)))
+    pool.roll(6, tape)
+    before = (pool.snapshot(), pool.bits_drawn, tape.bits_remaining)
+    with pytest.raises(TypeError):
+        pool.roll(sides, tape)
+    with pytest.raises(TypeError):
+        pool.roll_step(sides)
+    assert (pool.snapshot(), pool.bits_drawn, tape.bits_remaining) == before
+    empty = EntropyPool()  # refused before the first refill draws a bit
+    with pytest.raises(TypeError):
+        empty.roll(sides, tape)
+    assert (empty.snapshot(), empty.bits_drawn, tape.bits_remaining) == (
+        (1, 0, 64, 8), 0, before[2])
 
 
 def test_entropy_values():

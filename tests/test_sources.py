@@ -28,6 +28,19 @@ def test_tape_exhaustion():
         tape.next_bits(8)
 
 
+@pytest.mark.parametrize("data,nbits", [(b"\x00", 9), (b"", -1)])
+def test_tape_length_outside_its_bytes(data, nbits):
+    with pytest.raises(ValueError):
+        TapeSource(data, nbits)
+
+
+def test_tape_refuses_empty_read():
+    tape = TapeSource(b"\xff")
+    with pytest.raises(ValueError):
+        tape.next_bits(0)
+    assert tape.bits_remaining == 8
+
+
 def test_tape_partial_read_then_exhaustion():
     tape = TapeSource(bytes([0xAB]))
     assert tape.next_bits(4) == 0xA
