@@ -92,25 +92,27 @@ class EntropyPool:
         """One reduction pass with no refill.
 
         Splits the current range into sides * keep accepted states plus a
-        leftover sliver, where keep = size // sides. If the value is
-        accepted, the pool keeps the quotient (a uniform draw over
-        [0, keep)) and the remainder mod `sides` is returned as the
-        outcome. Otherwise returns None and the pool becomes the sliver,
-        re-based to start at zero; no entropy beyond the accept/reject
-        test outcome is lost. `sides` must be an int (operator.index),
-        so a float range raises TypeError.
+        leftover sliver, where keep = size // sides. The value is
+        accepted iff its quotient value // sides is below keep; then the
+        pool keeps the quotient (a uniform draw over [0, keep)) and the
+        remainder mod `sides` is returned as the outcome. Otherwise
+        returns None and the pool becomes the sliver, re-based to start
+        at zero; no entropy beyond the accept/reject test outcome is
+        lost. `sides` must be an int (operator.index), so a float range
+        raises TypeError.
         """
         sides = index(sides)
         if sides < 1:
             raise ValueError(f"die must have at least one side, got {sides}")
         size, value = self.size, self.value
-        keep, offcut = divmod(size, sides)
-        cutoff = size - offcut  # sides * keep, formed without the wide product
-        if value < cutoff:
+        keep = size // sides
+        quotient = value // sides
+        if quotient < keep:  # for ints, the same test as value < sides * keep
             self.size = keep
-            self.value, outcome = divmod(value, sides)
-            return outcome
-        self.size = offcut
+            self.value = quotient
+            return value % sides
+        cutoff = sides * keep
+        self.size = size - cutoff
         self.value = value - cutoff
         return None
 

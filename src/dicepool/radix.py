@@ -46,8 +46,8 @@ def decode_mixed_radix(value: int, ranges: Sequence[int]) -> list[int]:
     """Digits of `value` with ranges[0] as the least significant radix."""
     digits = []
     for n in ranges:
-        value, digit = divmod(value, n)
-        digits.append(digit)
+        digits.append(value % n)
+        value //= n
     return digits
 
 

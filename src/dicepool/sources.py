@@ -10,6 +10,7 @@ threads if you like, but never share one concurrently.
 from __future__ import annotations
 
 import os
+from operator import index
 
 _MASK64 = (1 << 64) - 1
 
@@ -100,14 +101,14 @@ class TapeSource(EntropySource):
     The tape is the first `nbits` bits of `data`, most significant bit of
     each byte first; interpreted as one big-endian integer, that is the
     exact value a fresh reader of the whole tape would get. Reading past
-    the end raises EntropyExhausted.
+    the end raises EntropyExhausted. `nbits` must be an int
+    (operator.index), so a fractional tape length raises TypeError.
     """
 
     def __init__(self, data: bytes, nbits: int | None = None) -> None:
         self._data = bytes(data)
         total = 8 * len(self._data)
-        if nbits is None:
-            nbits = total
+        nbits = total if nbits is None else index(nbits)
         if not 0 <= nbits <= total:
             raise ValueError(f"nbits must be in [0, {total}], got {nbits}")
         self._nbits = nbits

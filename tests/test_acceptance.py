@@ -65,7 +65,7 @@ def test_recycler_near_lossless():
 def _brute_force_histogram(tape_bits, sides):
     # Independent oracle: same reduction, different arithmetic. Forms the
     # accepted count as an explicit product and reduces each value with
-    # product/subtract steps instead of the pool's divmod path.
+    # product/subtract steps instead of the pool's quotient comparison.
     pool_size = 2**tape_bits
     keep = pool_size // sides
     accepted = sides * keep

@@ -95,6 +95,30 @@ def test_roll_step_range_above_pool_discards_everything():
     assert (pool.size, pool.value) == (2, 1)
 
 
+def divmod_roll_step(size, value, sides):
+    """The pass in its two-divmod cutoff form: (outcome or None, size, value)."""
+    keep, offcut = divmod(size, sides)
+    cutoff = size - offcut
+    if value < cutoff:
+        quotient, outcome = divmod(value, sides)
+        return outcome, keep, quotient
+    return None, offcut, value - cutoff
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_roll_step_matches_divmod_cutoff_form(data):
+    size = data.draw(st.one_of(st.integers(1, 64), st.integers(1, 1 << 130)))
+    value = data.draw(st.integers(0, size - 1))
+    # sides == 1 keeps the pool whole; sides > size gives keep == 0
+    sides = data.draw(st.one_of(
+        st.just(1), st.integers(1, 64), st.integers(size, 1 << 131),
+        st.integers(1, 1 << 131)))
+    pool = EntropyPool.from_snapshot((size, value, 130, 1))
+    outcome = pool.roll_step(sides)
+    assert (outcome, pool.size, pool.value) == divmod_roll_step(size, value, sides)
+
+
 def test_roll_step_invalid_sides():
     with pytest.raises(ValueError):
         EntropyPool().roll_step(0)

@@ -43,6 +43,13 @@ def test_plan_refuses_non_integer_ranges(ranges):
 
 def test_decode_least_significant_first():
     assert decode_mixed_radix(5, (2, 3)) == [1, 2]
+    ranges = (6, 33, 52, 1000, 7, 2**20, 6)
+    value = 0xDEADBEEF_CAFEF00D  # about 2**64, wider than the product
+    expected, rest = [], value
+    for n in ranges:
+        rest, digit = divmod(rest, n)
+        expected.append(digit)
+    assert decode_mixed_radix(value, ranges) == expected
 
 
 @pytest.mark.parametrize("ranges", [(2, 3), (3, 5), (4, 4, 4), (7,), (1, 5, 1)])

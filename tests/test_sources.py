@@ -34,6 +34,12 @@ def test_tape_length_outside_its_bytes(data, nbits):
         TapeSource(data, nbits)
 
 
+@pytest.mark.parametrize("nbits", [4.5, "8"])
+def test_tape_length_must_be_an_int(nbits):
+    with pytest.raises(TypeError):
+        TapeSource(b"\xff", nbits)
+
+
 def test_tape_refuses_empty_read():
     tape = TapeSource(b"\xff")
     with pytest.raises(ValueError):
