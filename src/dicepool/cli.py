@@ -20,7 +20,7 @@ from .radix import RadixPlan, roll_batch
 from .sources import EntropySource, OsSource, SeededSource, TapeSource
 
 
-_SIZE_BITS_LIMIT = 1 << 16  # widest power parse_size computes, widest -W pool
+_SIZE_BITS_LIMIT = 1 << 16  # widest power parse_size computes
 MAX_TAPE_BYTES = 1 << 24  # longest tape:PATH file read into memory
 LINE_BLOCK = 1024  # roll lines gathered into one stdout write
 
@@ -62,15 +62,6 @@ def make_source(name: str, seed: int | None) -> EntropySource:
     raise ValueError(f"unknown source '{name}' (expected seeded, os, or tape:PATH)")
 
 
-def _pool_kwargs(args: argparse.Namespace) -> dict[str, int]:
-    """The -W/-B pair as keyword arguments, refusing pools wider than 2**16 bits."""
-    if args.word_bits > _SIZE_BITS_LIMIT:
-        raise ValueError(
-            f"word bits must be at most {_SIZE_BITS_LIMIT}, got {args.word_bits}"
-        )
-    return {"word_bits": args.word_bits, "chunk_bits": args.chunk_bits}
-
-
 def _write_lines(lines: Iterable[str]) -> None:
     """Write `lines` to stdout, LINE_BLOCK newline-terminated lines per write.
 
@@ -96,27 +87,32 @@ def cmd_roll(args: argparse.Namespace) -> int:
     if (args.sides is None) == (args.plan is None):
         raise ValueError("give -n/--sides or --plan, not both")
     source = make_source(args.source, args.seed)
-    pool = EntropyPool(**_pool_kwargs(args))
-    if args.plan is not None:
-        plan = RadixPlan(int(part) for part in args.plan.split(","))
-        form = " ".join(["%d"] * len(plan.ranges))
-        _write_lines(form % tuple(roll_batch(pool, plan, source))
-                     for _ in range(args.count))
-    else:  # not via roll_batch: routed through it, -n lines ran about 40% slower
+    pool = EntropyPool(args.word_bits, args.chunk_bits)
+    if args.plan is None:  # not via roll_batch: through it, -n ran about 40% slower
         sides = args.sides
-        _write_lines(str(pool.roll(sides, source)) for _ in range(args.count))
+        lines = (str(pool.roll(sides, source)) for _ in range(args.count))
+    else:
+        plan = RadixPlan(int(part) for part in args.plan.split(","))
+        sides = plan.product
+        form = " ".join(["%d"] * len(plan.ranges))
+        lines = (form % tuple(roll_batch(pool, plan, source)) for _ in range(args.count))
+    if not 1 <= sides <= pool.refill_ceiling:  # refused even if -c 0 rolls nothing
+        pool.roll(sides, source)  # raises the pool's own error, drawing no bit
+    _write_lines(lines)
     return 0
 
 
 def cmd_shuffle(args: argparse.Namespace) -> int:
     source = make_source(args.source, args.seed)
-    order = shuffle(args.deck, source=source, **_pool_kwargs(args))
+    order = shuffle(args.deck, source, word_bits=args.word_bits,
+                    chunk_bits=args.chunk_bits)
     print(" ".join(str(card) for card in order))
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    reports = [bench_recycler(args.sides, args.rolls, args.seed, **_pool_kwargs(args))]
+    reports = [bench_recycler(args.sides, args.rolls, args.seed,
+                              word_bits=args.word_bits, chunk_bits=args.chunk_bits)]
     if args.baseline:
         reports.append(bench_naive(args.sides, args.rolls, args.seed))
     if args.output == "csv":

@@ -17,6 +17,8 @@ from operator import index
 
 from .sources import EntropySource
 
+MAX_WORD_BITS = 1 << 16  # widest pool: bounds the ceiling and every refill read
+
 
 class RangeTooLarge(ValueError):
     """Requested die range exceeds what a topped-off pool can cover."""
@@ -26,11 +28,11 @@ class EntropyPool:
     """Uniform value over a known range, refillable in fixed bit chunks.
 
     `size` counts the equally likely states, `value` is the current state
-    in [0, size). `word_bits` bounds the range (size <= 2**word_bits) and
-    `chunk_bits` is the refill granularity; the default (64, 8) refills
-    byte-wise into a 64-bit word, `chunk_bits=1` gives bit-exact refills
-    for theoretical experiments. `bits_drawn` counts every fresh bit
-    the pool has read from its sources over its lifetime.
+    in [0, size). `word_bits` bounds the range (size <= 2**word_bits,
+    word_bits <= MAX_WORD_BITS) and `chunk_bits` is the refill
+    granularity; the default (64, 8) refills byte-wise into a 64-bit
+    word, `chunk_bits=1` gives bit-exact refills for theoretical experiments.
+    `bits_drawn` counts every fresh bit the pool has ever read.
 
     A pool plus its source form one logical owner context: operations
     mutate state and must be externally serialized. Run parallel
@@ -41,8 +43,12 @@ class EntropyPool:
                  "bits_drawn")
 
     def __init__(self, word_bits: int = 64, chunk_bits: int = 8) -> None:
+        word_bits, chunk_bits = index(word_bits), index(chunk_bits)
         if word_bits < 1:
             raise ValueError(f"word_bits must be positive, got {word_bits}")
+        if word_bits > MAX_WORD_BITS:
+            raise ValueError(f"word bits must be at most {MAX_WORD_BITS}, "
+                             f"got {word_bits}")
         if not 1 <= chunk_bits <= word_bits:
             raise ValueError(
                 f"chunk_bits must be in [1, word_bits={word_bits}], got {chunk_bits}"

@@ -45,10 +45,8 @@ class _BufferedSource(EntropySource):
         self._buf = 0
         self._nbuf = 0
 
-    def _pull(self) -> int:
-        raise NotImplementedError
-
     def next_bits(self, count: int) -> int:
+        count = index(count)  # first, so a bad count leaves the buffer as it was
         if count < 1:
             raise ValueError(f"bit count must be positive, got {count}")
         while self._nbuf < count:

@@ -61,6 +61,16 @@ def test_roll_count_bounds(capsys):
     assert "error" in err
     assert main(["roll", "-n", "6", "-c", "0", "--source", "seeded"]) == 0
     assert capsys.readouterr().out == ""
+    # -c 0 refuses the dice -c 1 refuses, though it rolls none of them
+    for die in (["-n", "0"], ["-n", "-5"], ["-n", str((1 << 56) + 1)],
+                ["--plan", "1000000000,1000000000"]):
+        for count in ("0", "1"):
+            assert main(["roll", *die, "-c", count, "--source", "seeded"]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error:")
+    assert main(["roll", "-n", str(1 << 56), "-c", "0", "--source", "seeded"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def _module_env():
@@ -219,6 +229,7 @@ def test_bench_plain_output(capsys):
     ["shuffle", "--deck", "144115188075855872", "--source", "seeded"],
     ["roll", "-n", "6", "-W", "1125899906842624", "--source", "seeded"],
     ["bench", "-n", "6", "--rolls", "1", "-W", "65537"],
+    ["shuffle", "--deck", "52", "-W", "65537", "--source", "seeded"],
 ])
 def test_flags_that_size_an_allocation_are_bounded(capsys, argv):
     assert main(argv) == 1

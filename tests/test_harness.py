@@ -93,6 +93,8 @@ def test_bench_argument_validation():
     for bench in (bench_recycler, bench_naive):
         with pytest.raises(ValueError):
             bench(MAX_TABLE_SIZE + 1, 1)  # refused before the histogram is made
+    with pytest.raises(ValueError):
+        bench_recycler(6, 1, word_bits=(1 << 16) + 1)  # the pool refuses the width
 
 
 def test_csv_row_shape():
@@ -189,3 +191,5 @@ def test_shuffle_domain():
         shuffle(0)
     with pytest.raises(ValueError):
         shuffle(MAX_TABLE_SIZE + 1)
+    with pytest.raises(ValueError):
+        shuffle(52, word_bits=(1 << 16) + 1)  # the pool refuses the width

@@ -23,6 +23,7 @@ def test_new_pool_is_empty():
     pool = EntropyPool(64, 8)
     assert pool.snapshot() == (1, 0, 64, 8)
     assert pool.entropy() == 0.0
+    assert EntropyPool(1 << 16).snapshot() == (1, 0, 1 << 16, 8)  # the widest pool
 
 
 def test_minimal_bit_granular_pool():
@@ -30,9 +31,12 @@ def test_minimal_bit_granular_pool():
     assert (pool.size, pool.value) == (1, 0)
 
 
-@pytest.mark.parametrize("word_bits,chunk_bits", [(64, 65), (64, 0), (0, 1), (-3, 1)])
+@pytest.mark.parametrize("word_bits,chunk_bits", [
+    (64, 65), (64, 0), (0, 1), (-3, 1), ((1 << 16) + 1, 8), (1 << 20, 8), (64.0, 8),
+])
 def test_bad_capacity_parameters(word_bits, chunk_bits):
-    with pytest.raises(ValueError):
+    # widths past 2**16 are refused; a non-int width is a TypeError
+    with pytest.raises(ValueError if isinstance(word_bits, int) else TypeError):
         EntropyPool(word_bits, chunk_bits)
 
 
@@ -210,7 +214,9 @@ def test_snapshot_round_trip():
     assert clone.snapshot() == pool.snapshot()
 
 
-@pytest.mark.parametrize("snap", [(8, 8, 8, 1), (8, -1, 8, 1), (0, 0, 8, 1), (512, 0, 8, 1)])
+@pytest.mark.parametrize("snap", [
+    (8, 8, 8, 1), (8, -1, 8, 1), (0, 0, 8, 1), (512, 0, 8, 1), (8, 3, (1 << 16) + 1, 1),
+])
 def test_snapshot_validation(snap):
     with pytest.raises(ValueError):
         EntropyPool.from_snapshot(snap)

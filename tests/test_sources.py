@@ -157,3 +157,19 @@ def test_os_source_emits_both_bit_values():
 def test_nonpositive_chunk_rejected():
     with pytest.raises(ValueError):
         SeededSource(1).next_bits(0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SeededSource(1), OsSource, lambda: TapeSource(bytes([0xA7])),
+], ids=["seeded", "os", "tape"])
+@pytest.mark.parametrize("count", [8.0, "8"], ids=repr)
+def test_non_integer_bit_count_leaves_source_usable(make, count):
+    source = make()
+    with pytest.raises(TypeError):
+        source.next_bits(count)
+    bits = source.next_bits(8)
+    assert 0 <= bits < 256
+    if isinstance(source, SeededSource):
+        assert bits == SeededSource(1).next_bits(8)
+    if isinstance(source, TapeSource):
+        assert bits == 0xA7
