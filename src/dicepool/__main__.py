@@ -1,6 +1,6 @@
 """`python -m dicepool`: the same front end as the `dicepool` script."""
 
-from .cli import entry
+from .cli import main
 
 if __name__ == "__main__":
-    entry()
+    raise SystemExit(main())

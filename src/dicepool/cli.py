@@ -245,7 +245,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def entry() -> None:
-    raise SystemExit(main())

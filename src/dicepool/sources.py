@@ -41,21 +41,20 @@ class _BufferedSource(EntropySource):
     one wide read.
     """
 
-    def __init__(self) -> None:
-        self._buf = 0
-        self._nbuf = 0
+    _buf = 0  # empty until the first read gives the instance its own
+    _nbuf = 0
 
     def next_bits(self, count: int) -> int:
         count = index(count)  # first, so a bad count leaves the buffer as it was
         if count < 1:
             raise ValueError(f"bit count must be positive, got {count}")
-        while self._nbuf < count:
-            self._buf = (self._buf << 64) | self._pull()
-            self._nbuf += 64
-        self._nbuf -= count
-        out = self._buf >> self._nbuf
-        self._buf &= (1 << self._nbuf) - 1
-        return out
+        buf, nbuf = self._buf, self._nbuf
+        while nbuf < count:
+            buf = (buf << 64) | self._pull()
+            nbuf += 64
+        nbuf -= count
+        self._buf, self._nbuf = buf & ((1 << nbuf) - 1), nbuf
+        return buf >> nbuf
 
 
 class SeededSource(_BufferedSource):
@@ -71,12 +70,10 @@ class SeededSource(_BufferedSource):
     def __init__(self, seed: int) -> None:
         if seed < 0:
             raise ValueError("seed must be nonnegative")
-        super().__init__()
         self._state = seed & _MASK64
 
     def _pull(self) -> int:
-        self._state = (self._state + _SPLITMIX_GAMMA) & _MASK64
-        z = self._state
+        z = self._state = (self._state + _SPLITMIX_GAMMA) & _MASK64
         z = ((z ^ (z >> 30)) * _SPLITMIX_MULT1) & _MASK64
         z = ((z ^ (z >> 27)) * _SPLITMIX_MULT2) & _MASK64
         return z ^ (z >> 31)
@@ -126,6 +123,7 @@ class TapeSource(EntropySource):
         return self._nbits - self._pos
 
     def next_bits(self, count: int) -> int:
+        count = index(count)
         if count < 1:
             raise ValueError(f"bit count must be positive, got {count}")
         end = self._pos + count

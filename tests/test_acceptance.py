@@ -62,6 +62,25 @@ def test_recycler_near_lossless():
     )
 
 
+def test_north_star_holds_up_to_2_to_the_48_sides():
+    # The 1e-3 bits/roll claim is for the default 64-bit pool and dice of
+    # up to about 2^48 sides; past that the accept test rejects often
+    # enough that the waste crosses it.
+    def realized_waste(sides, rolls=4000):
+        pool, source = EntropyPool(), SeededSource(1)
+        for _ in range(rolls):
+            pool.roll(sides, source)
+        return (pool.bits_drawn - math.log2(pool.size)
+                - rolls * math.log2(sides)) / rolls
+
+    wastes = {sides: realized_waste(sides)
+              for sides in (6, 52, 2**48 + 1, 2**49 + 1)}
+    assert all(wastes[sides] < 1e-3 for sides in (6, 52, 2**48 + 1))
+    assert wastes[2**49 + 1] > 1e-3
+    print("PASS north star range: " + ", ".join(
+        f"n={sides}: {waste:.2g}" for sides, waste in wastes.items()))
+
+
 def _brute_force_histogram(tape_bits, sides):
     # Independent oracle: same reduction, different arithmetic. Forms the
     # accepted count as an explicit product and reduces each value with

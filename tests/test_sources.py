@@ -1,6 +1,8 @@
 """Bit-source contracts: order, exhaustion, counting, determinism."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicepool import (
     CountingSource,
@@ -90,6 +92,28 @@ def test_tape_nbits_trims():
         tape.next_bits(1)
 
 
+@settings(deadline=None)
+@given(seed=st.integers(0, (1 << 64) - 1),
+       counts=st.lists(st.integers(1, 200), min_size=1, max_size=20))
+def test_seeded_chunked_reads_spell_one_wide_read(seed, counts):
+    source = SeededSource(seed)
+    joined = 0
+    for count in counts:
+        joined = (joined << count) | source.next_bits(count)
+    assert joined == SeededSource(seed).next_bits(sum(counts))
+
+
+def test_seeded_sources_share_no_buffer():
+    alone = [tuple(s.next_bits(8) for _ in range(24))
+             for s in (SeededSource(1), SeededSource(2))]
+    a, b = SeededSource(1), SeededSource(2)
+    pairs = [(a.next_bits(8), b.next_bits(8)) for _ in range(24)]
+    assert list(zip(*pairs)) == alone
+    assert alone[0][0] == 0x91
+    SeededSource(1).next_bits(3)
+    assert SeededSource(1).next_bits(8) == 0x91
+
+
 def test_seeded_determinism():
     a, b = SeededSource(42), SeededSource(42)
     assert [a.next_bits(8) for _ in range(32)] == [b.next_bits(8) for _ in range(32)]
@@ -162,7 +186,7 @@ def test_nonpositive_chunk_rejected():
 @pytest.mark.parametrize("make", [
     lambda: SeededSource(1), OsSource, lambda: TapeSource(bytes([0xA7])),
 ], ids=["seeded", "os", "tape"])
-@pytest.mark.parametrize("count", [8.0, "8"], ids=repr)
+@pytest.mark.parametrize("count", [8.0, "8", 0.5], ids=repr)
 def test_non_integer_bit_count_leaves_source_usable(make, count):
     source = make()
     with pytest.raises(TypeError):
@@ -173,3 +197,8 @@ def test_non_integer_bit_count_leaves_source_usable(make, count):
         assert bits == SeededSource(1).next_bits(8)
     if isinstance(source, TapeSource):
         assert bits == 0xA7
+
+
+def test_empty_tape_refuses_a_float_count_before_exhaustion():
+    with pytest.raises(TypeError):
+        TapeSource(b"").next_bits(8.0)
