@@ -15,12 +15,11 @@ from collections.abc import Iterable
 
 from .analysis import ESTIMATE_REGIME_FACTOR, efficiency_estimate, waste_point
 from .harness import BenchReport, bench_naive, bench_recycler, enumerate_exact, shuffle
-from .pool import EntropyPool
+from .pool import MAX_WORD_BITS, EntropyPool
 from .radix import RadixPlan, roll_batch
 from .sources import EntropySource, OsSource, SeededSource, TapeSource
 
 
-_SIZE_BITS_LIMIT = 1 << 16  # widest power parse_size computes
 MAX_TAPE_BYTES = 1 << 24  # longest tape:PATH file read into memory
 LINE_BLOCK = 1024  # roll lines gathered into one stdout write
 
@@ -28,19 +27,19 @@ LINE_BLOCK = 1024  # roll lines gathered into one stdout write
 def parse_size(text: str) -> int:
     """Integer literal, optionally in base^exponent form like 2^24.
 
-    A power wider than 2**16 bits is refused; 2^1000000000 and any other
-    power that cannot be narrower fail before they are computed.
+    A power wider than pool.MAX_WORD_BITS bits is refused; 2^1000000000
+    and any power that cannot be narrower fail before they are computed.
     """
     if "^" in text:
         base_text, _, exponent_text = text.partition("^")
         base, exponent = int(base_text), int(exponent_text)
         if exponent < 0:
             raise ValueError(f"exponent must be nonnegative, got {exponent}")
-        if (abs(base).bit_length() - 1) * exponent < _SIZE_BITS_LIMIT:
+        if (abs(base).bit_length() - 1) * exponent < MAX_WORD_BITS:
             power = base ** exponent
-            if power.bit_length() <= _SIZE_BITS_LIMIT:
+            if power.bit_length() <= MAX_WORD_BITS:
                 return power
-        raise ValueError(f"{text} is wider than {_SIZE_BITS_LIMIT} bits")
+        raise ValueError(f"{text} is wider than {MAX_WORD_BITS} bits")
     return int(text)
 
 
@@ -240,7 +239,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader closed the pipe: stop quietly, and point stdout at
         # devnull so the flush at interpreter exit has nowhere to fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
     except (ValueError, OverflowError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

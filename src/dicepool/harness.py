@@ -16,6 +16,7 @@ import math
 import time
 from collections import namedtuple
 from collections.abc import Sequence
+from operator import index
 
 from .pool import EntropyPool
 from .sources import EntropySource, SeededSource
@@ -82,13 +83,12 @@ class BenchReport(namedtuple("BenchReport", _CSV_COLUMNS + ("elapsed",),
         )
 
 
-def _check_bench_args(sides: int, rolls: int) -> None:
-    if sides < 2:
-        raise ValueError(f"bench needs sides >= 2, got {sides}")
-    if sides > MAX_TABLE_SIZE:
-        raise ValueError(f"bench needs sides <= {MAX_TABLE_SIZE}, got {sides}")
-    if rolls < 1:
-        raise ValueError(f"rolls must be positive, got {rolls}")
+def _int_in(name: str, value: int, low: int, high: float = math.inf) -> int:
+    """`value` as an int (operator.index), refused unless low <= value <= high."""
+    value = index(value)
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
+    return value
 
 
 def _assemble(sampler: str, sides: int, rolls: int, bits_in: int,
@@ -114,7 +114,7 @@ def _assemble(sampler: str, sides: int, rolls: int, bits_in: int,
 def bench_recycler(sides: int, rolls: int, seed: int = 1, *,
                    word_bits: int = 64, chunk_bits: int = 8) -> BenchReport:
     """Benchmark the recycling roller: `rolls` draws on one pool."""
-    _check_bench_args(sides, rolls)
+    sides, rolls = _int_in("sides", sides, 2, MAX_TABLE_SIZE), _int_in("rolls", rolls, 1)
     start = time.perf_counter()
     pool = EntropyPool(word_bits, chunk_bits)
     source = SeededSource(seed)
@@ -129,7 +129,7 @@ def bench_recycler(sides: int, rolls: int, seed: int = 1, *,
 
 def bench_naive(sides: int, rolls: int, seed: int = 1) -> BenchReport:
     """Benchmark tight-fit rejection: fresh word per try, discard on miss."""
-    _check_bench_args(sides, rolls)
+    sides, rolls = _int_in("sides", sides, 2, MAX_TABLE_SIZE), _int_in("rolls", rolls, 1)
     start = time.perf_counter()
     word = (sides - 1).bit_length()
     source = SeededSource(seed)
@@ -172,12 +172,8 @@ class EnumerationResult(namedtuple("EnumerationResult",
 
 def enumerate_exact(tape_bits: int, sides: int) -> EnumerationResult:
     """Drive one reduction over every possible tape of `tape_bits` bits."""
-    if not 1 <= tape_bits <= MAX_ENUM_TAPE_BITS:
-        raise ValueError(
-            f"tape_bits must be in [1, {MAX_ENUM_TAPE_BITS}], got {tape_bits}"
-        )
-    if not 1 <= sides <= MAX_ENUM_SIDES:
-        raise ValueError(f"sides must be in [1, {MAX_ENUM_SIDES}], got {sides}")
+    tape_bits = _int_in("tape_bits", tape_bits, 1, MAX_ENUM_TAPE_BITS)
+    sides = _int_in("sides", sides, 1, MAX_ENUM_SIDES)
     pool_size = 1 << tape_bits
     counts = [0] * sides
     discard_states: list[tuple[int, int]] = []
@@ -199,8 +195,7 @@ def shuffle(deck: int, source: EntropySource | None = None, *,
     different radix every round, all recycled through the same pool.
     `source` defaults to SeededSource(1).
     """
-    if not 1 <= deck <= MAX_TABLE_SIZE:
-        raise ValueError(f"deck must be in [1, {MAX_TABLE_SIZE}], got {deck}")
+    deck = _int_in("deck", deck, 1, MAX_TABLE_SIZE)
     if source is None:
         source = SeededSource(1)
     pool = EntropyPool(word_bits, chunk_bits)

@@ -25,26 +25,20 @@ class EntropyExhausted(RuntimeError):
 
 
 class EntropySource:
-    """Abstract producer of unbiased bits."""
+    """Producer of unbiased bits, served from 64-bit words.
 
-    def next_bits(self, count: int) -> int:
-        """Return the next `count` bits as an integer in [0, 2**count)."""
-        raise NotImplementedError
-
-
-class _BufferedSource(EntropySource):
-    """Base for word-producing sources; serves arbitrary chunk sizes.
-
-    Subclasses implement `_pull()` returning the next 64-bit word of
-    fresh bits. The FIFO buffer keeps the oldest bit in the most
-    significant position, which is what makes chunked reads agree with
-    one wide read.
+    A subclass implements `_pull()` returning the next 64-bit word of
+    fresh bits and inherits `next_bits`, which serves any chunk size. The
+    FIFO buffer keeps the oldest bit in the most significant position,
+    which is what makes chunked reads agree with one wide read. A source
+    that is not word-based overrides `next_bits` instead.
     """
 
     _buf = 0  # empty until the first read gives the instance its own
     _nbuf = 0
 
     def next_bits(self, count: int) -> int:
+        """Return the next `count` bits as an integer in [0, 2**count)."""
         count = index(count)  # first, so a bad count leaves the buffer as it was
         if count < 1:
             raise ValueError(f"bit count must be positive, got {count}")
@@ -56,8 +50,11 @@ class _BufferedSource(EntropySource):
         self._buf, self._nbuf = buf & ((1 << nbuf) - 1), nbuf
         return buf >> nbuf
 
+    def _pull(self) -> int:
+        raise NotImplementedError
 
-class SeededSource(_BufferedSource):
+
+class SeededSource(EntropySource):
     """Deterministic pseudorandom source for reproducible experiments.
 
     Backed by SplitMix64, a standard 64-bit-state generator. The choice
@@ -79,7 +76,7 @@ class SeededSource(_BufferedSource):
         return z ^ (z >> 31)
 
 
-class OsSource(_BufferedSource):
+class OsSource(EntropySource):
     """Operating-system randomness (os.urandom). Not reproducible.
 
     Raises the platform's error (NotImplementedError/OSError) if no OS

@@ -102,6 +102,18 @@ def test_closed_pipe_exits_quietly():
     assert err == ""
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_pipe_leaks_no_descriptor(monkeypatch):
+    open_fds = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            assert main(["roll", "-n", "6", "-c", "5000", "--source", "seeded"]) == 1
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
 @pytest.mark.parametrize("argv", [[], ["-n", "6", "--plan", "2,3"]],
                          ids=["neither", "both"])
 def test_roll_needs_sides_or_plan(capsys, argv):
@@ -215,6 +227,11 @@ def test_bench_baseline_adds_naive_row(capsys):
     naive_row = lines[2].split(",")
     assert naive_row[0] == "naive"
     assert float(naive_row[7]) == pytest.approx(0.4335, abs=0.02)
+
+
+def test_bench_refuses_a_one_sided_die(capsys):
+    assert main(["bench", "-n", "1", "--rolls", "5"]) == 1
+    assert capsys.readouterr() == ("", "error: sides must be in [2, 1048576], got 1\n")
 
 
 def test_bench_plain_output(capsys):

@@ -1,5 +1,7 @@
 """Benchmarks, exhaustive enumeration, chi-square, shuffle."""
 
+import re
+
 import pytest
 
 from dicepool import (
@@ -95,6 +97,23 @@ def test_bench_argument_validation():
             bench(MAX_TABLE_SIZE + 1, 1)  # refused before the histogram is made
     with pytest.raises(ValueError):
         bench_recycler(6, 1, word_bits=(1 << 16) + 1)  # the pool refuses the width
+    with pytest.raises(ValueError, match=re.escape("sides must be in [2, 1048576], got 1")):
+        bench_naive(1, 10)
+    with pytest.raises(ValueError, match=re.escape("rolls must be in [1, inf], got 0")):
+        bench_naive(6, 0)
+
+
+@pytest.mark.parametrize("call,args", [
+    (bench_naive, (6.0, 10)),
+    (bench_recycler, (6.0, 10)),
+    (bench_recycler, (6, 10.0)),
+    (shuffle, (52.0,)),
+    (enumerate_exact, (3.0, 3)),
+    (enumerate_exact, (3, 3.0)),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_harness_integers_must_be_ints(call, args):
+    with pytest.raises(TypeError):
+        call(*args)
 
 
 def test_csv_row_shape():

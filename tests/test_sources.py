@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dicepool import (
     CountingSource,
     EntropyExhausted,
+    EntropySource,
     OsSource,
     SeededSource,
     TapeSource,
@@ -176,6 +177,11 @@ def test_os_source_emits_both_bit_values():
     source = OsSource()
     seen = {source.next_bits(1) for _ in range(1000)}
     assert seen == {0, 1}
+
+
+def test_base_source_has_no_words():
+    with pytest.raises(NotImplementedError):
+        EntropySource().next_bits(8)
 
 
 def test_nonpositive_chunk_rejected():
