@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import index
+
+from .sources import _int_in
 
 ESTIMATE_REGIME_FACTOR = 4  # large-pool estimate wants pool_size >= 4 * sides
 
@@ -45,11 +46,7 @@ def efficiency_estimate(sides: int, pool_size: int) -> float:
     Valid for 2 <= sides and pool_size >= ESTIMATE_REGIME_FACTOR * sides;
     below that the point value is an extrapolation.
     """
-    sides, pool_size = index(sides), index(pool_size)
-    if sides < 2:
-        raise ValueError(f"estimate needs sides >= 2, got {sides}")
-    if pool_size < 1:
-        raise ValueError(f"pool_size must be positive, got {pool_size}")
+    sides, pool_size = _int_in("sides", sides, 2), _int_in("pool_size", pool_size, 1)
     ln_sides = math.log(sides)
     deficit = (sides / (2.0 * pool_size)) * (
         (1.0 + math.log(2.0) + math.log(pool_size) - ln_sides) / ln_sides
@@ -72,9 +69,7 @@ def waste_point(sides: int, pool_size: int) -> WastePoint:
     precision where p rounds to 1. A pool smaller than the die accepts
     nothing: p is 0 and the waste per roll is infinite.
     """
-    sides, pool_size = index(sides), index(pool_size)
-    if sides < 1 or pool_size < 1:
-        raise ValueError(f"sides and pool_size must be >= 1, got {sides}, {pool_size}")
+    sides, pool_size = _int_in("sides", sides, 1), _int_in("pool_size", pool_size, 1)
     offcut = pool_size % sides
     accepted = pool_size - offcut
     p = accepted / pool_size

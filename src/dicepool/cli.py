@@ -17,11 +17,12 @@ from .analysis import ESTIMATE_REGIME_FACTOR, efficiency_estimate, waste_point
 from .harness import BenchReport, bench_naive, bench_recycler, enumerate_exact, shuffle
 from .pool import MAX_WORD_BITS, EntropyPool
 from .radix import RadixPlan, roll_batch
-from .sources import EntropySource, OsSource, SeededSource, TapeSource
+from .sources import EntropySource, OsSource, SeededSource, TapeSource, _int_in
 
 
 MAX_TAPE_BYTES = 1 << 24  # longest tape:PATH file read into memory
-LINE_BLOCK = 1024  # roll lines gathered into one stdout write
+LINE_BLOCK = 1024  # most roll lines gathered into one stdout write
+BLOCK_BYTES = 1 << 16  # and their most bytes, unless one line is wider
 
 
 def parse_size(text: str) -> int:
@@ -61,17 +62,20 @@ def make_source(name: str, seed: int | None) -> EntropySource:
     raise ValueError(f"unknown source '{name}' (expected seeded, os, or tape:PATH)")
 
 
-def _write_lines(lines: Iterable[str]) -> None:
-    """Write `lines` to stdout, LINE_BLOCK newline-terminated lines per write.
+def _write_lines(lines: Iterable[str], line_bytes: int) -> None:
+    """Write `lines` to stdout as newline-terminated blocks.
 
-    If making a line raises, the lines made before it are still written,
-    in order, before the exception propagates.
+    `line_bytes` bounds one line with its newline; a block holds at most
+    LINE_BLOCK lines and, unless a single line is wider, BLOCK_BYTES
+    bytes. If making a line raises, the lines made before it are still
+    written, in order, before the exception propagates.
     """
+    per_block = max(1, min(LINE_BLOCK, BLOCK_BYTES // line_bytes))
     block: list[str] = []
     try:
         for line in lines:
             block.append(line)
-            if len(block) == LINE_BLOCK:
+            if len(block) == per_block:
                 text = "\n".join(block) + "\n"
                 block.clear()  # before the write, so a failed write is not retried
                 sys.stdout.write(text)
@@ -89,15 +93,17 @@ def cmd_roll(args: argparse.Namespace) -> int:
     pool = EntropyPool(args.word_bits, args.chunk_bits)
     if args.plan is None:  # not via roll_batch: through it, -n ran about 40% slower
         sides = args.sides
+        line_bytes = len(str(sides - 1)) + 1
         lines = (str(pool.roll(sides, source)) for _ in range(args.count))
     else:
         plan = RadixPlan(int(part) for part in args.plan.split(","))
-        sides = plan.product
+        sides = plan.product  # may be too wide to print; the ranges bound a line
+        line_bytes = sum(len(str(n - 1)) + 1 for n in plan.ranges)
         form = " ".join(["%d"] * len(plan.ranges))
         lines = (form % tuple(roll_batch(pool, plan, source)) for _ in range(args.count))
     if not 1 <= sides <= pool.refill_ceiling:  # refused even if -c 0 rolls nothing
         pool.roll(sides, source)  # raises the pool's own error, drawing no bit
-    _write_lines(lines)
+    _write_lines(lines, line_bytes)
     return 0
 
 
@@ -128,28 +134,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     sides = args.sides
     if sides < 2:
         raise ValueError(f"analyze needs -n >= 2, got {sides}")
-    m_from = parse_size(args.m_from)
-    m_to = parse_size(args.m_to) if args.m_to is not None else m_from
-    if m_from < 1 or m_to < m_from:
-        raise ValueError(f"invalid pool range [{m_from}, {m_to}]")
-    last = m_from << ((m_to // m_from).bit_length() - 1)  # largest size swept
-    widest = max(last, sides)  # the model divides both as floats
-    try:
-        float(widest)
+    pool_size = _int_in("--m-from", parse_size(args.m_from), 1)
+    m_to = pool_size if args.m_to is None else _int_in(
+        "--m-to", parse_size(args.m_to), pool_size)
+    rows = ["m,p,binary_entropy,waste_per_roll,eta_estimate,in_regime"]
+    try:  # built before printing; the model overflows a float within ~1024 rows
+        while pool_size <= m_to:
+            point = waste_point(sides, pool_size)
+            eta = efficiency_estimate(sides, pool_size)
+            in_regime = pool_size >= ESTIMATE_REGIME_FACTOR * sides
+            rows.append(f"{pool_size},{point.p:.10g},{point.waste_iter:.10g},"
+                        f"{point.waste_roll:.10g},{eta:.10g},{int(in_regime)}")
+            pool_size *= 2
     except OverflowError:
-        raise ValueError(
-            f"a {widest.bit_length()}-bit -n or pool size overflows a float; "
-            "keep -n and pool sizes below 2^1024"
-        ) from None
-    print("m,p,binary_entropy,waste_per_roll,eta_estimate,in_regime")
-    pool_size = m_from
-    while pool_size <= m_to:
-        point = waste_point(sides, pool_size)
-        eta = efficiency_estimate(sides, pool_size)
-        in_regime = pool_size >= ESTIMATE_REGIME_FACTOR * sides
-        print(f"{pool_size},{point.p:.10g},{point.waste_iter:.10g},"
-              f"{point.waste_roll:.10g},{eta:.10g},{int(in_regime)}")
-        pool_size *= 2
+        raise ValueError("-n or a pool size overflows a float; "
+                         "keep -n and pool sizes below 2^1024") from None
+    print("\n".join(rows))
     return 0
 
 

@@ -16,10 +16,9 @@ import math
 import time
 from collections import namedtuple
 from collections.abc import Sequence
-from operator import index
 
 from .pool import EntropyPool
-from .sources import EntropySource, SeededSource
+from .sources import EntropySource, SeededSource, _int_in
 
 MAX_ENUM_TAPE_BITS = 16
 MAX_ENUM_SIDES = 20
@@ -81,14 +80,6 @@ class BenchReport(namedtuple("BenchReport", _CSV_COLUMNS + ("elapsed",),
             f"  chi-square       {self.chi_square:.4f} (dof {self.dof})\n"
             f"  elapsed          {self.elapsed:.3f} s"
         )
-
-
-def _int_in(name: str, value: int, low: int, high: float = math.inf) -> int:
-    """`value` as an int (operator.index), refused unless low <= value <= high."""
-    value = index(value)
-    if not low <= value <= high:
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
-    return value
 
 
 def _assemble(sampler: str, sides: int, rolls: int, bits_in: int,

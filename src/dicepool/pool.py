@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import log2
 from operator import index
 
-from .sources import EntropySource
+from .sources import EntropySource, _int_in, _refusal
 
 MAX_WORD_BITS = 1 << 16  # widest pool: bounds the ceiling and every refill read
 
@@ -43,18 +43,8 @@ class EntropyPool:
                  "bits_drawn")
 
     def __init__(self, word_bits: int = 64, chunk_bits: int = 8) -> None:
-        word_bits, chunk_bits = index(word_bits), index(chunk_bits)
-        if word_bits < 1:
-            raise ValueError(f"word_bits must be positive, got {word_bits}")
-        if word_bits > MAX_WORD_BITS:
-            raise ValueError(f"word bits must be at most {MAX_WORD_BITS}, "
-                             f"got {word_bits}")
-        if not 1 <= chunk_bits <= word_bits:
-            raise ValueError(
-                f"chunk_bits must be in [1, word_bits={word_bits}], got {chunk_bits}"
-            )
-        self.word_bits = word_bits
-        self.chunk_bits = chunk_bits
+        self.word_bits = word_bits = _int_in("word_bits", word_bits, 1, MAX_WORD_BITS)
+        self.chunk_bits = chunk_bits = _int_in("chunk_bits", chunk_bits, 1, word_bits)
         # Largest size that still admits (and demands) another chunk, and
         # the largest die a roll accepts; fixed for the pool's lifetime.
         self.refill_ceiling = 1 << (word_bits - chunk_bits)
@@ -107,9 +97,9 @@ class EntropyPool:
         lost. `sides` must be an int (operator.index), so a float range
         raises TypeError.
         """
-        sides = index(sides)
+        sides = index(sides)  # inline, not _int_in: this runs once per pass
         if sides < 1:
-            raise ValueError(f"die must have at least one side, got {sides}")
+            raise ValueError(_refusal("sides", sides, 1))
         size, value = self.size, self.value
         keep = size // sides
         quotient = value // sides
@@ -135,14 +125,11 @@ class EntropyPool:
         passes already made stay applied. A non-int `sides` raises
         TypeError before any bit is drawn.
         """
-        sides = index(sides)
+        sides = index(sides)  # inline, not _int_in: this runs once per roll
         ceiling = self.refill_ceiling
         if not 1 <= sides <= ceiling:
-            if sides < 1:
-                raise ValueError(f"die must have at least one side, got {sides}")
-            raise RangeTooLarge(
-                f"sides={sides} exceeds 2**(word_bits-chunk_bits)={ceiling}"
-            )
+            refused = ValueError if sides < 1 else RangeTooLarge
+            raise refused(_refusal("sides", sides, 1, ceiling))
         while True:
             if self.size <= ceiling:
                 self.top_off(source)
@@ -157,12 +144,8 @@ class EntropyPool:
     @classmethod
     def from_snapshot(cls, snap: tuple[int, int, int, int]) -> "EntropyPool":
         """Rebuild a pool from `snapshot` output; also handy for preloads."""
-        size, value, word_bits, chunk_bits = map(index, snap)
+        size, value, word_bits, chunk_bits = snap
         pool = cls(word_bits, chunk_bits)
-        if not 1 <= size <= 1 << word_bits:
-            raise ValueError(f"size must be in [1, 2**{word_bits}], got {size}")
-        if not 0 <= value < size:
-            raise ValueError(f"value must be in [0, {size}), got {value}")
-        pool.size = size
-        pool.value = value
+        pool.size = _int_in("size", size, 1, 1 << pool.word_bits)
+        pool.value = _int_in("value", value, 0, pool.size - 1)
         return pool

@@ -11,12 +11,11 @@ which is what makes the two procedures agree draw for draw.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from .pool import EntropyPool
-from .sources import EntropySource
+from .sources import EntropySource, _int_in
 
 
 class RadixPlan(namedtuple("RadixPlan", "ranges product")):
@@ -29,10 +28,7 @@ class RadixPlan(namedtuple("RadixPlan", "ranges product")):
     __slots__ = ()
 
     def __new__(cls, ranges: Iterable[int]) -> RadixPlan:
-        ranges = tuple(map(operator.index, ranges))
-        for n in ranges:
-            if n < 1:
-                raise ValueError(f"every range must be >= 1, got {n}")
+        ranges = tuple([_int_in("range", n, 1) for n in ranges])
         return super().__new__(cls, ranges, math.prod(ranges))
 
     def __getnewargs__(self) -> tuple[tuple[int, ...]]:

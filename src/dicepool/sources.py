@@ -10,6 +10,7 @@ threads if you like, but never share one concurrently.
 from __future__ import annotations
 
 import os
+from math import inf
 from operator import index
 
 _MASK64 = (1 << 64) - 1
@@ -18,6 +19,31 @@ _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _SPLITMIX_MULT1 = 0xBF58476D1CE4E5B9
 _SPLITMIX_MULT2 = 0x94D049BB133111EB
+
+
+def _refusal(name: str, value: int, low: int, high: float = inf) -> str:
+    """The one range-refusal text, `NAME must be in [LOW, HIGH], got VALUE`.
+
+    An int wider than 64 bits prints as 2**k, or else as a k-bit int:
+    Python refuses to print one past 4300 digits.
+    """
+    def show(n: float) -> str:
+        bits = 0 if n == inf else abs(n).bit_length()
+        if bits <= 64:
+            return str(n)
+        if abs(n) == 1 << (bits - 1):
+            return f"{'-' if n < 0 else ''}2**{bits - 1}"
+        return f"a {'negative ' if n < 0 else ''}{bits}-bit int"
+
+    return f"{name} must be in [{show(low)}, {show(high)}], got {show(value)}"
+
+
+def _int_in(name: str, value: int, low: int, high: float = inf) -> int:
+    """`value` as an int (operator.index), refused unless low <= value <= high."""
+    value = index(value)
+    if not low <= value <= high:
+        raise ValueError(_refusal(name, value, low, high))
+    return value
 
 
 class EntropyExhausted(RuntimeError):
@@ -39,9 +65,9 @@ class EntropySource:
 
     def next_bits(self, count: int) -> int:
         """Return the next `count` bits as an integer in [0, 2**count)."""
-        count = index(count)  # first, so a bad count leaves the buffer as it was
+        count = index(count)  # inline (hot), and first: a bad count keeps the buffer
         if count < 1:
-            raise ValueError(f"bit count must be positive, got {count}")
+            raise ValueError(_refusal("count", count, 1))
         buf, nbuf = self._buf, self._nbuf
         while nbuf < count:
             buf = (buf << 64) | self._pull()
@@ -65,9 +91,7 @@ class SeededSource(EntropySource):
     """
 
     def __init__(self, seed: int) -> None:
-        if seed < 0:
-            raise ValueError("seed must be nonnegative")
-        self._state = seed & _MASK64
+        self._state = _int_in("seed", seed, 0) & _MASK64
 
     def _pull(self) -> int:
         z = self._state = (self._state + _SPLITMIX_GAMMA) & _MASK64
@@ -100,17 +124,14 @@ class TapeSource(EntropySource):
     def __init__(self, data: bytes, nbits: int | None = None) -> None:
         self._data = bytes(data)
         total = 8 * len(self._data)
-        nbits = total if nbits is None else index(nbits)
-        if not 0 <= nbits <= total:
-            raise ValueError(f"nbits must be in [0, {total}], got {nbits}")
-        self._nbits = nbits
+        self._nbits = total if nbits is None else _int_in("nbits", nbits, 0, total)
         self._pos = 0
 
     @classmethod
     def from_int(cls, value: int, nbits: int) -> "TapeSource":
         """Tape whose `nbits` bits spell `value` (big-endian)."""
-        if nbits < 0 or value < 0 or value >> nbits:
-            raise ValueError("value must fit in nbits")
+        nbits = _int_in("nbits", nbits, 0)
+        value = _int_in("value", value, 0, (1 << nbits) - 1)
         nbytes = (nbits + 7) // 8
         data = (value << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
         return cls(data, nbits)
@@ -120,9 +141,7 @@ class TapeSource(EntropySource):
         return self._nbits - self._pos
 
     def next_bits(self, count: int) -> int:
-        count = index(count)
-        if count < 1:
-            raise ValueError(f"bit count must be positive, got {count}")
+        count = _int_in("count", count, 1)
         end = self._pos + count
         if end > self._nbits:
             raise EntropyExhausted(f"tape exhausted after {self._nbits} bits")

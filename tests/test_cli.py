@@ -163,6 +163,38 @@ def test_roll_plan_lines_across_block_boundaries(capsys):
     assert capsys.readouterr().out == want
 
 
+class _RecordingStdout:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_roll_blocks_are_bounded_in_size(monkeypatch):
+    # 40 lines of 10 KB: a 1024-line block would be one 400 KB write
+    stdout = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["roll", "--plan", ",".join(["1"] * 5000), "-c", "40",
+                 "--source", "seeded"]) == 0
+    assert all(len(text) <= cli.BLOCK_BYTES for text in stdout.writes)
+    assert "".join(stdout.writes) == (" ".join(["0"] * 5000) + "\n") * 40
+
+
+def test_roll_refuses_a_die_too_wide_to_print(capsys):
+    # the product 2**19993 has 6019 digits, past Python's int-to-str limit
+    argv = ["roll", "-W", "20000", "--plan", ",".join(["2"] * 19993),
+            "--source", "seeded"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sides must be in [1, 2**19992], got 2**19993\n"
+
+
 def test_parser_is_built_once_and_reused(capsys):
     assert cli.build_parser() is cli.build_parser()
     assert main(["roll", "--plan", "2,3", "-c", "2", "--source", "seeded"]) == 0
