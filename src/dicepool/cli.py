@@ -14,7 +14,8 @@ import sys
 from collections.abc import Iterable
 
 from .analysis import ESTIMATE_REGIME_FACTOR, efficiency_estimate, waste_point
-from .harness import BenchReport, bench_naive, bench_recycler, enumerate_exact, shuffle
+from .harness import (MAX_ENUM_SIDES, MAX_ENUM_TAPE_BITS, BenchReport, bench_naive,
+                      bench_recycler, enumerate_exact, shuffle)
 from .pool import MAX_WORD_BITS, EntropyPool
 from .radix import RadixPlan, roll_batch
 from .sources import EntropySource, OsSource, SeededSource, TapeSource, _int_in
@@ -33,9 +34,7 @@ def parse_size(text: str) -> int:
     """
     if "^" in text:
         base_text, _, exponent_text = text.partition("^")
-        base, exponent = int(base_text), int(exponent_text)
-        if exponent < 0:
-            raise ValueError(f"exponent must be nonnegative, got {exponent}")
+        base, exponent = int(base_text), _int_in("exponent", int(exponent_text), 0)
         if (abs(base).bit_length() - 1) * exponent < MAX_WORD_BITS:
             power = base ** exponent
             if power.bit_length() <= MAX_WORD_BITS:
@@ -85,25 +84,23 @@ def _write_lines(lines: Iterable[str], line_bytes: int) -> None:
 
 
 def cmd_roll(args: argparse.Namespace) -> int:
-    if args.count < 0:
-        raise ValueError(f"count must be nonnegative, got {args.count}")
+    count = _int_in("count", args.count, 0)
     if (args.sides is None) == (args.plan is None):
         raise ValueError("give -n/--sides or --plan, not both")
     source = make_source(args.source, args.seed)
     pool = EntropyPool(args.word_bits, args.chunk_bits)
-    if args.plan is None:  # not via roll_batch: through it, -n ran about 40% slower
+    if args.plan is None:  # not via roll_batch: through it, -n took ~1.4x the time
         sides = args.sides
-        line_bytes = len(str(sides - 1)) + 1
-        lines = (str(pool.roll(sides, source)) for _ in range(args.count))
+        ranges = (sides,)
+        lines = (str(pool.roll(sides, source)) for _ in range(count))
     else:
         plan = RadixPlan(int(part) for part in args.plan.split(","))
-        sides = plan.product  # may be too wide to print; the ranges bound a line
-        line_bytes = sum(len(str(n - 1)) + 1 for n in plan.ranges)
-        form = " ".join(["%d"] * len(plan.ranges))
-        lines = (form % tuple(roll_batch(pool, plan, source)) for _ in range(args.count))
+        sides, ranges = plan.product, plan.ranges  # a product may be too wide to print
+        form = " ".join(["%d"] * len(ranges))
+        lines = (form % tuple(roll_batch(pool, plan, source)) for _ in range(count))
     if not 1 <= sides <= pool.refill_ceiling:  # refused even if -c 0 rolls nothing
         pool.roll(sides, source)  # raises the pool's own error, drawing no bit
-    _write_lines(lines, line_bytes)
+    _write_lines(lines, sum(len(str(n - 1)) + 1 for n in ranges))  # widest line
     return 0
 
 
@@ -131,9 +128,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    sides = args.sides
-    if sides < 2:
-        raise ValueError(f"analyze needs -n >= 2, got {sides}")
+    sides = _int_in("sides", args.sides, 2)
     pool_size = _int_in("--m-from", parse_size(args.m_from), 1)
     m_to = pool_size if args.m_to is None else _int_in(
         "--m-to", parse_size(args.m_to), pool_size)
@@ -164,7 +159,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _add_pool_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-W", "--word-bits", type=int, default=64,
-                        help="pool capacity bound in bits, at most 2^16 (default 64)")
+                        help=f"pool capacity bound in bits, at most {MAX_WORD_BITS} "
+                             "(default 64)")
     parser.add_argument("-B", "--chunk-bits", type=int, default=8,
                         help="refill granularity in bits (default 8)")
 
@@ -222,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     enum = sub.add_parser("enumerate",
                           help="exhaustive uniformity check over all short tapes")
     enum.add_argument("-l", "--tape-bits", type=int, required=True,
-                      help="tape length in bits (<= 16)")
+                      help=f"tape length in bits (<= {MAX_ENUM_TAPE_BITS})")
     enum.add_argument("-n", "--sides", type=int, required=True,
-                      help="die range (<= 20)")
+                      help=f"die range (<= {MAX_ENUM_SIDES})")
     enum.set_defaults(func=cmd_enumerate)
 
     return parser

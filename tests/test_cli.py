@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import dicepool
-from dicepool import cli
+from dicepool import cli, harness
 from dicepool.cli import main, parse_size
+from dicepool.pool import MAX_WORD_BITS
 
 SHUFFLE_52_SEED_7 = (
     "21 44 14 33 6 47 22 30 34 24 35 2 27 0 36 23 4 28 8 32 50 19 37 10 "
@@ -185,6 +186,20 @@ def test_roll_blocks_are_bounded_in_size(monkeypatch):
     assert "".join(stdout.writes) == (" ".join(["0"] * 5000) + "\n") * 40
 
 
+def test_wide_die_lines_match_on_both_paths_in_bounded_blocks(monkeypatch):
+    # a 15-digit die: the -n path's block width comes from the die, not from d6
+    outputs = []
+    for die in (["-n", "1000000000000000"], ["--plan", "1000000000000000"]):
+        stdout = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["roll", *die, "-c", "1500", "--source", "seeded", "--seed", "5"]) == 0
+        assert all(len(text) <= cli.BLOCK_BYTES for text in stdout.writes)
+        assert all(text.count("\n") <= cli.LINE_BLOCK for text in stdout.writes)
+        outputs.append("".join(stdout.writes))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 1500
+
+
 def test_roll_refuses_a_die_too_wide_to_print(capsys):
     # the product 2**19993 has 6019 digits, past Python's int-to-str limit
     argv = ["roll", "-W", "20000", "--plan", ",".join(["2"] * 19993),
@@ -327,7 +342,19 @@ def test_analyze_refuses_one_sided_die(capsys):
     assert main(["analyze", "-n", "1", "--m-from", "64"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: analyze needs -n >= 2, got 1\n"
+    assert captured.err == "error: sides must be in [2, inf], got 1\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["roll", "-n", "6", "-c", "-1", "--source", "seeded"],
+     "count must be in [0, inf], got -1"),
+    (["analyze", "-n", "0", "--m-from", "64"], "sides must be in [2, inf], got 0"),
+    (["analyze", "-n", "1", "--m-from", "64"], "sides must be in [2, inf], got 1"),
+    (["analyze", "-n", "6", "--m-from", "2^-1"], "exponent must be in [0, inf], got -1"),
+], ids=["roll-count", "analyze-zero-sides", "analyze-one-side", "negative-exponent"])
+def test_cli_integer_refusals_use_the_gate_text(capsys, argv, err):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_analyze_invalid_range(capsys):
@@ -376,6 +403,20 @@ def test_analyze_stays_accurate_past_float_precision(capsys):
 def test_analyze_largest_float_size(capsys):
     assert main(["analyze", "-n", "6", "--m-from", "2^1023"]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith(str(1 << 1023))
+
+
+@pytest.mark.parametrize("command, text", [
+    ("roll", f"at most {MAX_WORD_BITS}"),
+    ("shuffle", f"at most {MAX_WORD_BITS}"),
+    ("bench", f"at most {MAX_WORD_BITS}"),
+    ("enumerate", f"tape length in bits (<= {harness.MAX_ENUM_TAPE_BITS})"),
+    ("enumerate", f"die range (<= {harness.MAX_ENUM_SIDES})"),
+], ids=["roll-W", "shuffle-W", "bench-W", "enumerate-l", "enumerate-n"])
+def test_help_names_the_bounds_the_library_enforces(capsys, command, text):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert text in " ".join(capsys.readouterr().out.split())  # however argparse wraps
 
 
 def test_enumerate_pass(capsys):
