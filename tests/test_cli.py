@@ -1,12 +1,16 @@
 """CLI contract: subcommands, exit codes, frozen output formats."""
 
+import contextlib
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dicepool
 from dicepool import cli, harness
@@ -231,6 +235,55 @@ def test_lines_before_tape_runs_out_are_kept(tmp_path, capsys, argv, lines):
     captured = capsys.readouterr()
     assert captured.out == "".join(line + "\n" for line in lines)
     assert captured.err == "error: tape exhausted after 72 bits\n"
+
+
+@pytest.mark.parametrize("argv, count, tape_bytes", [
+    (["-n", "6"], 3000, 490),
+    (["--plan", "6,6,6"], 2000, 1460),
+], ids=["sides", "plan"])
+def test_tape_running_out_after_several_blocks_keeps_whole_lines(
+        tmp_path, capsys, monkeypatch, argv, count, tape_bytes):
+    # the tape lasts about 1500 lines, so it runs out inside the second block
+    data = random.Random(tape_bytes).randbytes(tape_bytes)
+    tape = tmp_path / "tape.bin"
+    tape.write_bytes(data)
+    stdout = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["roll", *argv, "-c", str(count), "--source", f"tape:{tape}"]) == 1
+    pool, source = dicepool.EntropyPool(), dicepool.TapeSource(data)
+    plan = dicepool.RadixPlan((6, 6, 6))
+    want = []
+    with pytest.raises(dicepool.EntropyExhausted):
+        for _ in range(count):
+            outcomes = ([pool.roll(6, source)] if argv[0] == "-n"
+                        else dicepool.roll_batch(pool, plan, source))
+            want.append(" ".join(map(str, outcomes)) + "\n")
+    assert cli.LINE_BLOCK < len(want) < count
+    assert "".join(stdout.writes) == "".join(want)
+    assert all(text.endswith("\n") for text in stdout.writes)
+    assert all(text.count("\n") <= cli.LINE_BLOCK for text in stdout.writes)
+    assert capsys.readouterr().err == f"error: tape exhausted after {8 * tape_bytes} bits\n"
+
+
+@settings(max_examples=25, deadline=None)
+@example([10**15] * 5, 2000, 7)  # blocks of 819 lines: 2000 = 819 + 819 + 362
+@given(st.lists(st.sampled_from([1, 2, 9, 10, 52, 999, 10**15]), min_size=1, max_size=5),
+       st.integers(0, 3000), st.integers(0, 2**64 - 1))
+def test_plan_lines_match_roll_batch_in_whole_bounded_blocks(ranges, count, seed):
+    # digit widths 1 to 15 give blocks of 819 to 1024 lines, most of
+    # which do not divide the count; -W 320 holds a product of five 10**15
+    stdout = _RecordingStdout()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["roll", "-W", "320", "--plan", ",".join(map(str, ranges)),
+                     "-c", str(count), "--source", "seeded", "--seed", str(seed)]) == 0
+    pool, source = dicepool.EntropyPool(320), dicepool.SeededSource(seed)
+    plan = dicepool.RadixPlan(ranges)
+    want = "".join(" ".join(map(str, dicepool.roll_batch(pool, plan, source))) + "\n"
+                   for _ in range(count))
+    assert "".join(stdout.writes) == want
+    for text in stdout.writes:
+        assert text.endswith("\n") and text.count("\n") <= cli.LINE_BLOCK
+        assert len(text) <= cli.BLOCK_BYTES or text.count("\n") == 1
 
 
 def _count_calls(monkeypatch, owner, name):
