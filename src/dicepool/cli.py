@@ -22,25 +22,45 @@ from .sources import EntropySource, OsSource, SeededSource, TapeSource, _int_in
 
 
 MAX_TAPE_BYTES = 1 << 24  # longest tape:PATH file read into memory
-LINE_BLOCK = 1024  # most roll lines gathered into one stdout write
-BLOCK_BYTES = 1 << 16  # and their most bytes, unless one line is wider
+BLOCK_BYTES = 1 << 16  # most bytes in one roll write, unless one line is wider
+MAX_INT_TEXT = 4300  # longest integer text parsed: int()'s default digit limit
 
 
-def parse_size(text: str) -> int:
+def _int_text(name: str, text: str) -> int:
+    """int(text), refused by its length first; the refusal never echoes it."""
+    if len(text) > MAX_INT_TEXT:
+        raise ValueError(f"{name} must be at most {MAX_INT_TEXT} characters long, "
+                         f"got {len(text)}")
+    return int(text)
+
+
+def _int_flag(text: str) -> int:
+    """The `type=` of every integer flag: _int_text in argparse's wording."""
+    try:
+        return _int_text("an integer", text)
+    except ValueError as exc:  # argparse would echo the text, however long
+        raise argparse.ArgumentTypeError(
+            str(exc) if len(text) > MAX_INT_TEXT else f"invalid int value: {text!r}"
+        ) from None
+
+
+def parse_size(text: str, name: str = "size") -> int:
     """Integer literal, optionally in base^exponent form like 2^24.
 
     A power wider than pool.MAX_WORD_BITS bits is refused; 2^1000000000
     and any power that cannot be narrower fail before they are computed.
+    `name` names the value in a refusal of a text too long to parse.
     """
     if "^" in text:
         base_text, _, exponent_text = text.partition("^")
-        base, exponent = int(base_text), _int_in("exponent", int(exponent_text), 0)
+        base = _int_text(name, base_text)
+        exponent = _int_in("exponent", _int_text("exponent", exponent_text), 0)
         if (abs(base).bit_length() - 1) * exponent < MAX_WORD_BITS:
             power = base ** exponent
             if power.bit_length() <= MAX_WORD_BITS:
                 return power
         raise ValueError(f"{text} is wider than {MAX_WORD_BITS} bits")
-    return int(text)
+    return _int_text(name, text)
 
 
 def make_source(name: str, seed: int | None) -> EntropySource:
@@ -65,14 +85,12 @@ def _write_rows(draw: Callable[[], list[int]], count: int,
                 ranges: tuple[int, ...]) -> None:
     """Write `count` lines to stdout, one line of `draw()` outcomes each.
 
-    A block of lines is gathered into one flat list and formatted by one
-    `%`; it holds at most LINE_BLOCK lines and, unless one line is wider,
-    BLOCK_BYTES bytes. If a draw raises, the lines drawn before it are
-    still written, in order, before the exception propagates.
+    A block of at most BLOCK_BYTES bytes (or one wider line) is formatted by
+    one `%`; if a draw raises, the lines drawn before it are written first.
     """
     line = " ".join(["%d"] * len(ranges)) + "\n"
     line_bytes = sum(len(str(n - 1)) + 1 for n in ranges)  # widest line
-    per_block = max(1, min(LINE_BLOCK, BLOCK_BYTES // line_bytes))
+    per_block = max(1, BLOCK_BYTES // line_bytes)
     for start in range(0, count, per_block):
         row: list[int] = []
         try:
@@ -94,11 +112,10 @@ def cmd_roll(args: argparse.Namespace) -> int:
         roll = pool.roll
         draw = lambda: [roll(sides, source)]
     else:
-        plan = RadixPlan(int(part) for part in args.plan.split(","))
+        plan = RadixPlan(_int_text("range", part) for part in args.plan.split(","))
         sides, ranges = plan.product, plan.ranges  # a product may be too wide to print
         draw = functools.partial(roll_batch, pool, plan, source)
-    if not 1 <= sides <= pool.refill_ceiling:  # refused even if -c 0 rolls nothing
-        pool.roll(sides, source)  # raises the pool's own error, drawing no bit
+    _int_in("sides", sides, 1, pool.refill_ceiling)  # refused even at -c 0
     _write_rows(draw, count, ranges)
     return 0
 
@@ -128,9 +145,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     sides = _int_in("sides", args.sides, 2)
-    pool_size = _int_in("--m-from", parse_size(args.m_from), 1)
+    pool_size = _int_in("--m-from", parse_size(args.m_from, "--m-from"), 1)
     m_to = pool_size if args.m_to is None else _int_in(
-        "--m-to", parse_size(args.m_to), pool_size)
+        "--m-to", parse_size(args.m_to, "--m-to"), pool_size)
     rows = ["m,p,binary_entropy,waste_per_roll,eta_estimate,in_regime"]
     try:  # built before printing; the model overflows a float within ~1024 rows
         while pool_size <= m_to:
@@ -157,16 +174,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _add_pool_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-W", "--word-bits", type=int, default=64,
+    parser.add_argument("-W", "--word-bits", type=_int_flag, default=64,
                         help=f"pool capacity bound in bits, at most {MAX_WORD_BITS} "
                              "(default 64)")
-    parser.add_argument("-B", "--chunk-bits", type=int, default=8,
+    parser.add_argument("-B", "--chunk-bits", type=_int_flag, default=8,
                         help="refill granularity in bits (default 8)")
 
 
 def _add_source_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--source", default="os", help="seeded | os | tape:PATH")
-    parser.add_argument("--seed", type=int,
+    parser.add_argument("--seed", type=_int_flag,
                         help="seed for --source seeded (default 1); other sources refuse it")
 
 
@@ -180,25 +197,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     roll = sub.add_parser("roll", help="print fair die rolls, one per line")
-    roll.add_argument("-n", "--sides", type=int, help="die range")
+    roll.add_argument("-n", "--sides", type=_int_flag, help="die range")
     roll.add_argument("--plan", metavar="N1,N2,...",
                       help="ranges rolled as one batched product draw")
-    roll.add_argument("-c", "--count", type=int, default=1,
+    roll.add_argument("-c", "--count", type=_int_flag, default=1,
                       help="number of rolls (default 1)")
     _add_source_options(roll)
     _add_pool_options(roll)
     roll.set_defaults(func=cmd_roll)
 
     shuf = sub.add_parser("shuffle", help="print a fair permutation of a deck")
-    shuf.add_argument("--deck", type=int, required=True, help="deck size")
+    shuf.add_argument("--deck", type=_int_flag, required=True, help="deck size")
     _add_source_options(shuf)
     _add_pool_options(shuf)
     shuf.set_defaults(func=cmd_shuffle)
 
     bench = sub.add_parser("bench", help="measure consumption and uniformity")
-    bench.add_argument("-n", "--sides", type=int, required=True)
-    bench.add_argument("--rolls", type=int, required=True)
-    bench.add_argument("--seed", type=int, default=1,
+    bench.add_argument("-n", "--sides", type=_int_flag, required=True)
+    bench.add_argument("--rolls", type=_int_flag, required=True)
+    bench.add_argument("--seed", type=_int_flag, default=1,
                        help="seeded source for reproducibility (default 1)")
     bench.add_argument("--baseline", action="store_true",
                        help="also run the discard-everything rejection sampler")
@@ -207,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=cmd_bench)
 
     analyze = sub.add_parser("analyze", help="tabulate the analytical waste model")
-    analyze.add_argument("-n", "--sides", type=int, required=True)
+    analyze.add_argument("-n", "--sides", type=_int_flag, required=True)
     analyze.add_argument("--m-from", required=True,
                          help="first pool size (accepts 2^K)")
     analyze.add_argument("--m-to", default=None,
@@ -216,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     enum = sub.add_parser("enumerate",
                           help="exhaustive uniformity check over all short tapes")
-    enum.add_argument("-l", "--tape-bits", type=int, required=True,
+    enum.add_argument("-l", "--tape-bits", type=_int_flag, required=True,
                       help=f"tape length in bits (<= {MAX_ENUM_TAPE_BITS})")
-    enum.add_argument("-n", "--sides", type=int, required=True,
+    enum.add_argument("-n", "--sides", type=_int_flag, required=True,
                       help=f"die range (<= {MAX_ENUM_SIDES})")
     enum.set_defaults(func=cmd_enumerate)
 

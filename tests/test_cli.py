@@ -67,13 +67,18 @@ def test_roll_count_bounds(capsys):
     assert main(["roll", "-n", "6", "-c", "0", "--source", "seeded"]) == 0
     assert capsys.readouterr().out == ""
     # -c 0 refuses the dice -c 1 refuses, though it rolls none of them
-    for die in (["-n", "0"], ["-n", "-5"], ["-n", str((1 << 56) + 1)],
-                ["--plan", "1000000000,1000000000"]):
+    bound = "sides must be in [1, 72057594037927936], got"
+    for die, err in (
+        (["-n", "0"], f"{bound} 0"),
+        (["-n", "-5"], f"{bound} -5"),
+        (["-n", str((1 << 56) + 1)], f"{bound} 72057594037927937"),
+        (["--plan", "1000000000,1000000000"], f"{bound} 1000000000000000000"),
+        (["-W", "20000", "--plan", ",".join(["2"] * 19993)],
+         "sides must be in [1, 2**19992], got 2**19993"),
+    ):
         for count in ("0", "1"):
             assert main(["roll", *die, "-c", count, "--source", "seeded"]) == 1
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert err.startswith("error:")
+            assert capsys.readouterr() == ("", f"error: {err}\n")
     assert main(["roll", "-n", str(1 << 56), "-c", "0", "--source", "seeded"]) == 0
     assert capsys.readouterr().out == ""
 
@@ -144,9 +149,9 @@ def test_roll_batched_plan(capsys):
     assert capsys.readouterr().out == "1 2 50\n0 1 46\n1 1 36\n"
 
 
-@pytest.mark.parametrize("count", [1023, 1024, 1025, 2500])
+@pytest.mark.parametrize("count", [32767, 32768, 32769, 40000])
 def test_roll_lines_across_block_boundaries(capsys, count):
-    assert cli.LINE_BLOCK == 1024
+    assert cli.BLOCK_BYTES // len("5\n") == 32768  # d6 lines per block
     assert main(["roll", "-n", "6", "-c", str(count), "--source", "seeded",
                  "--seed", "3"]) == 0
     pool, source = dicepool.EntropyPool(), dicepool.SeededSource(3)
@@ -192,16 +197,17 @@ def test_roll_blocks_are_bounded_in_size(monkeypatch):
 
 def test_wide_die_lines_match_on_both_paths_in_bounded_blocks(monkeypatch):
     # a 15-digit die: the -n path's block width comes from the die, not from d6
+    per_block = cli.BLOCK_BYTES // len("999999999999999\n")  # 4096 lines
     outputs = []
     for die in (["-n", "1000000000000000"], ["--plan", "1000000000000000"]):
         stdout = _RecordingStdout()
         monkeypatch.setattr(sys, "stdout", stdout)
-        assert main(["roll", *die, "-c", "1500", "--source", "seeded", "--seed", "5"]) == 0
+        assert main(["roll", *die, "-c", "5000", "--source", "seeded", "--seed", "5"]) == 0
         assert all(len(text) <= cli.BLOCK_BYTES for text in stdout.writes)
-        assert all(text.count("\n") <= cli.LINE_BLOCK for text in stdout.writes)
+        assert [text.count("\n") for text in stdout.writes] == [per_block, 5000 - per_block]
         outputs.append("".join(stdout.writes))
     assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 1500
+    assert len(outputs[0].splitlines()) == 5000
 
 
 def test_roll_refuses_a_die_too_wide_to_print(capsys):
@@ -212,6 +218,53 @@ def test_roll_refuses_a_die_too_wide_to_print(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: sides must be in [1, 2**19992], got 2**19993\n"
+
+
+NINES_4400 = "9" * 4400  # past the 4300 digits Python's int() will parse
+
+
+def test_roll_refuses_a_plan_part_too_long_to_parse(capsys):
+    # 10**4400 - 1 is under the -W 65536 ceiling; its text is what is refused
+    argv = ["roll", "--plan", NINES_4400, "-W", "65536", "--source", "seeded"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "error: range must be at most 4300 characters long, got 4400\n")
+    assert main(["roll", "--plan", "9" * 4300, "-W", "65536", "--source", "seeded"]) == 0
+    assert len(capsys.readouterr().out) <= 4301
+
+
+@pytest.mark.parametrize("flag, text, err", [
+    ("--m-from", NINES_4400, "--m-from must be at most 4300 characters long, got 4400"),
+    ("--m-from", f"2^{NINES_4400}", "exponent must be at most 4300 characters long, got 4400"),
+    ("--m-to", f"{NINES_4400}^2", "--m-to must be at most 4300 characters long, got 4400"),
+], ids=["m-from", "exponent", "m-to-base"])
+def test_analyze_refuses_a_size_too_long_to_parse(capsys, flag, text, err):
+    argv = ["analyze", "-n", "6", "--m-from", "2", flag, text]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["roll", "-n", NINES_4400], ["roll", "-n", "6", "-c", NINES_4400],
+    ["shuffle", "--deck", NINES_4400], ["bench", "-n", "6", "--rolls", "1", "-W", NINES_4400],
+], ids=["roll-n", "roll-c", "shuffle-deck", "bench-W"])
+def test_integer_flags_refuse_text_too_long_to_parse_without_echoing_it(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        ": an integer must be at most 4300 characters long, got 4400\n")
+    assert len(captured.err) < 500  # the usage line and one short sentence
+
+
+def test_integer_flags_keep_argparse_text_for_malformed_ints(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["roll", "-n", "abc"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument -n/--sides: invalid int value: 'abc'\n")
 
 
 def test_parser_is_built_once_and_reused(capsys):
@@ -237,13 +290,15 @@ def test_lines_before_tape_runs_out_are_kept(tmp_path, capsys, argv, lines):
     assert captured.err == "error: tape exhausted after 72 bits\n"
 
 
-@pytest.mark.parametrize("argv, count, tape_bytes", [
-    (["-n", "6"], 3000, 490),
-    (["--plan", "6,6,6"], 2000, 1460),
+@pytest.mark.parametrize("argv, line, count, tape_bytes", [
+    (["-n", "6"], "5\n", 60000, 13000),
+    (["--plan", "6,6,6"], "5 5 5\n", 20000, 15000),
 ], ids=["sides", "plan"])
 def test_tape_running_out_after_several_blocks_keeps_whole_lines(
-        tmp_path, capsys, monkeypatch, argv, count, tape_bytes):
-    # the tape lasts about 1500 lines, so it runs out inside the second block
+        tmp_path, capsys, monkeypatch, argv, line, count, tape_bytes):
+    # the tape lasts about 40000 (-n) or 15500 (--plan) lines, so it runs
+    # out inside the second block of 32768 or 10922 lines
+    per_block = cli.BLOCK_BYTES // len(line)
     data = random.Random(tape_bytes).randbytes(tape_bytes)
     tape = tmp_path / "tape.bin"
     tape.write_bytes(data)
@@ -258,19 +313,20 @@ def test_tape_running_out_after_several_blocks_keeps_whole_lines(
             outcomes = ([pool.roll(6, source)] if argv[0] == "-n"
                         else dicepool.roll_batch(pool, plan, source))
             want.append(" ".join(map(str, outcomes)) + "\n")
-    assert cli.LINE_BLOCK < len(want) < count
+    assert per_block < len(want) < count
     assert "".join(stdout.writes) == "".join(want)
     assert all(text.endswith("\n") for text in stdout.writes)
-    assert all(text.count("\n") <= cli.LINE_BLOCK for text in stdout.writes)
+    assert all(text.count("\n") <= per_block for text in stdout.writes)
     assert capsys.readouterr().err == f"error: tape exhausted after {8 * tape_bytes} bits\n"
 
 
 @settings(max_examples=25, deadline=None)
 @example([10**15] * 5, 2000, 7)  # blocks of 819 lines: 2000 = 819 + 819 + 362
+@example([999] * 5, 7000, 3)  # blocks of 3276 lines: 7000 = 3276 + 3276 + 448
 @given(st.lists(st.sampled_from([1, 2, 9, 10, 52, 999, 10**15]), min_size=1, max_size=5),
        st.integers(0, 3000), st.integers(0, 2**64 - 1))
 def test_plan_lines_match_roll_batch_in_whole_bounded_blocks(ranges, count, seed):
-    # digit widths 1 to 15 give blocks of 819 to 1024 lines, most of
+    # lines of 2 to 80 bytes give blocks of 32768 to 819 lines, most of
     # which do not divide the count; -W 320 holds a product of five 10**15
     stdout = _RecordingStdout()
     with contextlib.redirect_stdout(stdout):
@@ -281,8 +337,11 @@ def test_plan_lines_match_roll_batch_in_whole_bounded_blocks(ranges, count, seed
     want = "".join(" ".join(map(str, dicepool.roll_batch(pool, plan, source))) + "\n"
                    for _ in range(count))
     assert "".join(stdout.writes) == want
+    # every block but the last is full: bytes, from the widest line, are the one cap
+    per_block = cli.BLOCK_BYTES // sum(len(str(n - 1)) + 1 for n in ranges)
+    assert len(stdout.writes) == -(-count // per_block)
     for text in stdout.writes:
-        assert text.endswith("\n") and text.count("\n") <= cli.LINE_BLOCK
+        assert text.endswith("\n")
         assert len(text) <= cli.BLOCK_BYTES or text.count("\n") == 1
 
 
