@@ -11,7 +11,6 @@ import argparse
 import functools
 import os
 import sys
-from collections.abc import Callable
 
 from .analysis import ESTIMATE_REGIME_FACTOR, efficiency_estimate, waste_point
 from .harness import (MAX_ENUM_SIDES, MAX_ENUM_TAPE_BITS, BenchReport, bench_naive,
@@ -49,7 +48,7 @@ def parse_size(text: str, name: str = "size") -> int:
 
     A power wider than pool.MAX_WORD_BITS bits is refused; 2^1000000000
     and any power that cannot be narrower fail before they are computed.
-    `name` names the value in a refusal of a text too long to parse.
+    `name` names the value in a refusal.
     """
     if "^" in text:
         base_text, _, exponent_text = text.partition("^")
@@ -59,7 +58,7 @@ def parse_size(text: str, name: str = "size") -> int:
             power = base ** exponent
             if power.bit_length() <= MAX_WORD_BITS:
                 return power
-        raise ValueError(f"{text} is wider than {MAX_WORD_BITS} bits")
+        raise ValueError(f"{name} must be at most {MAX_WORD_BITS} bits wide")
     return _int_text(name, text)
 
 
@@ -81,27 +80,12 @@ def make_source(name: str, seed: int | None) -> EntropySource:
     raise ValueError(f"unknown source '{name}' (expected seeded, os, or tape:PATH)")
 
 
-def _write_rows(draw: Callable[[], list[int]], count: int,
-                ranges: tuple[int, ...]) -> None:
-    """Write `count` lines to stdout, one line of `draw()` outcomes each.
+def cmd_roll(args: argparse.Namespace) -> int:
+    """Write -c lines of -n or --plan outcomes to stdout, a block at a time.
 
     A block of at most BLOCK_BYTES bytes (or one wider line) is formatted by
-    one `%`; if a draw raises, the lines drawn before it are written first.
+    one `%`; if a roll raises, the lines rolled before it are written first.
     """
-    line = " ".join(["%d"] * len(ranges)) + "\n"
-    line_bytes = sum(len(str(n - 1)) + 1 for n in ranges)  # widest line
-    per_block = max(1, BLOCK_BYTES // line_bytes)
-    for start in range(0, count, per_block):
-        row: list[int] = []
-        try:
-            for _ in range(min(per_block, count - start)):
-                row += draw()
-        finally:
-            if row:
-                sys.stdout.write(line * (len(row) // len(ranges)) % tuple(row))
-
-
-def cmd_roll(args: argparse.Namespace) -> int:
     count = _int_in("count", args.count, 0)
     if (args.sides is None) == (args.plan is None):
         raise ValueError("give -n/--sides or --plan, not both")
@@ -109,14 +93,26 @@ def cmd_roll(args: argparse.Namespace) -> int:
     pool = EntropyPool(args.word_bits, args.chunk_bits)
     if args.plan is None:  # not via roll_batch: through it, -n took ~1.3x the time
         sides, ranges = args.sides, (args.sides,)
-        roll = pool.roll
-        draw = lambda: [roll(sides, source)]
     else:
         plan = RadixPlan(_int_text("range", part) for part in args.plan.split(","))
         sides, ranges = plan.product, plan.ranges  # a product may be too wide to print
-        draw = functools.partial(roll_batch, pool, plan, source)
     _int_in("sides", sides, 1, pool.refill_ceiling)  # refused even at -c 0
-    _write_rows(draw, count, ranges)
+    line = " ".join(["%d"] * len(ranges)) + "\n"
+    line_bytes = sum(len(str(n - 1)) + 1 for n in ranges)  # widest line
+    per_block = max(1, BLOCK_BYTES // line_bytes)
+    for start in range(0, count, per_block):
+        row: list[int] = []
+        lines = range(min(per_block, count - start))
+        try:
+            if args.plan is None:
+                for _ in lines:
+                    row.append(pool.roll(sides, source))
+            else:
+                for _ in lines:
+                    row += roll_batch(pool, plan, source)
+        finally:
+            if row:
+                sys.stdout.write(line * (len(row) // len(ranges)) % tuple(row))
     return 0
 
 

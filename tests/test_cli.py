@@ -163,14 +163,19 @@ def test_roll_lines_across_block_boundaries(capsys, count):
     assert capsys.readouterr().out == want
 
 
-def test_roll_plan_lines_across_block_boundaries(capsys):
-    assert main(["roll", "--plan", "2,3,52", "-c", "1500", "--source", "seeded",
+def test_roll_plan_lines_across_block_boundaries(monkeypatch):
+    per_block = cli.BLOCK_BYTES // len("1 2 51\n")  # 9362 lines
+    stdout = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["roll", "--plan", "2,3,52", "-c", "20000", "--source", "seeded",
                  "--seed", "3"]) == 0
+    assert [text.count("\n") for text in stdout.writes] == [
+        per_block, per_block, 20000 - 2 * per_block]
     pool, source = dicepool.EntropyPool(), dicepool.SeededSource(3)
     plan = dicepool.RadixPlan((2, 3, 52))
     want = "".join(" ".join(map(str, dicepool.roll_batch(pool, plan, source))) + "\n"
-                   for _ in range(1500))
-    assert capsys.readouterr().out == want
+                   for _ in range(20000))
+    assert "".join(stdout.writes) == want
 
 
 class _RecordingStdout:
@@ -242,6 +247,16 @@ def test_analyze_refuses_a_size_too_long_to_parse(capsys, flag, text, err):
     argv = ["analyze", "-n", "6", "--m-from", "2", flag, text]
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("flag", ["--m-from", "--m-to"])
+def test_analyze_refuses_a_too_wide_power_without_echoing_it(capsys, flag):
+    # both 4300-digit parts parse; their power is refused by its width alone
+    argv = ["analyze", "-n", "6", "--m-from", "2", flag, f"{'9' * 4300}^{'9' * 4300}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured == ("", f"error: {flag} must be at most 65536 bits wide\n")
+    assert len(captured.err) < 60
 
 
 @pytest.mark.parametrize("argv", [

@@ -60,6 +60,13 @@ MUTANTS = [
     ("cli.py", "max(1, BLOCK_BYTES // line_bytes)",
      "max(1, min(1024, BLOCK_BYTES // line_bytes))",
      [CLI + "test_plan_lines_match_roll_batch_in_whole_bounded_blocks"]),
+    ("cli.py", "row.append(pool.roll(sides, source))", "pool.roll(sides, source)",
+     [CLI + "test_roll_seeded_fixture"]),
+    ("cli.py", "row += roll_batch(pool, plan, source)",
+     "row = roll_batch(pool, plan, source)",
+     [CLI + "test_roll_batched_plan"]),
+    ("cli.py", "range(min(per_block, count - start))", "range(per_block)",
+     [CLI + "test_roll_plan_lines_across_block_boundaries"]),
     ("cli.py", "1, pool.refill_ceiling)", "1, pool.refill_ceiling + 1)",
      [CLI + "test_roll_count_bounds"]),
     ("cli.py", "1, pool.refill_ceiling)", "1, pool.refill_ceiling - 1)",
@@ -72,11 +79,8 @@ MUTANTS = [
 def run_tests(copy: Path, ids: list[str]) -> int:
     """pytest's exit status for `ids` in `copy`, importing dicepool from the copy."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    # Without hypothesis's pytest plugin a failing @given test still fails;
-    # with it, the plugin's failure report can raise a warning that
-    # filterwarnings = error turns into a pytest internal error.
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               "-p", "no:hypothesispytest", *ids]
+               *ids]
     return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
 
