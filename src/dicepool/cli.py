@@ -23,6 +23,7 @@ from .sources import EntropySource, OsSource, SeededSource, TapeSource, _int_in
 MAX_TAPE_BYTES = 1 << 24  # longest tape:PATH file read into memory
 BLOCK_BYTES = 1 << 16  # most bytes in one roll write, unless one line is wider
 MAX_INT_TEXT = 4300  # longest integer text parsed: int()'s default digit limit
+DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # outcome -> its digit
 
 
 def _int_text(name: str, text: str) -> int:
@@ -84,7 +85,9 @@ def cmd_roll(args: argparse.Namespace) -> int:
     """Write -c lines of -n or --plan outcomes to stdout, a block at a time.
 
     A block of at most BLOCK_BYTES bytes (or one wider line) is formatted by
-    one `%`; if a roll raises, the lines rolled before it are written first.
+    one `%`, or, when every range is at most 10, by writing its one-digit
+    outcomes over the zeros of lines like "0 0 0", built once; if a roll
+    raises, the lines rolled before it are written first.
     """
     count = _int_in("count", args.count, 0)
     if (args.sides is None) == (args.plan is None):
@@ -100,6 +103,9 @@ def cmd_roll(args: argparse.Namespace) -> int:
     line = " ".join(["%d"] * len(ranges)) + "\n"
     line_bytes = sum(len(str(n - 1)) + 1 for n in ranges)  # widest line
     per_block = max(1, BLOCK_BYTES // line_bytes)
+    wide = max(ranges) > 10  # an outcome may take two digits or more
+    if not wide:
+        text = bytearray(line.replace("%d", "0") * min(per_block, count), "ascii")
     for start in range(0, count, per_block):
         row: list[int] = []
         lines = range(min(per_block, count - start))
@@ -112,7 +118,11 @@ def cmd_roll(args: argparse.Namespace) -> int:
                     row += roll_batch(pool, plan, source)
         finally:
             if row:
-                sys.stdout.write(line * (len(row) // len(ranges)) % tuple(row))
+                if wide:
+                    sys.stdout.write(line * (len(row) // len(ranges)) % tuple(row))
+                else:
+                    text[:2 * len(row):2] = bytes(row).translate(DIGITS)
+                    sys.stdout.write(text[:2 * len(row)].decode())
     return 0
 
 

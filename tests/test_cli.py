@@ -295,7 +295,9 @@ TAPE_9_BYTES = bytes.fromhex("123456789abcdef011")
 @pytest.mark.parametrize("argv, lines", [
     (["-n", "6"], ["0", "4", "2", "4", "5", "4", "1"]),
     (["--plan", "6,6,6"], ["0 4 2", "4 3 0", "3 3 5"]),
-], ids=["sides", "plan"])
+    (["-n", "52"], ["36", "31", "1"]),  # two-digit outcomes: the `%` path
+    (["--plan", "2,3,52"], ["0 0 32", "1 0 40"]),
+], ids=["sides", "plan", "wide-sides", "wide-plan"])
 def test_lines_before_tape_runs_out_are_kept(tmp_path, capsys, argv, lines):
     tape = tmp_path / "tape.bin"
     tape.write_bytes(TAPE_9_BYTES)
@@ -338,7 +340,11 @@ def test_tape_running_out_after_several_blocks_keeps_whole_lines(
 @settings(max_examples=25, deadline=None)
 @example([10**15] * 5, 2000, 7)  # blocks of 819 lines: 2000 = 819 + 819 + 362
 @example([999] * 5, 7000, 3)  # blocks of 3276 lines: 7000 = 3276 + 3276 + 448
-@given(st.lists(st.sampled_from([1, 2, 9, 10, 52, 999, 10**15]), min_size=1, max_size=5),
+@example([10], 40000, 4)  # one-digit text: blocks of 32768 and 7232 lines
+@example([11], 100, 4)  # 10 takes two digits: `%` blocks
+@example([10, 11], 100, 2)  # one part past 10 sends the whole plan to `%`
+@given(st.lists(st.sampled_from([1, 2, 9, 10, 11, 52, 999, 10**15]),
+                min_size=1, max_size=5),
        st.integers(0, 3000), st.integers(0, 2**64 - 1))
 def test_plan_lines_match_roll_batch_in_whole_bounded_blocks(ranges, count, seed):
     # lines of 2 to 80 bytes give blocks of 32768 to 819 lines, most of
@@ -347,6 +353,12 @@ def test_plan_lines_match_roll_batch_in_whole_bounded_blocks(ranges, count, seed
     with contextlib.redirect_stdout(stdout):
         assert main(["roll", "-W", "320", "--plan", ",".join(map(str, ranges)),
                      "-c", str(count), "--source", "seeded", "--seed", str(seed)]) == 0
+    if len(ranges) == 1:  # -n N writes the blocks --plan N writes
+        sides = _RecordingStdout()
+        with contextlib.redirect_stdout(sides):
+            assert main(["roll", "-W", "320", "-n", str(ranges[0]), "-c", str(count),
+                         "--source", "seeded", "--seed", str(seed)]) == 0
+        assert sides.writes == stdout.writes
     pool, source = dicepool.EntropyPool(320), dicepool.SeededSource(seed)
     plan = dicepool.RadixPlan(ranges)
     want = "".join(" ".join(map(str, dicepool.roll_batch(pool, plan, source))) + "\n"

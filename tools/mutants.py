@@ -73,6 +73,14 @@ MUTANTS = [
      [CLI + "test_roll_count_bounds"]),
     ("cli.py", "if len(text) > MAX_INT_TEXT:", "if len(text) >= MAX_INT_TEXT:",
      [CLI + "test_roll_refuses_a_plan_part_too_long_to_parse"]),
+    ("cli.py", "wide = max(ranges) > 10", "wide = max(ranges) > 11",
+     [CLI + "test_plan_lines_match_roll_batch_in_whole_bounded_blocks"]),
+    ("cli.py", "text[:2 * len(row):2] =", "text[1:2 * len(row):2] =",
+     [CLI + "test_roll_seeded_fixture"]),
+    ("cli.py", "                    sys.stdout.write(text[:2 * len(row)].decode())\n",
+     "                    pass\n        if row and not wide:\n"
+     "            sys.stdout.write(text[:2 * len(row)].decode())\n",
+     [CLI + "test_lines_before_tape_runs_out_are_kept"]),
 ]
 
 
