@@ -10,6 +10,8 @@ which is what makes the two procedures agree draw for draw.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
@@ -17,25 +19,61 @@ from collections.abc import Iterable, Sequence
 from .pool import EntropyPool
 from .sources import EntropySource, _int_in
 
+TABLE_STATES = 1 << 12  # values one table covers: a group's product
+TABLE_DIGITS = 1 << 14  # digits one table holds: entries times ranges
+MAX_TABLES = 8  # distinct tables one plan holds, and the cache across plans
 
-class RadixPlan(namedtuple("RadixPlan", "ranges product")):
+
+class RadixPlan(namedtuple("RadixPlan", "ranges product steps")):
     """An ordered sequence of die ranges rolled as one product draw.
 
-    `product` is computed from the ranges when the plan is made, so a
-    plan compares, hashes, prints and pickles by its ranges alone.
+    `product` and `steps` are computed from the ranges when the plan is
+    made, so a plan compares, hashes, prints and pickles by its ranges
+    alone. `steps` holds one (size, table) pair per group of consecutive
+    ranges, least significant first: table[d] is the digits of the group
+    value d, and a None table stands for one range decoded alone. The
+    constants above bound the tables, whatever the plan's length.
     """
 
     __slots__ = ()
 
     def __new__(cls, ranges: Iterable[int]) -> RadixPlan:
         ranges = tuple([_int_in("range", n, 1) for n in ranges])
-        return super().__new__(cls, ranges, math.prod(ranges))
+        return super().__new__(cls, ranges, math.prod(ranges), _steps(ranges))
 
     def __getnewargs__(self) -> tuple[tuple[int, ...]]:
         return (self.ranges,)
 
+    def __hash__(self) -> int:
+        return hash(self.ranges)  # never walks the tables
+
     def __repr__(self) -> str:
         return f"RadixPlan(ranges={self.ranges!r})"
+
+
+def _steps(ranges: tuple[int, ...]) -> tuple[tuple[int, tuple | None], ...]:
+    """Group consecutive ranges greedily under both table caps."""
+    groups, size = [[]], 1
+    for n in ranges:
+        size *= n
+        if size > TABLE_STATES or size * (len(groups[-1]) + 1) > TABLE_DIGITS:
+            groups.append([])
+            size = n
+        groups[-1].append(n)
+    steps, tabled = [], set()
+    for group in map(tuple, groups):
+        if len(group) > 1 and (group in tabled or len(tabled) < MAX_TABLES):
+            tabled.add(group)
+            steps.append((math.prod(group), _table(group)))
+        else:
+            steps += [(n, None) for n in group]
+    return tuple(steps)
+
+
+@functools.lru_cache(maxsize=MAX_TABLES)
+def _table(group: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The digits of every value below the group's product, least significant first."""
+    return tuple([digits[::-1] for digits in itertools.product(*map(range, group[::-1]))])
 
 
 def decode_mixed_radix(value: int, ranges: Sequence[int]) -> list[int]:
@@ -56,5 +94,12 @@ def roll_batch(pool: EntropyPool, plan: RadixPlan, source: EntropySource) -> lis
     """
     if not plan.ranges:
         return []
-    return decode_mixed_radix(pool.roll(plan.product, source), plan.ranges)
-
+    value = pool.roll(plan.product, source)
+    digits: list[int] = []
+    for size, table in plan.steps:
+        if table is None:
+            digits.append(value % size)
+        else:
+            digits += table[value % size]
+        value //= size
+    return digits

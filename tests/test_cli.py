@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, frozen output formats."""
 
 import contextlib
+import itertools
 import math
 import os
 import random
@@ -27,6 +28,21 @@ CSV_HEADER = (
     "sampler,n,rolls,bits_in,pool_delta,entropy_out,"
     "waste_per_roll,efficiency,chi_square,dof"
 )
+
+
+def _assert_same_lines(got, want):
+    """Assert got == want by naming the first differing line (index, got, want).
+
+    pytest's own diff of two texts of tens of thousands of lines runs for
+    minutes, so a failing roll-vs-replay comparison would look hung.
+    """
+    if got == want:
+        return
+    lines = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
+    for index, (got_line, want_line) in enumerate(lines):
+        if got_line != want_line:
+            pytest.fail(f"first differing line {index}: got {got_line!r}, "
+                        f"want {want_line!r}", pytrace=False)
 
 
 def test_parse_size():
@@ -156,11 +172,11 @@ def test_roll_lines_across_block_boundaries(capsys, count):
                  "--seed", "3"]) == 0
     pool, source = dicepool.EntropyPool(), dicepool.SeededSource(3)
     want = "".join(f"{pool.roll(6, source)}\n" for _ in range(count))
-    assert capsys.readouterr().out == want
+    _assert_same_lines(capsys.readouterr().out, want)
     # --plan 6 rolls the same die through roll_batch: the same lines
     assert main(["roll", "--plan", "6", "-c", str(count), "--source", "seeded",
                  "--seed", "3"]) == 0
-    assert capsys.readouterr().out == want
+    _assert_same_lines(capsys.readouterr().out, want)
 
 
 def test_roll_plan_lines_across_block_boundaries(monkeypatch):
@@ -175,7 +191,7 @@ def test_roll_plan_lines_across_block_boundaries(monkeypatch):
     plan = dicepool.RadixPlan((2, 3, 52))
     want = "".join(" ".join(map(str, dicepool.roll_batch(pool, plan, source))) + "\n"
                    for _ in range(20000))
-    assert "".join(stdout.writes) == want
+    _assert_same_lines("".join(stdout.writes), want)
 
 
 class _RecordingStdout:
@@ -197,7 +213,7 @@ def test_roll_blocks_are_bounded_in_size(monkeypatch):
     assert main(["roll", "--plan", ",".join(["1"] * 5000), "-c", "40",
                  "--source", "seeded"]) == 0
     assert all(len(text) <= cli.BLOCK_BYTES for text in stdout.writes)
-    assert "".join(stdout.writes) == (" ".join(["0"] * 5000) + "\n") * 40
+    _assert_same_lines("".join(stdout.writes), (" ".join(["0"] * 5000) + "\n") * 40)
 
 
 def test_wide_die_lines_match_on_both_paths_in_bounded_blocks(monkeypatch):
@@ -211,7 +227,7 @@ def test_wide_die_lines_match_on_both_paths_in_bounded_blocks(monkeypatch):
         assert all(len(text) <= cli.BLOCK_BYTES for text in stdout.writes)
         assert [text.count("\n") for text in stdout.writes] == [per_block, 5000 - per_block]
         outputs.append("".join(stdout.writes))
-    assert outputs[0] == outputs[1]
+    _assert_same_lines(outputs[0], outputs[1])
     assert len(outputs[0].splitlines()) == 5000
 
 
@@ -331,7 +347,7 @@ def test_tape_running_out_after_several_blocks_keeps_whole_lines(
                         else dicepool.roll_batch(pool, plan, source))
             want.append(" ".join(map(str, outcomes)) + "\n")
     assert per_block < len(want) < count
-    assert "".join(stdout.writes) == "".join(want)
+    _assert_same_lines("".join(stdout.writes), "".join(want))
     assert all(text.endswith("\n") for text in stdout.writes)
     assert all(text.count("\n") <= per_block for text in stdout.writes)
     assert capsys.readouterr().err == f"error: tape exhausted after {8 * tape_bytes} bits\n"
@@ -358,12 +374,13 @@ def test_plan_lines_match_roll_batch_in_whole_bounded_blocks(ranges, count, seed
         with contextlib.redirect_stdout(sides):
             assert main(["roll", "-W", "320", "-n", str(ranges[0]), "-c", str(count),
                          "--source", "seeded", "--seed", str(seed)]) == 0
-        assert sides.writes == stdout.writes
+        assert list(map(len, sides.writes)) == list(map(len, stdout.writes))
+        _assert_same_lines("".join(sides.writes), "".join(stdout.writes))
     pool, source = dicepool.EntropyPool(320), dicepool.SeededSource(seed)
     plan = dicepool.RadixPlan(ranges)
     want = "".join(" ".join(map(str, dicepool.roll_batch(pool, plan, source))) + "\n"
                    for _ in range(count))
-    assert "".join(stdout.writes) == want
+    _assert_same_lines("".join(stdout.writes), want)
     # every block but the last is full: bytes, from the widest line, are the one cap
     per_block = cli.BLOCK_BYTES // sum(len(str(n - 1)) + 1 for n in ranges)
     assert len(stdout.writes) == -(-count // per_block)

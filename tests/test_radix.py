@@ -1,7 +1,11 @@
 """Mixed-radix batching and the batched/sequential equivalence."""
 
+import math
+import random
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dicepool import (
@@ -12,6 +16,7 @@ from dicepool import (
     decode_mixed_radix,
     roll_batch,
 )
+from dicepool.radix import MAX_TABLES, TABLE_DIGITS, TABLE_STATES
 
 
 def test_plan_product():
@@ -87,6 +92,84 @@ def test_preloaded_power_of_two_plan_never_discards():
         assert digits == [value % 4, value // 4 % 4, value // 16 % 4]
         assert pool.size == 4
 
+
+def _groups(plan):
+    """(size, whether a table decodes it) per step of the plan."""
+    return [(size, table is not None) for size, table in plan.steps]
+
+
+def test_plan_groups_fill_each_table_cap():
+    assert RadixPlan((2, 3)).steps == ((6, ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))),)
+    assert _groups(RadixPlan([6] * 10)) == [(1296, True), (1296, True), (36, True)]
+    assert _groups(RadixPlan((64, 64, 64, 64))) == [(4096, True)] * 2  # states exactly
+    assert _groups(RadixPlan((8, 8, 8, 8))) == [(4096, True)]  # 4096 x 4 digits exactly
+    assert _groups(RadixPlan([2] * 11)) == [(1024, True), (2, False)]  # 2048 x 11 > digits
+    assert _groups(RadixPlan([1] * TABLE_DIGITS)) == [(1, True)]  # ones fill the digits
+    assert _groups(RadixPlan([1] * (TABLE_DIGITS + 1))) == [(1, True), (1, False)]
+    # a range alone, or too wide for a table, decodes per digit
+    assert _groups(RadixPlan((52,))) == [(52, False)]
+    assert _groups(RadixPlan((10**15, 6, 6, 4097))) == [
+        (10**15, False), (36, True), (4097, False)]
+    assert RadixPlan([6] * 8).steps[0][1] is RadixPlan((6, 6, 6, 6)).steps[0][1]  # shared
+
+
+def test_plan_hashes_by_its_ranges_without_walking_its_tables():
+    plan = RadixPlan([6] * 10)
+    assert hash(plan) == hash(plan.ranges)
+
+
+def _roll_both_ways(ranges, seed, rolls, word_bits):
+    plan = RadixPlan(ranges)
+    batch_pool, batch_source = EntropyPool(word_bits), SeededSource(seed)
+    twin_pool, twin_source = EntropyPool(word_bits), SeededSource(seed)
+    for _ in range(rolls):
+        digits = roll_batch(batch_pool, plan, batch_source)
+        want = (decode_mixed_radix(twin_pool.roll(plan.product, twin_source), plan.ranges)
+                if ranges else [])
+        assert digits == want
+    assert batch_pool.bits_drawn == twin_pool.bits_drawn
+    assert batch_pool.snapshot() == twin_pool.snapshot()
+
+
+@pytest.mark.parametrize("ranges", [(2, 3), (6, 6, 6), (2, 3, 52, 6, 6), (64, 1, 64, 7)])
+def test_table_decoding_matches_decode_mixed_radix(ranges):
+    _roll_both_ways(ranges, 3, 20, 64)
+
+
+RANGE_PARTS = [1, 2, 6, 63, 64, 65, 256, 257, 4096, 4097, 10**15]
+
+
+@settings(max_examples=150, deadline=None)
+@example([64, 64, 64, 64], 1, 5)  # two groups that fill TABLE_STATES exactly
+@example([8, 8, 8, 8, 2, 2, 2, 2, 2, 2, 2, 16], 2, 5)  # two that fill both caps
+@example([6] + [1] * (TABLE_DIGITS + 100) + [6, 6], 3, 3)  # ones past any table
+@given(st.lists(st.sampled_from(RANGE_PARTS), max_size=40), st.integers(0, 2**64 - 1),
+       st.integers(1, 10))
+def test_roll_batch_by_table_matches_decode_mixed_radix(ranges, seed, rolls):
+    # -W 320 rolls products up to 2**312: keep the longest prefix that fits
+    ceiling = EntropyPool(320).refill_ceiling
+    while math.prod(ranges) > ceiling:
+        ranges = ranges[:-1]
+    _roll_both_ways(ranges, seed, rolls, 320)
+
+
+def test_table_memory_is_bounded_by_constants():
+    # 5000 mixed parts (a 27401-bit product) fill MAX_TABLES tables; every
+    # later group that would need a new one decodes per digit
+    rng = random.Random(1)
+    ranges = [rng.choice([1, 2, 3, 6, 12, 20, 63, 64, 65, 256, 257, 4096, 4097])
+              for _ in range(5000)]
+    plan = RadixPlan(ranges)
+    tables = {id(table): table for _, table in plan.steps if table is not None}
+    assert len(tables) == MAX_TABLES
+    table_bytes = 0
+    for table in tables.values():
+        assert len(table) <= TABLE_STATES
+        assert len(table) * len(table[0]) <= TABLE_DIGITS
+        table_bytes += sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+    # each entry a tuple (40-byte header and 8 bytes a digit) and one 8-byte slot
+    assert table_bytes <= MAX_TABLES * (48 * TABLE_STATES + 8 * TABLE_DIGITS + 40)
+    _roll_both_ways(ranges, 5, 3, 65536)
 
 
 @settings(max_examples=300, deadline=None)

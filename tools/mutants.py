@@ -26,7 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-POOL, CLI = "tests/test_pool.py::", "tests/test_cli.py::"
+POOL, CLI, RADIX = "tests/test_pool.py::", "tests/test_cli.py::", "tests/test_radix.py::"
 
 # (file under src/dicepool, old text occurring exactly once, new text, test node ids)
 MUTANTS = [
@@ -48,7 +48,21 @@ MUTANTS = [
      [POOL + "test_roll_matches_refill_every_pass_reference"]),
     ("radix.py", "for n in ranges:\n        digits",
      "for n in reversed(ranges):\n        digits",
-     ["tests/test_radix.py::test_decode_least_significant_first"]),
+     [RADIX + "test_decode_least_significant_first"]),
+    ("radix.py", "[digits[::-1] for digits", "[digits for digits",
+     [RADIX + "test_plan_groups_fill_each_table_cap"]),
+    ("radix.py", "if size > TABLE_STATES or", "if size >= TABLE_STATES or",
+     [RADIX + "test_plan_groups_fill_each_table_cap"]),
+    ("radix.py", "size * (len(groups[-1]) + 1) > TABLE_DIGITS",
+     "size * len(groups[-1]) > TABLE_DIGITS",
+     [RADIX + "test_plan_groups_fill_each_table_cap"]),
+    ("radix.py", "len(tabled) < MAX_TABLES", "len(tabled) <= MAX_TABLES",
+     [RADIX + "test_table_memory_is_bounded_by_constants"]),
+    ("radix.py", "        if table is None:\n            digits.append(value % size)\n"
+     "        else:\n            digits += table[value % size]\n        value //= size",
+     "        value //= size\n        if table is None:\n            digits.append(value % size)\n"
+     "        else:\n            digits += table[value % size]",
+     [RADIX + "test_table_decoding_matches_decode_mixed_radix"]),
     ("sources.py", "self._buf, self._nbuf = buf",
      "type(self)._buf, type(self)._nbuf = buf",
      ["tests/test_sources.py::test_seeded_sources_share_no_buffer"]),
