@@ -1,11 +1,11 @@
 """Batched rolling: one product-range draw decoded as a mixed-radix number.
 
-When several ranges n_1..n_j are known up front, a single roll over
-n_1 * ... * n_j costs at most one bit of rounding overhead in total; the
-digits of the outcome, taken with n_1 as the least significant radix,
-are the individual rolls. Digit order matters: least-significant-first
-matches what sequential rolling peels off the pool (value mod n first),
-which is what makes the two procedures agree draw for draw.
+When several ranges n_1..n_j are known up front, one roll over their
+product costs at most one bit of rounding overhead in total; its digits,
+with n_1 as the least significant radix, are the individual rolls in the
+order sequential rolling peels them off the pool (value mod n first), so
+the two agree draw for draw. Runs of ranges decode by digit tables that
+TABLE_DIGITS and MAX_TABLES bound, whatever the plan's length.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from collections.abc import Iterable, Sequence
 from .pool import EntropyPool
 from .sources import EntropySource, _int_in
 
-TABLE_STATES = 1 << 12  # values one table covers: a group's product
 TABLE_DIGITS = 1 << 14  # digits one table holds: entries times ranges
 MAX_TABLES = 8  # distinct tables one plan holds, and the cache across plans
 
@@ -27,12 +26,11 @@ MAX_TABLES = 8  # distinct tables one plan holds, and the cache across plans
 class RadixPlan(namedtuple("RadixPlan", "ranges product steps")):
     """An ordered sequence of die ranges rolled as one product draw.
 
-    `product` and `steps` are computed from the ranges when the plan is
-    made, so a plan compares, hashes, prints and pickles by its ranges
-    alone. `steps` holds one (size, table) pair per group of consecutive
-    ranges, least significant first: table[d] is the digits of the group
-    value d, and a None table stands for one range decoded alone. The
-    constants above bound the tables, whatever the plan's length.
+    `product` and `steps` are derived from the ranges, and `_make` and
+    `_replace` rebuild them too, so a plan compares, hashes, prints and
+    pickles by its ranges alone. `steps` holds one (size, table) pair per
+    group of consecutive ranges, least significant first: table[d] is the
+    digits of group value d; a None table is one range decoded alone.
     """
 
     __slots__ = ()
@@ -40,6 +38,10 @@ class RadixPlan(namedtuple("RadixPlan", "ranges product steps")):
     def __new__(cls, ranges: Iterable[int]) -> RadixPlan:
         ranges = tuple([_int_in("range", n, 1) for n in ranges])
         return super().__new__(cls, ranges, math.prod(ranges), _steps(ranges))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> RadixPlan:
+        return cls(next(iter(fields)))  # product and steps are always rebuilt
 
     def __getnewargs__(self) -> tuple[tuple[int, ...]]:
         return (self.ranges,)
@@ -52,11 +54,11 @@ class RadixPlan(namedtuple("RadixPlan", "ranges product steps")):
 
 
 def _steps(ranges: tuple[int, ...]) -> tuple[tuple[int, tuple | None], ...]:
-    """Group consecutive ranges greedily under both table caps."""
+    """Group consecutive ranges greedily under the digit cap."""
     groups, size = [[]], 1
     for n in ranges:
         size *= n
-        if size > TABLE_STATES or size * (len(groups[-1]) + 1) > TABLE_DIGITS:
+        if size * (len(groups[-1]) + 1) > TABLE_DIGITS:
             groups.append([])
             size = n
         groups[-1].append(n)

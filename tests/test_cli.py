@@ -163,6 +163,12 @@ def test_roll_batched_plan(capsys):
         ["roll", "--plan", "2,3,52", "-c", "3", "--source", "seeded", "--seed", "1"]
     ) == 0
     assert capsys.readouterr().out == "1 2 50\n0 1 46\n1 1 36\n"
+    # the fixtures the console-script check pins, through main
+    for plan, want in [("6,6", "5 0\n3 0\n2 0\n"),
+                       ("6,6,6,6,6", "5 0 3 0 1\n2 4 3 1 4\n3 1 5 0 1\n")]:
+        assert main(["roll", "--plan", plan, "-c", "3", "--source", "seeded",
+                     "--seed", "1"]) == 0
+        assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("count", [32767, 32768, 32769, 40000])

@@ -16,7 +16,7 @@ from dicepool import (
     decode_mixed_radix,
     roll_batch,
 )
-from dicepool.radix import MAX_TABLES, TABLE_DIGITS, TABLE_STATES
+from dicepool.radix import MAX_TABLES, TABLE_DIGITS
 
 
 def test_plan_product():
@@ -101,8 +101,11 @@ def _groups(plan):
 def test_plan_groups_fill_each_table_cap():
     assert RadixPlan((2, 3)).steps == ((6, ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))),)
     assert _groups(RadixPlan([6] * 10)) == [(1296, True), (1296, True), (36, True)]
-    assert _groups(RadixPlan((64, 64, 64, 64))) == [(4096, True)] * 2  # states exactly
+    assert _groups(RadixPlan((64, 64, 64, 64))) == [(4096, True)] * 2  # 64**3 x 3 > digits
     assert _groups(RadixPlan((8, 8, 8, 8))) == [(4096, True)]  # 4096 x 4 digits exactly
+    assert _groups(RadixPlan((90, 91))) == [(8190, True)]  # the widest pair: 16380 digits
+    assert _groups(RadixPlan((91, 91))) == [(91, False)] * 2  # 8281 x 2 > digits
+    assert _groups(RadixPlan((17, 17, 17))) == [(4913, True)]  # 14739 digits
     assert _groups(RadixPlan([2] * 11)) == [(1024, True), (2, False)]  # 2048 x 11 > digits
     assert _groups(RadixPlan([1] * TABLE_DIGITS)) == [(1, True)]  # ones fill the digits
     assert _groups(RadixPlan([1] * (TABLE_DIGITS + 1))) == [(1, True), (1, False)]
@@ -140,8 +143,9 @@ RANGE_PARTS = [1, 2, 6, 63, 64, 65, 256, 257, 4096, 4097, 10**15]
 
 
 @settings(max_examples=150, deadline=None)
-@example([64, 64, 64, 64], 1, 5)  # two groups that fill TABLE_STATES exactly
-@example([8, 8, 8, 8, 2, 2, 2, 2, 2, 2, 2, 16], 2, 5)  # two that fill both caps
+@example([64, 64, 64, 64], 1, 5)  # two groups of 4096 entries
+@example([8, 8, 8, 8, 2, 2, 2, 2, 2, 2, 2, 16], 2, 5)  # two that fill TABLE_DIGITS exactly
+@example([90, 91, 6], 4, 5)  # an 8190-entry table, then a range alone
 @example([6] + [1] * (TABLE_DIGITS + 100) + [6, 6], 3, 3)  # ones past any table
 @given(st.lists(st.sampled_from(RANGE_PARTS), max_size=40), st.integers(0, 2**64 - 1),
        st.integers(1, 10))
@@ -164,11 +168,12 @@ def test_table_memory_is_bounded_by_constants():
     assert len(tables) == MAX_TABLES
     table_bytes = 0
     for table in tables.values():
-        assert len(table) <= TABLE_STATES
+        assert len(table) <= TABLE_DIGITS // 2  # a table covers two ranges or more
         assert len(table) * len(table[0]) <= TABLE_DIGITS
         table_bytes += sys.getsizeof(table) + sum(map(sys.getsizeof, table))
-    # each entry a tuple (40-byte header and 8 bytes a digit) and one 8-byte slot
-    assert table_bytes <= MAX_TABLES * (48 * TABLE_STATES + 8 * TABLE_DIGITS + 40)
+    # each entry a tuple (40-byte header and 8 bytes a digit) and one 8-byte
+    # slot: 48 * TABLE_DIGITS // 2 + 8 * TABLE_DIGITS, plus the outer header
+    assert table_bytes <= MAX_TABLES * (32 * TABLE_DIGITS + 40)
     _roll_both_ways(ranges, 5, 3, 65536)
 
 

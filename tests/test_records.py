@@ -66,3 +66,15 @@ def test_plan_compares_and_hashes_by_its_ranges():
     assert RadixPlan((2, 3)) != RadixPlan((3, 2))
     assert hash(RadixPlan((2, 3))) == hash(RadixPlan(iter([2, 3])))
     assert len({RadixPlan((2, 3)), RadixPlan([2, 3]), RadixPlan((3, 2))}) == 2
+
+
+def test_plan_replace_and_make_rebuild_from_the_ranges():
+    # namedtuple's _replace builds through _make, which must not keep the
+    # old plan's product and tables, nor skip the range check
+    plan = RadixPlan((2, 3))._replace(ranges=(5,))
+    assert plan == RadixPlan((5,))
+    assert (plan.product, plan.steps) == (5, ((5, None),))
+    with pytest.raises(ValueError, match="unexpected field names"):
+        RadixPlan((2, 3))._replace(product=7)
+    with pytest.raises(ValueError, match=r"range must be in \[1, inf\], got 0"):
+        RadixPlan._make([(0,), 0, ()])

@@ -51,13 +51,15 @@ MUTANTS = [
      [RADIX + "test_decode_least_significant_first"]),
     ("radix.py", "[digits[::-1] for digits", "[digits for digits",
      [RADIX + "test_plan_groups_fill_each_table_cap"]),
-    ("radix.py", "if size > TABLE_STATES or", "if size >= TABLE_STATES or",
+    ("radix.py", "> TABLE_DIGITS:", ">= TABLE_DIGITS:",
      [RADIX + "test_plan_groups_fill_each_table_cap"]),
     ("radix.py", "size * (len(groups[-1]) + 1) > TABLE_DIGITS",
      "size * len(groups[-1]) > TABLE_DIGITS",
      [RADIX + "test_plan_groups_fill_each_table_cap"]),
     ("radix.py", "len(tabled) < MAX_TABLES", "len(tabled) <= MAX_TABLES",
      [RADIX + "test_table_memory_is_bounded_by_constants"]),
+    ("radix.py", "return cls(next(iter(fields)))", "return tuple.__new__(cls, fields)",
+     ["tests/test_records.py::test_plan_replace_and_make_rebuild_from_the_ranges"]),
     ("radix.py", "        if table is None:\n            digits.append(value % size)\n"
      "        else:\n            digits += table[value % size]\n        value //= size",
      "        value //= size\n        if table is None:\n            digits.append(value % size)\n"
