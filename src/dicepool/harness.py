@@ -191,7 +191,8 @@ def shuffle(deck: int, source: EntropySource | None = None, *,
         source = SeededSource(1)
     pool = EntropyPool(word_bits, chunk_bits)
     order = list(range(deck))
+    roll = pool.roll
     for i in range(deck - 1, 0, -1):
-        j = pool.roll(i + 1, source)
+        j = roll(i + 1, source)
         order[i], order[j] = order[j], order[i]
     return order

@@ -59,25 +59,26 @@ class EntropyPool:
     def top_off(self, source: EntropySource) -> int:
         """Refill from `source` until size exceeds 2**(word_bits - chunk_bits).
 
-        Draws the fewest whole chunk_bits-wide chunks that lift the size
-        past the ceiling, in one read of whole chunks; the big-endian
-        source contract makes that read equal to reading chunk by chunk.
-        On return the pool holds more than word_bits - chunk_bits bits of
-        entropy (it is left untouched if it already did). Returns the
-        number of fresh bits drawn and adds it to `bits_drawn`.
+        A pool at or below the ceiling draws the most whole
+        chunk_bits-wide chunks that fit the word, which is the same count
+        as the fewest that lift the size past the ceiling, in one read of
+        whole chunks; the big-endian source contract makes that read
+        equal to reading chunk by chunk. On return the pool holds more
+        than word_bits - chunk_bits bits of entropy (it is left untouched
+        if it already did). Returns the number of fresh bits drawn and
+        adds it to `bits_drawn`.
 
         The refill is atomic: the read comes before any write, so if the
         source runs out, EntropyExhausted propagates with the pool
         unchanged, and a tape keeps every bit it had.
         """
         size = self.size
-        # size << d exceeds the ceiling 2**k iff size - 1 >= 2**(k - d),
-        # so d = deficit is the least shift that lifts it past.
-        deficit = self.refill_ceiling.bit_length() - (size - 1).bit_length()
-        if deficit <= 0:
+        if size > self.refill_ceiling:
             return 0
         chunk = self.chunk_bits
-        drawn = -(-deficit // chunk) * chunk
+        # size << d fits the word (at most 2**word_bits states) iff size - 1
+        # has at most word_bits - d bits: the widest whole-chunk d that fits.
+        drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk
         piece = source.next_bits(drawn)
         self.size = size << drawn
         self.value = (self.value << drawn) | piece

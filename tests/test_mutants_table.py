@@ -1,0 +1,28 @@
+"""The mutation gate's table matches the code: a stale row fails here, in milliseconds."""
+
+import ast
+import runpy
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+# run_path compiles the script without writing bytecode or running its main
+MUTANTS = runpy.run_path(str(ROOT / "tools" / "mutants.py"))["MUTANTS"]
+
+
+@pytest.mark.parametrize("path, old", [row[:2] for row in MUTANTS],
+                         ids=[f"{i}-{row[0]}" for i, row in enumerate(MUTANTS)])
+def test_old_text_occurs_once(path, old):
+    text = (ROOT / "src" / "dicepool" / path).read_text()
+    assert text.count(old) == 1, f"{old!r} occurs {text.count(old)} times in {path}"
+
+
+@pytest.mark.parametrize("node", sorted({node for *_, ids in MUTANTS for node in ids}))
+def test_named_test_exists(node):
+    file, _, name = node.partition("::")
+    name = name.split("[")[0]
+    assert (ROOT / file).is_file(), node
+    tree = ast.parse((ROOT / file).read_text())
+    defined = {stmt.name for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+    assert name in defined, f"no function {name} in {file}"

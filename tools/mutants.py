@@ -1,17 +1,22 @@
 """Mutation gate: each one-line bug in the table must fail the tests named for it.
 
-For each row, `src/`, `tests/` and `pyproject.toml` are copied into a
-temporary directory; the named tests must pass on the unmutated copy,
-then the row's edit is applied and the same tests must fail. The
-checkout itself is never written (no bytecode, no pytest or hypothesis
-cache). Run from anywhere:
+One gate run works in one temporary tree: `src/`, `tests/` and
+`pyproject.toml` are copied into it once, and the union of every row's
+named tests must pass there unmutated, in one pytest run, before any row
+runs. Each row then writes its edit into the tree, runs its own tests,
+which must fail, and writes the original file back in place. No
+bytecode is written (a restored file with the same size and mtime second
+could otherwise load the mutant's), and the tree's hypothesis database
+is deleted after each row, so no example found under one mutant is
+replayed under the next. The checkout itself is never written. Run from
+anywhere:
 
     python tools/mutants.py
 
-Exit status 0 iff every mutant is killed. A row whose old text does not
-occur exactly once, whose tests fail unmutated, or whose run errors
-instead of failing also fails the gate. A surviving mutant is a gap in
-the tests: fix the tests, never drop the row.
+Exit status 0 iff every mutant is killed. Named tests that fail
+unmutated, or a row whose old text does not occur exactly once or whose
+run errors instead of failing, also fail the gate. A surviving mutant is
+a gap in the tests: fix the tests, never drop the row.
 """
 
 from __future__ import annotations
@@ -36,11 +41,11 @@ MUTANTS = [
      [POOL + "test_roll_pinned_outcomes_and_bits"]),
     ("pool.py", "self.value = value - cutoff", "self.value = value - cutoff - 1",
      [POOL + "test_roll_step_discard_path"]),
-    ("pool.py", "drawn = -(-deficit // chunk) * chunk",
-     "drawn = (-(-deficit // chunk) + 1) * chunk",
+    ("pool.py", "if size > self.refill_ceiling:", "if size >= self.refill_ceiling:",
+     [POOL + "test_top_off_boundary_sizes_match_chunk_loop"]),
+    ("pool.py", "// chunk * chunk", "// chunk * chunk + chunk",
      [POOL + "test_top_off_single_chunk"]),
-    ("pool.py", "drawn = -(-deficit // chunk) * chunk",
-     "drawn = deficit // chunk * chunk",
+    ("pool.py", "(self.word_bits - (size", "(self.word_bits - 1 - (size",
      [POOL + "test_top_off_two_chunks_big_endian"]),
     ("pool.py", "(size - 1).bit_length()", "size.bit_length()",
      [POOL + "test_top_off_boundary_sizes_match_chunk_loop"]),
@@ -100,42 +105,52 @@ MUTANTS = [
 ]
 
 
-def run_tests(copy: Path, ids: list[str]) -> int:
-    """pytest's exit status for `ids` in `copy`, importing dicepool from the copy."""
-    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+def run_tests(tree: Path, ids: list[str]) -> int:
+    """pytest's exit status for `ids` in `tree`, importing dicepool from the tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                *ids]
-    return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+    return subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
 
 
-def check(path: str, old: str, new: str, ids: list[str]) -> str:
-    """'killed', or why the row fails the gate."""
-    with tempfile.TemporaryDirectory() as tmp:
-        copy = Path(tmp)
-        for name in ("src", "tests"):
-            shutil.copytree(ROOT / name, copy / name,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", copy)
-        target = copy / "src" / "dicepool" / path
-        text = target.read_text()
-        if text.count(old) != 1:
-            return f"old text occurs {text.count(old)} times"
-        if run_tests(copy, ids) != 0:
-            return "tests fail on the unmutated copy"
+def mutate(tree: Path, path: str, old: str, new: str, ids: list[str]) -> str:
+    """'killed', or why the row fails the gate; the file is restored either way."""
+    target = tree / "src" / "dicepool" / path
+    text = target.read_text()
+    if text.count(old) != 1:
+        return f"old text occurs {text.count(old)} times"
+    try:
         target.write_text(text.replace(old, new))
-        status = run_tests(copy, ids)
+        status = run_tests(tree, ids)
+    finally:
+        target.write_text(text)
+        shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
     return {0: "SURVIVED", 1: "killed"}.get(status, f"pytest exited {status}")
 
 
 def main() -> int:
     start, failed = time.perf_counter(), 0
-    for path, old, new, ids in MUTANTS:
-        row_start = time.perf_counter()
-        verdict = check(path, old, new, ids)
-        failed += verdict != "killed"
-        edit = f"{old.strip()!r} -> {new.strip()!r}"
-        print(f"{verdict:8} {path}: {edit} ({time.perf_counter() - row_start:.1f} s)")
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tree / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        named = list(dict.fromkeys(i for *_, ids in MUTANTS for i in ids))
+        status = run_tests(tree, named)
+        if status != 0:
+            print(f"the {len(named)} named tests fail unmutated (pytest exited {status}); "
+                  "no row was run")
+            return 1
+        print(f"{len(named)} named tests pass unmutated "
+              f"({time.perf_counter() - start:.1f} s)")
+        for path, old, new, ids in MUTANTS:
+            row_start = time.perf_counter()
+            verdict = mutate(tree, path, old, new, ids)
+            failed += verdict != "killed"
+            edit = f"{old.strip()!r} -> {new.strip()!r}"
+            print(f"{verdict:8} {path}: {edit} ({time.perf_counter() - row_start:.1f} s)")
     print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.0f} s")
     return 1 if failed else 0
