@@ -117,9 +117,14 @@ class EntropyPool:
         """Roll a fair `sides`-sided die, refilling from `source` as needed.
 
         Returns the outcome in [0, sides); the fresh bits it draws are
-        added to `bits_drawn`. Tops off before any pass that finds the
-        pool at or below the ceiling, not just on entry, so the accept
-        chance stays high even once recycling has shrunk the pool. Requires
+        added to `bits_drawn`. A roll on a pool above the ceiling makes
+        its first pass inline and returns if it accepts (on a d6 from the
+        default pool, about two rolls in three); refills and rejects go
+        through the reference loop of `top_off` and `roll_step`, which
+        tops off before any pass that finds the pool at or below the
+        ceiling, not just on entry, so the accept chance stays high even
+        once recycling has shrunk the pool. Both routes leave the same
+        outcome, state and `bits_drawn`. Requires
         1 <= sides <= 2**(word_bits - chunk_bits): that guarantees the
         topped-off pool covers the range and the loop cannot stall. If a
         refill runs out of bits, EntropyExhausted propagates and the
@@ -131,6 +136,16 @@ class EntropyPool:
         if not 1 <= sides <= ceiling:
             refused = ValueError if sides < 1 else RangeTooLarge
             raise refused(_refusal("sides", sides, 1, ceiling))
+        size = self.size
+        if ceiling < size:
+            # No refill is due: roll_step's accepting pass, without its call.
+            value = self.value
+            keep = size // sides
+            quotient = value // sides
+            if quotient < keep:
+                self.size = keep
+                self.value = quotient
+                return value % sides
         while True:
             if self.size <= ceiling:
                 self.top_off(source)

@@ -370,3 +370,44 @@ def test_top_off_boundary_sizes_match_chunk_loop(word_bits, chunk_bits):
         assert pool.top_off(source) == reference_top_off(expected, reference), size
         assert pool.snapshot() == expected.snapshot()
         assert source.next_bits(64) == reference.next_bits(64)
+
+
+# `roll` makes the pass inline on a pool above the ceiling; pinned cases
+# where that shortcut must hand over to the reference loop, or must not.
+
+def roll_like_reference(snap, sides):
+    """Roll once from `snap` and from a copy through `reference_roll`, on
+    the same tape; both must agree in outcome, bits, state and tape left."""
+    tape = bytes(range(1, 41))
+    pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
+    source, reference = TapeSource(tape), TapeSource(tape)
+    outcome = pool.roll(sides, source)
+    assert (outcome, pool.bits_drawn) == reference_roll(expected, sides, reference)
+    assert pool.snapshot() == expected.snapshot()
+    assert source.bits_remaining == reference.bits_remaining
+    return outcome, pool.bits_drawn
+
+
+@pytest.mark.parametrize("value", [2**64 - 4, 2**64 - 3, 2**64 - 2])
+def test_full_pool_in_the_sliver_rejects_then_refills(value):
+    # 2**64 - 1 = 6 * keep + 3: the top three values are the d6 sliver
+    assert roll_like_reference((2**64 - 1, value, 64, 8), 6)[1] == 56
+
+
+@pytest.mark.parametrize("word_bits,chunk_bits", [(64, 8), (16, 8), (13, 5), (130, 1)])
+def test_pool_at_the_ceiling_refills_and_above_it_does_not(word_bits, chunk_bits):
+    ceiling = 1 << (word_bits - chunk_bits)  # at least 256 here
+    assert roll_like_reference((ceiling, 200, word_bits, chunk_bits), 6)[1] > 0
+    # accepted inline: 200 % 6 is the outcome, and the quotient 33 % 6 is not
+    assert roll_like_reference((ceiling + 1, 200, word_bits, chunk_bits), 6) == (2, 0)
+
+
+@pytest.mark.parametrize("sides,refused", [
+    (0, ValueError), ((1 << 56) + 1, RangeTooLarge), (6.0, TypeError),
+], ids=["0", "ceiling+1", "6.0"])
+def test_full_pool_refuses_a_bad_die_untouched(sides, refused):
+    pool, tape = EntropyPool.from_snapshot((2**64 - 1, 2**63, 64, 8)), TapeSource(bytes(8))
+    with pytest.raises(refused):
+        pool.roll(sides, tape)
+    assert (pool.snapshot(), pool.bits_drawn, tape.bits_remaining) == (
+        (2**64 - 1, 2**63, 64, 8), 0, 64)

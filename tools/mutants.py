@@ -15,8 +15,9 @@ anywhere:
 
 Exit status 0 iff every mutant is killed. Named tests that fail
 unmutated, or a row whose old text does not occur exactly once or whose
-run errors instead of failing, also fail the gate. A surviving mutant is
-a gap in the tests: fix the tests, never drop the row.
+run errors or times out (after ROW_TIMEOUT_S) instead of failing, also
+fail the gate. A surviving mutant is a gap in the tests: fix the tests,
+never drop the row.
 """
 
 from __future__ import annotations
@@ -31,13 +32,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# A mutant can make a named test run for minutes instead of failing (roll_step
+# accepting `quotient <= keep` does in test_unroll_long_seeded_run); its row
+# fails the gate after this long.
+ROW_TIMEOUT_S = 120
+
 POOL, CLI, RADIX = "tests/test_pool.py::", "tests/test_cli.py::", "tests/test_radix.py::"
 
 # (file under src/dicepool, old text occurring exactly once, new text, test node ids)
 MUTANTS = [
-    ("pool.py", "if quotient < keep:", "if quotient <= keep:",
+    ("pool.py", "if quotient < keep:  # for ints", "if quotient <= keep:  # for ints",
      [POOL + "test_roll_step_matches_divmod_cutoff_form"]),
-    ("pool.py", "return value % sides", "return quotient % sides",
+    ("pool.py", "self.value = quotient\n            return value % sides",
+     "self.value = quotient\n            return quotient % sides",
      [POOL + "test_roll_pinned_outcomes_and_bits"]),
     ("pool.py", "self.value = value - cutoff", "self.value = value - cutoff - 1",
      [POOL + "test_roll_step_discard_path"]),
@@ -102,16 +109,28 @@ MUTANTS = [
      "                    pass\n        if row and not wide:\n"
      "            sys.stdout.write(text[:2 * len(row)].decode())\n",
      [CLI + "test_lines_before_tape_runs_out_are_kept"]),
+    # roll's inline pass, appended so the rows above keep their test ids
+    ("pool.py", "if ceiling < size:", "if ceiling <= size:",
+     [POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not"]),
+    ("pool.py", "if quotient < keep:\n", "if quotient <= keep:\n",
+     [POOL + "test_full_pool_in_the_sliver_rejects_then_refills"]),
+    ("pool.py", "self.value = quotient\n                return value % sides",
+     "self.value = quotient\n                return quotient % sides",
+     [POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not"]),
 ]
 
 
-def run_tests(tree: Path, ids: list[str]) -> int:
-    """pytest's exit status for `ids` in `tree`, importing dicepool from the tree."""
+def run_tests(tree: Path, ids: list[str], timeout: float | None = None) -> int | None:
+    """pytest's exit status for `ids` in `tree`, importing dicepool from the
+    tree, or None if it ran past `timeout` seconds (it is killed then)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                *ids]
-    return subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def mutate(tree: Path, path: str, old: str, new: str, ids: list[str]) -> str:
@@ -122,10 +141,12 @@ def mutate(tree: Path, path: str, old: str, new: str, ids: list[str]) -> str:
         return f"old text occurs {text.count(old)} times"
     try:
         target.write_text(text.replace(old, new))
-        status = run_tests(tree, ids)
+        status = run_tests(tree, ids, ROW_TIMEOUT_S)
     finally:
         target.write_text(text)
         shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
+    if status is None:
+        return f"timed out after {ROW_TIMEOUT_S} s"
     return {0: "SURVIVED", 1: "killed"}.get(status, f"pytest exited {status}")
 
 
