@@ -7,7 +7,8 @@ factors the pool into an outcome in [0, n) plus a smaller pool of
 size // n states; when the pool value falls in the unusable top sliver
 of the range, the draw fails but the sliver itself is still uniform, so
 it is kept as the new, smaller pool instead of being thrown away. Fresh
-entropy only ever enters through `top_off`, in fixed-size chunks.
+entropy only ever enters in fixed-size chunks: through `top_off`, or
+through `roll`'s inline read of the one chunk `top_off` would draw.
 """
 
 from __future__ import annotations
@@ -40,14 +41,17 @@ class EntropyPool:
     """
 
     __slots__ = ("size", "value", "word_bits", "chunk_bits", "refill_ceiling",
-                 "bits_drawn")
+                 "_refill_floor", "bits_drawn")
 
     def __init__(self, word_bits: int = 64, chunk_bits: int = 8) -> None:
         self.word_bits = word_bits = _int_in("word_bits", word_bits, 1, MAX_WORD_BITS)
         self.chunk_bits = chunk_bits = _int_in("chunk_bits", chunk_bits, 1, word_bits)
         # Largest size that still admits (and demands) another chunk, and
         # the largest die a roll accepts; fixed for the pool's lifetime.
-        self.refill_ceiling = 1 << (word_bits - chunk_bits)
+        self.refill_ceiling = ceiling = 1 << (word_bits - chunk_bits)
+        # Sizes in (floor, ceiling] take exactly one chunk to top off (0 when
+        # two chunks overfill the word); `roll` reads that chunk inline.
+        self._refill_floor = ceiling >> chunk_bits
         self.size = 1    # the empty pool: one state, zero entropy
         self.value = 0
         self.bits_drawn = 0
@@ -117,14 +121,16 @@ class EntropyPool:
         """Roll a fair `sides`-sided die, refilling from `source` as needed.
 
         Returns the outcome in [0, sides); the fresh bits it draws are
-        added to `bits_drawn`. A roll on a pool above the ceiling makes
-        its first pass inline and returns if it accepts (on a d6 from the
-        default pool, about two rolls in three); refills and rejects go
-        through the reference loop of `top_off` and `roll_step`, which
-        tops off before any pass that finds the pool at or below the
-        ceiling, not just on entry, so the accept chance stays high even
-        once recycling has shrunk the pool. Both routes leave the same
-        outcome, state and `bits_drawn`. Requires
+        added to `bits_drawn`. Before every pass that finds the pool at or
+        below the ceiling, not just on entry, the pool is topped off, so
+        the accept chance stays high even once recycling has shrunk it.
+        The loop makes `roll_step`'s pass inline, and also a refill of
+        exactly one chunk, which is the read `top_off` would make for a
+        size in (ceiling >> chunk_bits, ceiling]: on the default pool
+        rolling small dice, every refill but an empty pool's first. A
+        wider refill, such as after a roll of a large product, goes
+        through the reference pair, `top_off` then `roll_step`. All routes
+        leave the same outcome, state and `bits_drawn`. Requires
         1 <= sides <= 2**(word_bits - chunk_bits): that guarantees the
         topped-off pool covers the range and the loop cannot stall. If a
         refill runs out of bits, EntropyExhausted propagates and the
@@ -137,21 +143,30 @@ class EntropyPool:
             refused = ValueError if sides < 1 else RangeTooLarge
             raise refused(_refusal("sides", sides, 1, ceiling))
         size = self.size
-        if ceiling < size:
-            # No refill is due: roll_step's accepting pass, without its call.
-            value = self.value
+        while True:
+            if ceiling < size:  # no refill is due
+                value = self.value
+            elif self._refill_floor < size:  # one chunk, read before any write
+                chunk = self.chunk_bits
+                value = self.value << chunk | source.next_bits(chunk)
+                self.bits_drawn += chunk
+                size <<= chunk
+            else:
+                self.top_off(source)
+                outcome = self.roll_step(sides)
+                if outcome is not None:
+                    return outcome
+                size = self.size
+                continue
             keep = size // sides
             quotient = value // sides
             if quotient < keep:
                 self.size = keep
                 self.value = quotient
                 return value % sides
-        while True:
-            if self.size <= ceiling:
-                self.top_off(source)
-            outcome = self.roll_step(sides)
-            if outcome is not None:
-                return outcome
+            cutoff = sides * keep
+            self.size = size = size - cutoff
+            self.value = value - cutoff
 
     def snapshot(self) -> tuple[int, int, int, int]:
         """State as plain integers: (size, value, word_bits, chunk_bits)."""

@@ -419,6 +419,20 @@ def test_traced_entry_points_are_called_per_roll(monkeypatch):
     assert len(rolls) == 3000
 
 
+@pytest.mark.parametrize("op", [
+    lambda: main(["bench", "-n", "6", "--rolls", "3000"]),
+    lambda: harness.shuffle(52),
+    lambda: main(["roll", "--plan", ",".join(["6"] * 10), "--source", "seeded"]),
+], ids=["bench-d6", "shuffle-52", "roll-plan-ten-d6"])
+def test_each_benchmark_op_calls_top_off_and_roll_step(monkeypatch, capsys, op):
+    # The traced run divides by the calls these ops make to the reference
+    # pair (all from inside roll); a fusion that drops them must fail here.
+    top_offs = _count_calls(monkeypatch, dicepool.EntropyPool, "top_off")
+    steps = _count_calls(monkeypatch, dicepool.EntropyPool, "roll_step")
+    op()
+    assert top_offs and steps
+
+
 def test_bench_csv_contract(capsys):
     assert main(["bench", "-n", "32", "--rolls", "1000"]) == 0
     lines = capsys.readouterr().out.splitlines()

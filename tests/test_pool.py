@@ -372,13 +372,12 @@ def test_top_off_boundary_sizes_match_chunk_loop(word_bits, chunk_bits):
         assert source.next_bits(64) == reference.next_bits(64)
 
 
-# `roll` makes the pass inline on a pool above the ceiling; pinned cases
-# where that shortcut must hand over to the reference loop, or must not.
+# `roll` makes the pass inline, and a one-chunk refill; pinned cases at
+# the edges of those routes, where it must agree with the reference loop.
 
-def roll_like_reference(snap, sides):
+def roll_like_reference(snap, sides, tape=bytes(range(1, 41))):
     """Roll once from `snap` and from a copy through `reference_roll`, on
     the same tape; both must agree in outcome, bits, state and tape left."""
-    tape = bytes(range(1, 41))
     pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
     source, reference = TapeSource(tape), TapeSource(tape)
     outcome = pool.roll(sides, source)
@@ -400,6 +399,40 @@ def test_pool_at_the_ceiling_refills_and_above_it_does_not(word_bits, chunk_bits
     assert roll_like_reference((ceiling, 200, word_bits, chunk_bits), 6)[1] > 0
     # accepted inline: 200 % 6 is the outcome, and the quotient 33 % 6 is not
     assert roll_like_reference((ceiling + 1, 200, word_bits, chunk_bits), 6) == (2, 0)
+
+
+GEOMETRIES = [(64, 8), (13, 5), (5, 3)]  # (5, 3): two chunks overfill, floor 0
+
+
+@pytest.mark.parametrize("word_bits,chunk_bits", GEOMETRIES)
+def test_roll_at_the_band_edges_matches_reference(word_bits, chunk_bits):
+    ceiling = 1 << (word_bits - chunk_bits)
+    floor = ceiling >> chunk_bits
+    for size in (max(1, floor), floor + 1, ceiling):
+        for value in (0, size // 2, size - 1):
+            roll_like_reference((size, value, word_bits, chunk_bits), 3)
+
+
+# A one-chunk read that lands in the d3 sliver: it rejects, and the next
+# refill is one chunk again at (5, 3), wider at (13, 5) and (64, 8).
+@pytest.mark.parametrize("snap,tape", [
+    ((2**56, 2**56 - 1, 64, 8), b"\xff" + bytes(range(1, 40))),
+    ((256, 255, 13, 5), b"\xf8" + bytes(range(1, 40))),
+    ((4, 3, 5, 3), b"\xc0" + bytes(range(1, 40))),
+], ids=["64-8", "13-5", "5-3"])
+def test_one_chunk_refill_then_reject_matches_reference(snap, tape):
+    _, drawn = roll_like_reference(snap, 3, tape)
+    assert drawn > snap[3]
+
+
+@pytest.mark.parametrize("word_bits,chunk_bits", GEOMETRIES)
+def test_one_chunk_refill_running_out_leaves_the_pool_untouched(word_bits, chunk_bits):
+    snap = (1 << (word_bits - chunk_bits), 1, word_bits, chunk_bits)
+    pool, tape = EntropyPool.from_snapshot(snap), TapeSource(b"\xff", chunk_bits - 1)
+    with pytest.raises(EntropyExhausted):
+        pool.roll(3, tape)
+    assert (pool.snapshot(), pool.bits_drawn, tape.bits_remaining) == (
+        snap, 0, chunk_bits - 1)
 
 
 @pytest.mark.parametrize("sides,refused", [

@@ -46,7 +46,8 @@ MUTANTS = [
     ("pool.py", "self.value = quotient\n            return value % sides",
      "self.value = quotient\n            return quotient % sides",
      [POOL + "test_roll_pinned_outcomes_and_bits"]),
-    ("pool.py", "self.value = value - cutoff", "self.value = value - cutoff - 1",
+    ("pool.py", "        self.value = value - cutoff\n        return None",
+     "        self.value = value - cutoff - 1\n        return None",
      [POOL + "test_roll_step_discard_path"]),
     ("pool.py", "if size > self.refill_ceiling:", "if size >= self.refill_ceiling:",
      [POOL + "test_top_off_boundary_sizes_match_chunk_loop"]),
@@ -56,8 +57,9 @@ MUTANTS = [
      [POOL + "test_top_off_two_chunks_big_endian"]),
     ("pool.py", "(size - 1).bit_length()", "size.bit_length()",
      [POOL + "test_top_off_boundary_sizes_match_chunk_loop"]),
-    ("pool.py", "if self.size <= ceiling:", "if self.size < ceiling:",
-     [POOL + "test_roll_matches_refill_every_pass_reference"]),
+    ("pool.py", "if ceiling < size:", "if ceiling + 1 < size:",
+     [POOL + "test_roll_matches_refill_every_pass_reference",
+      POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not"]),
     ("radix.py", "for n in ranges:\n        digits",
      "for n in reversed(ranges):\n        digits",
      [RADIX + "test_decode_least_significant_first"]),
@@ -109,7 +111,7 @@ MUTANTS = [
      "                    pass\n        if row and not wide:\n"
      "            sys.stdout.write(text[:2 * len(row)].decode())\n",
      [CLI + "test_lines_before_tape_runs_out_are_kept"]),
-    # roll's inline pass, appended so the rows above keep their test ids
+    # roll's inline pass and refill, appended so the rows above keep their test ids
     ("pool.py", "if ceiling < size:", "if ceiling <= size:",
      [POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not"]),
     ("pool.py", "if quotient < keep:\n", "if quotient <= keep:\n",
@@ -117,6 +119,12 @@ MUTANTS = [
     ("pool.py", "self.value = quotient\n                return value % sides",
      "self.value = quotient\n                return quotient % sides",
      [POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not"]),
+    ("pool.py", "elif self._refill_floor < size:", "elif self._refill_floor <= size:",
+     [POOL + "test_roll_at_the_band_edges_matches_reference"]),
+    ("pool.py", "self.bits_drawn += chunk\n", "self.bits_drawn += chunk - 1\n",
+     [POOL + "test_roll_at_the_band_edges_matches_reference"]),
+    ("pool.py", "            cutoff = sides * keep\n", "            cutoff = sides * keep - 1\n",
+     [POOL + "test_one_chunk_refill_then_reject_matches_reference"]),
 ]
 
 
