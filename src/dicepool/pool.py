@@ -102,7 +102,7 @@ class EntropyPool:
         lost. `sides` must be an int (operator.index), so a float range
         raises TypeError.
         """
-        sides = index(sides)  # inline, not _int_in: this runs once per pass
+        sides = index(sides)  # inline, not _int_in: roll calls this per wide refill
         if sides < 1:
             raise ValueError(_refusal("sides", sides, 1))
         size, value = self.size, self.value
@@ -135,7 +135,9 @@ class EntropyPool:
         topped-off pool covers the range and the loop cannot stall. If a
         refill runs out of bits, EntropyExhausted propagates and the
         passes already made stay applied. A non-int `sides` raises
-        TypeError before any bit is drawn.
+        TypeError before any bit is drawn. A corrupt state with
+        value >= size (the slots are writable) rejects on every pass, so
+        its first reject raises ValueError instead of looping forever.
         """
         sides = index(sides)  # inline, not _int_in: this runs once per roll
         ceiling = self.refill_ceiling
@@ -157,6 +159,8 @@ class EntropyPool:
                 if outcome is not None:
                     return outcome
                 size = self.size
+                if self.value >= size:  # only a corrupt state rejects into one
+                    raise ValueError(_refusal("value", self.value, 0, size - 1))
                 continue
             keep = size // sides
             quotient = value // sides
@@ -164,6 +168,8 @@ class EntropyPool:
                 self.size = keep
                 self.value = quotient
                 return value % sides
+            if value >= size:  # corrupt: every pass would reject, so refuse
+                raise ValueError(_refusal("value", value, 0, size - 1))
             cutoff = sides * keep
             self.size = size = size - cutoff
             self.value = value - cutoff

