@@ -370,24 +370,31 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("op, owner, name, calls", [
-    (lambda: main(["bench", "-n", "6", "--rolls", "3000"]),
-     dicepool.EntropyPool, "roll", 3000),
-    (lambda: harness.shuffle(52), dicepool.EntropyPool, "roll", 51),
-    (lambda: main(["roll", "--plan", ",".join(["6"] * 10), "-c", "2500",
-                   "--source", "seeded"]), cli, "roll_batch", 2500),
+def test_traced_entry_points_are_called_per_roll(monkeypatch):
+    # The benchmark's span tracer wraps these very names; a refactor that
+    # stops calling them would make its traced run read 0.
+    batches = _count_calls(monkeypatch, cli, "roll_batch")
+    assert main(["roll", "--plan", "6,6", "-c", "2500", "--source", "seeded"]) == 0
+    assert len(batches) == 2500
+    rolls = _count_calls(monkeypatch, dicepool.EntropyPool, "roll")
+    assert main(["bench", "-n", "6", "--rolls", "3000"]) == 0
+    assert len(rolls) == 3000
+    rolls.clear()
+    harness.shuffle(52)
+    assert len(rolls) == 51
+
+
+@pytest.mark.parametrize("op", [
+    lambda: main(["bench", "-n", "6", "--rolls", "3000"]),
+    lambda: harness.shuffle(52),
+    lambda: main(["roll", "--plan", ",".join(["6"] * 10), "--source", "seeded"]),
 ], ids=["bench-d6", "shuffle-52", "roll-plan-ten-d6"])
-def test_each_benchmark_op_calls_top_off_and_roll_step(monkeypatch, capsys, op, owner,
-                                                       name, calls):
-    # The benchmark's span tracer wraps these very names and its traced run
-    # divides by their calls: once per roll or line for the op's entry
-    # point, and at least once for the reference pair (from inside roll).
-    # A refactor or fusion that stops calling them must fail here.
-    entries = _count_calls(monkeypatch, owner, name)
+def test_each_benchmark_op_calls_top_off_and_roll_step(monkeypatch, capsys, op):
+    # The traced run divides by the calls these ops make to the reference
+    # pair (all from inside roll); a fusion that drops them must fail here.
     top_offs = _count_calls(monkeypatch, dicepool.EntropyPool, "top_off")
     steps = _count_calls(monkeypatch, dicepool.EntropyPool, "roll_step")
     op()
-    assert len(entries) == calls
     assert top_offs and steps
 
 
@@ -546,6 +553,14 @@ def test_help_names_the_bounds_the_library_enforces(capsys, command, text):
 def test_enumerate_bounds(capsys):
     assert main(["enumerate", "-l", "17", "-n", "3"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_shuffle_fixture(capsys):
+    # The 52-card order itself is pinned once, in the library's shuffle test
+    # and the frozen-output table; here the CLI must print that very order.
+    assert main(["shuffle", "--deck", "52", "--source", "seeded", "--seed", "7"]) == 0
+    want = harness.shuffle(52, dicepool.SeededSource(7))
+    assert capsys.readouterr().out == " ".join(map(str, want)) + "\n"
 
 
 def test_tape_source_roll(tmp_path, capsys):

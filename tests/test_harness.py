@@ -16,6 +16,11 @@ from dicepool import (
 )
 from dicepool.harness import MAX_TABLE_SIZE
 
+SHUFFLE_52_SEED_7 = [
+    21, 44, 14, 33, 6, 47, 22, 30, 34, 24, 35, 2, 27, 0, 36, 23, 4, 28,
+    8, 32, 50, 19, 37, 10, 49, 31, 17, 9, 25, 38, 43, 26, 45, 39, 18, 13,
+    46, 16, 29, 20, 1, 3, 41, 12, 15, 48, 51, 5, 7, 42, 40, 11,
+]
 
 def test_chi_square_perfectly_uniform():
     assert chi_square((100, 100, 100)) == (0.0, 2)
@@ -53,6 +58,19 @@ def test_bench_is_deterministic():
     a = bench_recycler(6, 2000, seed=5)
     b = bench_recycler(6, 2000, seed=5)
     assert a.csv_row() == b.csv_row()
+
+
+@pytest.mark.parametrize("run,row", [
+    (lambda: bench_recycler(6, 3000, seed=10),
+     "recycler,6,3000,7816,61.11249784,7754.887502,0,1,2.568,5"),
+    (lambda: bench_naive(6, 3000, seed=10),
+     "naive,6,3000,11898,0,7754.887502,1.381037499,0.6517807617,0.628,5"),
+    (lambda: bench_recycler(33, 5000, seed=4, word_bits=13, chunk_bits=5),
+     "recycler,33,5000,25705,6.475733431,25221.9706,0.09531073396,"
+     "0.9814559908,18.7852,32"),
+], ids=["recycler-d6", "naive-d6", "recycler-d33-W13-B5"])
+def test_bench_pinned_rows(run, row):
+    assert run().csv_row() == row
 
 
 def test_bench_naive_power_of_two_bits_exact():
@@ -162,6 +180,10 @@ def test_shuffle_is_permutation():
     for seed in (1, 2, 3):
         order = shuffle(52, SeededSource(seed))
         assert sorted(order) == list(range(52))
+
+
+def test_shuffle_fixture():
+    assert shuffle(52, SeededSource(7)) == SHUFFLE_52_SEED_7
 
 
 def test_shuffle_exhaustive_uniformity():
