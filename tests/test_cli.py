@@ -398,6 +398,17 @@ def test_each_benchmark_op_calls_top_off_and_roll_step(monkeypatch, capsys, op):
     assert top_offs and steps
 
 
+def test_plan_product_refills_are_read_inline(monkeypatch, capsys):
+    # Every line of ten d6 refills the pool by 24 or 32 bits; roll reads
+    # those itself, so only the empty pool's fill goes through the pair.
+    top_offs = _count_calls(monkeypatch, dicepool.EntropyPool, "top_off")
+    steps = _count_calls(monkeypatch, dicepool.EntropyPool, "roll_step")
+    argv = ["roll", "--plan", ",".join(["6"] * 10), "-c", "1000", "--source", "seeded"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1000
+    assert (len(top_offs), len(steps)) == (1, 1)
+
+
 def test_bench_csv_contract(capsys):
     assert main(["bench", "-n", "32", "--rolls", "1000"]) == 0
     lines = capsys.readouterr().out.splitlines()

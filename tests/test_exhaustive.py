@@ -1,0 +1,109 @@
+"""Exhaustive small worlds: every pool state, die and tape of a tiny pool.
+
+For every geometry with word_bits <= 4, `roll`, `roll_batch` and two
+rolls in a row must agree with the reference loop, `top_off` then
+`roll_step` until a pass accepts, on every state (size <= 2**word_bits,
+value < size), every die up to the ceiling, and every tape. Tapes are
+walked as a prefix tree: one that runs out is extended by each next bit,
+one on which the op completes is a leaf, since further bits stay unread.
+Both sides must give the same outcome or EntropyExhausted, the same
+snapshot, `bits_drawn` and tape bits left.
+"""
+import itertools
+import math
+
+import pytest
+
+from dicepool import EntropyExhausted, EntropyPool, RadixPlan, TapeSource, roll_batch
+from dicepool.radix import decode_mixed_radix
+
+WORLDS = [(w, b) for w in range(1, 5) for b in range(1, w + 1)]
+MAX_TAPE_BITS = 10  # a tape still running out this long is compared, not extended
+
+
+def reference_roll(pool, sides, source):
+    while True:
+        pool.top_off(source)
+        outcome = pool.roll_step(sides)
+        if outcome is not None:
+            return outcome
+
+
+def states(word_bits):
+    return [(size, value) for size in range(1, (1 << word_bits) + 1)
+            for value in range(size)]
+
+
+def run(op, snap, bits, nbits):
+    pool, tape = EntropyPool.from_snapshot(snap), TapeSource.from_int(bits, nbits)
+    try:
+        result = op(pool, tape)
+    except EntropyExhausted:
+        result = EntropyExhausted
+    return result, pool.snapshot(), pool.bits_drawn, tape.bits_remaining
+
+
+def walk(snap, op, reference):
+    """Compare `op` with `reference` from `snap` on every tape."""
+    tapes = [(0, 0)]
+    while tapes:
+        bits, nbits = tapes.pop()
+        got = run(op, snap, bits, nbits)
+        assert got == run(reference, snap, bits, nbits), (snap, f"{bits:0{nbits}b}")
+        if got[0] is EntropyExhausted and nbits < MAX_TAPE_BITS:
+            tapes += [(bits << 1, nbits + 1), (bits << 1 | 1, nbits + 1)]
+
+
+def plans(ceiling, head=()):
+    """Every plan of ranges >= 2 whose product is at most `ceiling`, after `head`."""
+    found = []
+    for n in range(2, ceiling + 1):
+        if math.prod(head) * n <= ceiling:
+            found += [head + (n,)] + plans(ceiling, head + (n,))
+    return found
+
+
+# Below word_bits 5, only chunk_bits 1 refills a non-empty pool by more than
+# one chunk; (5, 2) is the smallest world where that refill reads two chunks.
+@pytest.mark.parametrize("word_bits,chunk_bits", WORLDS + [(5, 2)])
+def test_roll_matches_the_reference_loop_everywhere(word_bits, chunk_bits):
+    ceiling = 1 << (word_bits - chunk_bits)
+    for size, value in states(word_bits):
+        snap = (size, value, word_bits, chunk_bits)
+        for sides in range(1, ceiling + 1):
+            walk(snap, lambda pool, tape: pool.roll(sides, tape),
+                 lambda pool, tape: reference_roll(pool, sides, tape))
+
+
+@pytest.mark.parametrize("word_bits,chunk_bits", WORLDS)
+def test_corrupt_states_are_refused_everywhere(word_bits, chunk_bits):
+    ceiling = 1 << (word_bits - chunk_bits)
+    for size in range(1, (1 << word_bits) + 1):
+        for value in range(size, (1 << word_bits) + 2):
+            for sides in range(1, ceiling + 1):
+                pool, tape = EntropyPool(word_bits, chunk_bits), TapeSource(b"\xff" * 4)
+                pool.size, pool.value = size, value
+                with pytest.raises(ValueError, match=r"^value must be in \[0, "):
+                    pool.roll(sides, tape)
+
+
+@pytest.mark.parametrize("word_bits,chunk_bits", WORLDS)
+def test_roll_batch_matches_the_reference_loop_everywhere(word_bits, chunk_bits):
+    ceiling = 1 << (word_bits - chunk_bits)
+    for ranges in plans(ceiling):
+        plan, product = RadixPlan(ranges), math.prod(ranges)
+        for size, value in states(word_bits):
+            walk((size, value, word_bits, chunk_bits),
+                 lambda pool, tape: roll_batch(pool, plan, tape),
+                 lambda pool, tape: decode_mixed_radix(
+                     reference_roll(pool, product, tape), ranges))
+
+
+@pytest.mark.parametrize("word_bits,chunk_bits", WORLDS)
+def test_two_rolls_match_the_reference_loop_everywhere(word_bits, chunk_bits):
+    ceiling = 1 << (word_bits - chunk_bits)
+    snap = (1, 0, word_bits, chunk_bits)  # the first roll leaves the second its state
+    for first, second in itertools.product(range(1, ceiling + 1), repeat=2):
+        walk(snap, lambda pool, tape: (pool.roll(first, tape), pool.roll(second, tape)),
+             lambda pool, tape: (reference_roll(pool, first, tape),
+                                 reference_roll(pool, second, tape)))

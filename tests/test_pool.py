@@ -449,16 +449,62 @@ def test_full_pool_refuses_a_bad_die_untouched(sides, refused):
 # `size` and `value` are writable slots, and a state with value >= size
 # rejects on every pass. Zero bytes make a top-off leave value == size
 # again; the tape is finite, so a roll that loops runs out instead of hanging.
+# A negative value accepts on every pass: an inline refill refuses it unread.
 @pytest.mark.parametrize("size,value,drawn", [
     (2**64, 2**64, 0),  # above the ceiling: refused by the inline pass, not later
     (2**56, 2**56, 8),  # the one-chunk band: after the inline read
-    (2, 5, 56),  # below the floor: after top_off and roll_step
+    (2, 5, 56),  # below the floor: after the inline wide refill
     (0, 0, 56),
     (-5, 3, 56),
-], ids=["above-ceiling", "one-chunk-band", "below-floor", "size-0", "negative-size"])
+    (2**56, -1, 0),
+    (2, -1, 0),
+], ids=["above-ceiling", "one-chunk-band", "below-floor", "size-0", "negative-size",
+        "negative-value-one-chunk-band", "negative-value-below-floor"])
 def test_corrupt_pool_is_refused_not_spun(size, value, drawn):
     pool, tape = EntropyPool(), TapeSource(bytes(16))
     pool.size, pool.value = size, value
     with pytest.raises(ValueError, match=r"^value must be in \[0, "):
         pool.roll(6, tape)
-    assert pool.bits_drawn == drawn
+    assert (pool.bits_drawn, tape.bits_remaining) == (drawn, 128 - drawn)
+
+
+# A refill wider than one chunk, from a pool that is not empty, is read
+# inline too: the empty pool alone goes through `top_off` and `roll_step`.
+# (word_bits, chunk_bits, size 2 or the floor, bits its wide refill reads)
+WIDE_REFILLS = pytest.mark.parametrize("word_bits,chunk_bits,size,drawn", [
+    (64, 8, 2, 56), (64, 8, 2**48, 16), (13, 5, 2, 10), (13, 5, 8, 10),
+], ids=["64-8-size-2", "64-8-floor", "13-5-size-2", "13-5-floor"])
+
+
+@WIDE_REFILLS
+def test_wide_refill_is_inline_and_matches_reference(monkeypatch, word_bits, chunk_bits,
+                                                     size, drawn):
+    assert size in (2, EntropyPool(word_bits, chunk_bits)._refill_floor)
+    for value in (0, size - 1):
+        snap = (size, value, word_bits, chunk_bits)
+        with monkeypatch.context() as patched:  # calling either raises TypeError
+            patched.setattr(EntropyPool, "top_off", None)
+            patched.setattr(EntropyPool, "roll_step", None)
+            pool = EntropyPool.from_snapshot(snap)
+            pool.roll(3, TapeSource(bytes(range(1, 41))))
+        assert roll_like_reference(snap, 3)[1] == pool.bits_drawn >= drawn
+
+
+@WIDE_REFILLS
+def test_wide_refill_running_out_leaves_the_pool_untouched(word_bits, chunk_bits, size, drawn):
+    snap = (size, 1, word_bits, chunk_bits)
+    pool, tape = EntropyPool.from_snapshot(snap), TapeSource(b"\xff" * 8, drawn - 1)
+    with pytest.raises(EntropyExhausted):
+        pool.roll(3, tape)
+    assert (pool.snapshot(), pool.bits_drawn, tape.bits_remaining) == (snap, 0, drawn - 1)
+
+
+def test_negative_value_is_refused_at_its_first_refill():
+    # Above the ceiling a negative value accepts (d6 twice from 2**60); the
+    # refill it then needs refuses it before reading a bit.
+    pool, source = EntropyPool(), SeededSource(1)
+    pool.size, pool.value = 2**60, -1
+    assert [pool.roll(6, source) for _ in range(2)] == [5, 5]
+    with pytest.raises(ValueError, match=r"^value must be in \[0, "):
+        pool.roll(6, source)
+    assert pool.bits_drawn == 0

@@ -39,6 +39,10 @@ ROW_TIMEOUT_S = 120
 
 POOL, CLI, RADIX = "tests/test_pool.py::", "tests/test_cli.py::", "tests/test_radix.py::"
 FROZEN = "tests/test_frozen_outputs.py::test_frozen_output"
+EXHAUSTIVE = "tests/test_exhaustive.py::test_roll_matches_the_reference_loop_everywhere"
+# roll's wide refill repeats this line of top_off; the line after it tells them apart
+TOP_OFF_DRAWN = ("drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk\n"
+                 "        piece")
 
 # (file under src/dicepool, old text occurring exactly once, new text, test node ids)
 MUTANTS = [
@@ -52,11 +56,13 @@ MUTANTS = [
      [POOL + "test_roll_step_discard_path"]),
     ("pool.py", "if size > self.refill_ceiling:", "if size >= self.refill_ceiling:",
      [POOL + "test_top_off_boundary_sizes_match_chunk_loop"]),
-    ("pool.py", "// chunk * chunk", "// chunk * chunk + chunk",
+    ("pool.py", TOP_OFF_DRAWN,
+     TOP_OFF_DRAWN.replace("// chunk * chunk", "// chunk * chunk + chunk"),
      [POOL + "test_top_off_single_chunk"]),
-    ("pool.py", "(self.word_bits - (size", "(self.word_bits - 1 - (size",
+    ("pool.py", TOP_OFF_DRAWN, TOP_OFF_DRAWN.replace("(self.word_bits", "(self.word_bits - 1"),
      [POOL + "test_top_off_two_chunks_big_endian"]),
-    ("pool.py", "(size - 1).bit_length()", "size.bit_length()",
+    ("pool.py", TOP_OFF_DRAWN,
+     TOP_OFF_DRAWN.replace("(size - 1).bit_length()", "size.bit_length()"),
      [POOL + "test_top_off_boundary_sizes_match_chunk_loop"]),
     ("pool.py", "if ceiling < size:", "if ceiling + 1 < size:",
      [POOL + "test_roll_matches_refill_every_pass_reference",
@@ -126,6 +132,20 @@ MUTANTS = [
      [POOL + "test_roll_at_the_band_edges_matches_reference"]),
     ("pool.py", "            cutoff = sides * keep\n", "            cutoff = sides * keep - 1\n",
      [POOL + "test_one_chunk_refill_then_reject_matches_reference"]),
+    # roll's inline wide refill, from any pool but the empty one
+    ("pool.py", "elif size > 1:", "elif size > 0:",
+     [CLI + "test_plan_product_refills_are_read_inline"]),
+    ("pool.py", "size <<= drawn", "size <<= chunk",
+     [EXHAUSTIVE, POOL + "test_wide_refill_is_inline_and_matches_reference"]),
+    ("pool.py", "self.bits_drawn += drawn\n                size", "size",
+     [EXHAUSTIVE, POOL + "test_wide_refill_is_inline_and_matches_reference"]),
+    ("pool.py", "// chunk * chunk\n                value", "// chunk\n                value",
+     [EXHAUSTIVE]),
+    # roll's refusal of a negative value before each refill reads a bit
+    ("pool.py", "if value < 0:  # corrupt", "if False:  # corrupt",
+     [POOL + "test_negative_value_is_refused_at_its_first_refill"]),
+    ("pool.py", "if value < 0:\n", "if False:\n",
+     [POOL + "test_corrupt_pool_is_refused_not_spun"]),
     # roll's refusal of a corrupt state (value >= size) on each reject route
     ("pool.py", "if value >= size:  # corrupt", "if False:  # corrupt",
      [POOL + "test_corrupt_pool_is_refused_not_spun"]),
