@@ -8,7 +8,8 @@ size // n states; when the pool value falls in the unusable top sliver
 of the range, the draw fails but the sliver itself is still uniform, so
 it is kept as the new, smaller pool instead of being thrown away. Fresh
 entropy only ever enters in whole fixed-size chunks: through `top_off`,
-or through `roll`'s inline read of the chunks `top_off` would draw.
+or through `roll`'s one refill block, a single read of the chunks
+`top_off` would draw.
 """
 
 from __future__ import annotations
@@ -124,15 +125,16 @@ class EntropyPool:
         added to `bits_drawn`. Before every pass that finds the pool at or
         below the ceiling, not just on entry, the pool is topped off, so
         the accept chance stays high even once recycling has shrunk it.
-        The loop makes `roll_step`'s pass inline, and also every refill
-        of a pool that is not empty, as the one read `top_off` would make:
-        one chunk for a size in (ceiling >> chunk_bits, ceiling], which
-        skips working out the width (on the default pool rolling small
-        dice, every refill but an empty pool's first), and the most whole
-        chunks that fit the word below that, as after a roll of a large
-        product. Only an empty pool (size 1) fills through the reference
-        pair, `top_off` then `roll_step`. All routes leave the same
-        outcome, state and `bits_drawn`. Requires
+        The loop makes `roll_step`'s pass inline, and also every refill of
+        a pool that is not empty: it chooses the width `top_off` would
+        read, one chunk for a size in (ceiling >> chunk_bits, ceiling]
+        (which skips working out the width; on the default pool rolling
+        small dice, every refill but an empty pool's first) and the most
+        whole chunks that fit the word below that (as after a roll of a
+        large product), then one shared block reads it in one `next_bits`
+        call before any write. Only an empty pool (size 1) fills through
+        the reference pair, `top_off` then `roll_step`. All routes leave
+        the same outcome, state and `bits_drawn`. Requires
         1 <= sides <= 2**(word_bits - chunk_bits): that guarantees the
         topped-off pool covers the range and the loop cannot stall. If a
         refill runs out of bits, EntropyExhausted propagates and the
@@ -140,8 +142,8 @@ class EntropyPool:
         TypeError before any bit is drawn. The slots are writable, so a
         state can be corrupt. One with value >= size rejects on every
         pass, so its first reject raises ValueError instead of looping
-        forever; one with value < 0 accepts on every pass, so an inline
-        refill raises ValueError on it before reading a bit.
+        forever; one with value < 0 accepts on every pass, so the refill
+        block raises ValueError on it before reading a bit.
         """
         sides = index(sides)  # inline, not _int_in: this runs once per roll
         ceiling = self.refill_ceiling
@@ -150,34 +152,27 @@ class EntropyPool:
             raise refused(_refusal("sides", sides, 1, ceiling))
         size = self.size
         while True:
-            if ceiling < size:  # no refill is due
-                value = self.value
-            elif self._refill_floor < size:  # one chunk, read before any write
-                value = self.value
+            value = self.value
+            if size <= ceiling:  # a refill is due: choose its width, then read it
+                if self._refill_floor < size:  # one chunk: small dice skip bit_length
+                    drawn = self.chunk_bits
+                elif size > 1:  # the whole chunks top_off would read
+                    chunk = self.chunk_bits
+                    drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk
+                else:  # the empty pool fills through the reference pair
+                    self.top_off(source)
+                    outcome = self.roll_step(sides)
+                    if outcome is not None:
+                        return outcome
+                    size = self.size
+                    if self.value >= size:  # only a corrupt state rejects into one
+                        raise ValueError(_refusal("value", self.value, 0, size - 1))
+                    continue
                 if value < 0:  # corrupt: a negative value would accept forever
                     raise ValueError(_refusal("value", value, 0, size - 1))
-                chunk = self.chunk_bits
-                value = value << chunk | source.next_bits(chunk)
-                self.bits_drawn += chunk
-                size <<= chunk
-            elif size > 1:  # the whole chunks top_off would read, in one read
-                value = self.value
-                if value < 0:
-                    raise ValueError(_refusal("value", value, 0, size - 1))
-                chunk = self.chunk_bits
-                drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk
-                value = value << drawn | source.next_bits(drawn)
+                value = value << drawn | source.next_bits(drawn)  # before any write
                 self.bits_drawn += drawn
                 size <<= drawn
-            else:  # the empty pool fills through the reference pair
-                self.top_off(source)
-                outcome = self.roll_step(sides)
-                if outcome is not None:
-                    return outcome
-                size = self.size
-                if self.value >= size:  # only a corrupt state rejects into one
-                    raise ValueError(_refusal("value", self.value, 0, size - 1))
-                continue
             keep = size // sides
             quotient = value // sides
             if quotient < keep:

@@ -1,0 +1,105 @@
+"""One pool driven by a random mix of calls, against a model of the pool.
+
+The live pool takes `roll`, `roll_batch`, `top_off`, `roll_step` and a
+snapshot restored into a fresh pool, in any order, on one tape. The
+model is a second pool on a copy of the tape that only ever advances
+through the reference pair, `top_off` then `roll_step` until a pass
+accepts, with batch digits decoded by `decode_mixed_radix`. After every
+call both must give the same outcome or EntropyExhausted, the same
+snapshot, the same bits drawn and the same tape bits left, and the live
+state must satisfy 0 <= value < size <= 2**word_bits.
+"""
+import math
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from dicepool import EntropyExhausted, EntropyPool, RadixPlan, TapeSource, roll_batch
+from dicepool.radix import decode_mixed_radix
+
+
+def reference_roll(pool, sides, source):
+    while True:
+        pool.top_off(source)
+        outcome = pool.roll_step(sides)
+        if outcome is not None:
+            return outcome
+
+
+def outcome_of(call):
+    try:
+        return call()
+    except EntropyExhausted:
+        return EntropyExhausted
+
+
+class PoolMachine(RuleBasedStateMachine):
+    @initialize(data=st.data())
+    def start(self, data):
+        word_bits = data.draw(st.one_of(st.integers(1, 130), st.sampled_from([13, 64])))
+        chunk_bits = data.draw(st.integers(1, word_bits))
+        size = data.draw(st.one_of(st.just(1), st.integers(1, 1 << word_bits)))
+        snap = (size, data.draw(st.integers(0, size - 1)), word_bits, chunk_bits)
+        tape = data.draw(st.binary(max_size=120))
+        self.pool, self.model = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
+        self.source, self.reference = TapeSource(tape), TapeSource(tape)
+        self.restored_bits = 0  # bits drawn by the pools a restore replaced
+
+    def sides(self, data):
+        ceiling = self.pool.refill_ceiling
+        return data.draw(st.one_of(st.integers(1, min(ceiling, 64)), st.integers(1, ceiling)))
+
+    def check(self, got, want):
+        assert got == want
+        assert self.pool.snapshot() == self.model.snapshot()
+        assert self.restored_bits + self.pool.bits_drawn == self.model.bits_drawn
+        assert self.source.bits_remaining == self.reference.bits_remaining
+
+    @rule(data=st.data())
+    def roll(self, data):
+        sides = self.sides(data)
+        self.check(outcome_of(lambda: self.pool.roll(sides, self.source)),
+                   outcome_of(lambda: reference_roll(self.model, sides, self.reference)))
+
+    @rule(data=st.data())
+    def batch(self, data):
+        ceiling, ranges = self.pool.refill_ceiling, []
+        for n in data.draw(st.lists(st.integers(1, 64), max_size=6)):
+            if math.prod(ranges) * n <= ceiling:
+                ranges.append(n)
+        plan = RadixPlan(ranges)
+
+        def model_batch():  # an empty plan leaves the pool untouched
+            if not ranges:
+                return []
+            return decode_mixed_radix(
+                reference_roll(self.model, plan.product, self.reference), ranges)
+
+        self.check(outcome_of(lambda: roll_batch(self.pool, plan, self.source)),
+                   outcome_of(model_batch))
+
+    @rule()
+    def top_off(self):
+        self.check(outcome_of(lambda: self.pool.top_off(self.source)),
+                   outcome_of(lambda: self.model.top_off(self.reference)))
+
+    @rule(data=st.data())
+    def roll_step(self, data):
+        sides = self.sides(data)
+        self.check(self.pool.roll_step(sides), self.model.roll_step(sides))
+
+    @rule()
+    def restore(self):
+        self.restored_bits += self.pool.bits_drawn
+        self.pool = EntropyPool.from_snapshot(self.pool.snapshot())
+        self.check(None, None)
+
+    @invariant()
+    def state_is_valid(self):
+        assert 0 <= self.pool.value < self.pool.size <= 1 << self.pool.word_bits
+
+
+TestPoolMachine = PoolMachine.TestCase
+TestPoolMachine.settings = settings(max_examples=100, stateful_step_count=30,
+                                    deadline=None)

@@ -43,29 +43,31 @@ EXHAUSTIVE = "tests/test_exhaustive.py::test_roll_matches_the_reference_loop_eve
 # roll's wide refill repeats this line of top_off; the line after it tells them apart
 TOP_OFF_DRAWN = ("drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk\n"
                  "        piece")
+# top_off repeats this line of roll's refill block; the line after it tells them apart
+ROLL_DRAWN = "self.bits_drawn += drawn\n                size"
 
 # (file under src/dicepool, old text occurring exactly once, new text, test node ids)
 MUTANTS = [
     ("pool.py", "if quotient < keep:  # for ints", "if quotient <= keep:  # for ints",
-     [POOL + "test_roll_step_matches_divmod_cutoff_form"]),
+     [EXHAUSTIVE, POOL + "test_roll_step_matches_divmod_cutoff_form"]),
     ("pool.py", "self.value = quotient\n            return value % sides",
      "self.value = quotient\n            return quotient % sides",
-     [POOL + "test_roll_pinned_outcomes_and_bits"]),
+     [EXHAUSTIVE, POOL + "test_roll_pinned_outcomes_and_bits"]),
     ("pool.py", "        self.value = value - cutoff\n        return None",
      "        self.value = value - cutoff - 1\n        return None",
-     [POOL + "test_roll_step_discard_path"]),
+     [EXHAUSTIVE, POOL + "test_roll_step_discard_path"]),
     ("pool.py", "if size > self.refill_ceiling:", "if size >= self.refill_ceiling:",
-     [POOL + "test_top_off_boundary_sizes_match_chunk_loop"]),
+     [EXHAUSTIVE, POOL + "test_top_off_boundary_sizes_match_chunk_loop"]),
     ("pool.py", TOP_OFF_DRAWN,
      TOP_OFF_DRAWN.replace("// chunk * chunk", "// chunk * chunk + chunk"),
-     [POOL + "test_top_off_single_chunk"]),
+     [EXHAUSTIVE, POOL + "test_top_off_single_chunk"]),
     ("pool.py", TOP_OFF_DRAWN, TOP_OFF_DRAWN.replace("(self.word_bits", "(self.word_bits - 1"),
-     [POOL + "test_top_off_two_chunks_big_endian"]),
+     [EXHAUSTIVE, POOL + "test_top_off_two_chunks_big_endian"]),
     ("pool.py", TOP_OFF_DRAWN,
      TOP_OFF_DRAWN.replace("(size - 1).bit_length()", "size.bit_length()"),
-     [POOL + "test_top_off_boundary_sizes_match_chunk_loop"]),
-    ("pool.py", "if ceiling < size:", "if ceiling + 1 < size:",
-     [POOL + "test_roll_matches_refill_every_pass_reference",
+     [EXHAUSTIVE, POOL + "test_top_off_boundary_sizes_match_chunk_loop"]),
+    ("pool.py", "if size <= ceiling:", "if size <= ceiling + 1:",
+     [EXHAUSTIVE, POOL + "test_roll_matches_refill_every_pass_reference",
       POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not"]),
     ("radix.py", "for n in ranges:\n        digits",
      "for n in reversed(ranges):\n        digits",
@@ -119,32 +121,32 @@ MUTANTS = [
      "            sys.stdout.write(text[:2 * len(row)].decode())\n",
      [CLI + "test_lines_before_tape_runs_out_are_kept"]),
     # roll's inline pass and refill, appended so the rows above keep their test ids
-    ("pool.py", "if ceiling < size:", "if ceiling <= size:",
-     [POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not"]),
+    ("pool.py", "if size <= ceiling:", "if size < ceiling:",
+     [EXHAUSTIVE, POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not"]),
     ("pool.py", "if quotient < keep:\n", "if quotient <= keep:\n",
-     [POOL + "test_full_pool_in_the_sliver_rejects_then_refills"]),
+     [EXHAUSTIVE, POOL + "test_full_pool_in_the_sliver_rejects_then_refills"]),
     ("pool.py", "self.value = quotient\n                return value % sides",
      "self.value = quotient\n                return quotient % sides",
-     [POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not"]),
-    ("pool.py", "elif self._refill_floor < size:", "elif self._refill_floor <= size:",
-     [POOL + "test_roll_at_the_band_edges_matches_reference"]),
-    ("pool.py", "self.bits_drawn += chunk\n", "self.bits_drawn += chunk - 1\n",
-     [POOL + "test_roll_at_the_band_edges_matches_reference"]),
+     [EXHAUSTIVE, POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not"]),
+    ("pool.py", "if self._refill_floor < size:", "if self._refill_floor <= size:",
+     [EXHAUSTIVE, POOL + "test_roll_at_the_band_edges_matches_reference"]),
+    ("pool.py", ROLL_DRAWN, ROLL_DRAWN.replace("+= drawn", "+= drawn - 1"),
+     [EXHAUSTIVE, POOL + "test_roll_at_the_band_edges_matches_reference"]),
     ("pool.py", "            cutoff = sides * keep\n", "            cutoff = sides * keep - 1\n",
-     [POOL + "test_one_chunk_refill_then_reject_matches_reference"]),
-    # roll's inline wide refill, from any pool but the empty one
+     [EXHAUSTIVE, POOL + "test_one_chunk_refill_then_reject_matches_reference"]),
+    # roll's refill block and its wide width, from any pool but the empty one
     ("pool.py", "elif size > 1:", "elif size > 0:",
      [CLI + "test_plan_product_refills_are_read_inline"]),
-    ("pool.py", "size <<= drawn", "size <<= chunk",
+    ("pool.py", "size <<= drawn", "size <<= self.chunk_bits",
      [EXHAUSTIVE, POOL + "test_wide_refill_is_inline_and_matches_reference"]),
-    ("pool.py", "self.bits_drawn += drawn\n                size", "size",
+    ("pool.py", ROLL_DRAWN, "size",
      [EXHAUSTIVE, POOL + "test_wide_refill_is_inline_and_matches_reference"]),
-    ("pool.py", "// chunk * chunk\n                value", "// chunk\n                value",
+    ("pool.py", "// chunk * chunk\n                else", "// chunk\n                else",
      [EXHAUSTIVE]),
-    # roll's refusal of a negative value before each refill reads a bit
+    # roll's refusal of a negative value before its refill block reads a bit
     ("pool.py", "if value < 0:  # corrupt", "if False:  # corrupt",
      [POOL + "test_negative_value_is_refused_at_its_first_refill"]),
-    ("pool.py", "if value < 0:\n", "if False:\n",
+    ("pool.py", "if value < 0:  # corrupt", "if value < -1:  # corrupt",
      [POOL + "test_corrupt_pool_is_refused_not_spun"]),
     # roll's refusal of a corrupt state (value >= size) on each reject route
     ("pool.py", "if value >= size:  # corrupt", "if False:  # corrupt",
