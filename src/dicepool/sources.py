@@ -55,9 +55,9 @@ class EntropySource:
 
     A subclass implements `_pull()` returning the next 64-bit word of
     fresh bits and inherits `next_bits`, which serves any chunk size. The
-    FIFO buffer keeps the oldest bit in the most significant position,
-    which is what makes chunked reads agree with one wide read. A source
-    that is not word-based overrides `next_bits` instead.
+    FIFO buffer keeps the oldest bit on top, so chunked reads agree with
+    one wide read; a read takes its bits off the top with one shift and
+    one subtract. A source that is not word-based overrides `next_bits`.
     """
 
     _buf = 0  # empty until the first read gives the instance its own
@@ -68,13 +68,13 @@ class EntropySource:
         count = index(count)  # inline (hot), and first: a bad count keeps the buffer
         if count < 1:
             raise ValueError(_refusal("count", count, 1))
-        buf, nbuf = self._buf, self._nbuf
-        while nbuf < count:
+        buf, nbuf = self._buf, self._nbuf - count  # bits left after this read
+        while nbuf < 0:
             buf = (buf << 64) | self._pull()
             nbuf += 64
-        nbuf -= count
-        self._buf, self._nbuf = buf & ((1 << nbuf) - 1), nbuf
-        return buf >> nbuf
+        out = buf >> nbuf
+        self._buf, self._nbuf = buf - (out << nbuf), nbuf
+        return out
 
     def _pull(self) -> int:
         raise NotImplementedError

@@ -207,11 +207,12 @@ def test_state_validity_over_random_operations():
 
 
 def test_snapshot_round_trip():
-    pool = EntropyPool(32, 8)
-    pool.top_off(SeededSource(2))
-    pool.roll_step(7)
-    clone = EntropyPool.from_snapshot(pool.snapshot())
-    assert clone.snapshot() == pool.snapshot()
+    for word_bits, chunk_bits in [(32, 8), (13, 5)]:  # the default chunk and another
+        pool = EntropyPool(word_bits, chunk_bits)
+        pool.top_off(SeededSource(2))
+        pool.roll_step(7)
+        clone = EntropyPool.from_snapshot(pool.snapshot())
+        assert clone.snapshot() == pool.snapshot()
 
 
 @pytest.mark.parametrize("snap", [

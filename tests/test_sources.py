@@ -100,8 +100,39 @@ def test_seeded_chunked_reads_spell_one_wide_read(seed, counts):
     source = SeededSource(seed)
     joined = 0
     for count in counts:
-        joined = (joined << count) | source.next_bits(count)
+        bits = source.next_bits(count)
+        assert 0 <= bits < 1 << count  # else `|` could hide bits read twice
+        joined = (joined << count) | bits
     assert joined == SeededSource(seed).next_bits(sum(counts))
+
+
+class WordList(EntropySource):
+    """Serves fixed 64-bit words in order and counts the `_pull` calls."""
+
+    def __init__(self, words):
+        self.words, self.pulls = words, 0
+
+    def _pull(self):
+        self.pulls += 1
+        return self.words[self.pulls - 1]
+
+
+WORDS = [0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x8000000000000001]
+
+
+def test_a_read_pulls_only_the_words_it_needs():
+    bytewise = WordList(WORDS)
+    assert [bytewise.next_bits(8) for _ in range(8)] == list(WORDS[0].to_bytes(8, "big"))
+    assert bytewise.pulls == 1
+    assert bytewise.next_bits(8) == 0xFE and bytewise.pulls == 2
+    wide = WordList(WORDS)
+    assert wide.next_bits(64) == WORDS[0] and wide.pulls == 1
+    wider = WordList(WORDS)
+    assert wider.next_bits(65) == WORDS[0] << 1 | 1 and wider.pulls == 2
+    emptied = WordList(WORDS)
+    assert (emptied.next_bits(3), emptied.next_bits(61)) == (0, WORDS[0])
+    assert emptied.pulls == 1  # the buffer is empty and no word is pulled ahead
+    assert emptied.next_bits(72) == WORDS[1] << 8 | 0x80 and emptied.pulls == 3
 
 
 def test_seeded_sources_share_no_buffer():

@@ -157,6 +157,15 @@ MUTANTS = [
      [POOL + "test_corrupt_pool_is_refused_not_spun"]),
     ("pool.py", "if self.value >= size:", "if self.value > size:",
      [POOL + "test_corrupt_pool_is_refused_not_spun"]),
+    # next_bits takes its bits off the buffer and pulls a word only when short
+    ("sources.py", "buf - (out << nbuf), nbuf", "buf, nbuf",
+     ["tests/test_sources.py::test_seeded_chunked_reads_spell_one_wide_read"]),
+    ("sources.py", "while nbuf < 0:", "while nbuf <= 0:",
+     ["tests/test_sources.py::test_a_read_pulls_only_the_words_it_needs"]),
+    # from_snapshot keeps the chunk size and refuses value == size
+    ("pool.py", "pool = cls(word_bits, chunk_bits)", "pool = cls(word_bits)",
+     [POOL + "test_snapshot_round_trip"]),
+    ("pool.py", "0, pool.size - 1)", "0, pool.size)", [POOL + "test_snapshot_validation"]),
 ]
 
 
