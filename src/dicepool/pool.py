@@ -132,8 +132,11 @@ class EntropyPool:
         small dice, every refill but an empty pool's first) and the most
         whole chunks that fit the word below that (as after a roll of a
         large product), then one shared block reads it in one `next_bits`
-        call before any write. Only an empty pool (size 1) fills through
-        the reference pair, `top_off` then `roll_step`. All routes leave
+        call before any write. Only a pool of size 1 can fill through the
+        reference pair, `top_off` then `roll_step`, and only when
+        word_bits >= 2 * chunk_bits; below that two chunks overfill the
+        word, the band reaches down to size 1, and its fill is the
+        one-chunk read. All routes leave
         the same outcome, state and `bits_drawn`. Requires
         1 <= sides <= 2**(word_bits - chunk_bits): that guarantees the
         topped-off pool covers the range and the loop cannot stall. If a

@@ -138,8 +138,8 @@ def test_roll_lines_across_block_boundaries(capsys, count):
     assert cli.BLOCK_BYTES // len("5\n") == 32768  # d6 lines per block
     assert main(["roll", "-n", "6", "-c", str(count), "--source", "seeded",
                  "--seed", "3"]) == 0
-    pool, source = dicepool.EntropyPool(), dicepool.SeededSource(3)
-    want = "".join(f"{pool.roll(6, source)}\n" for _ in range(count))
+    want = "".join(_library_lines(["-n", "6"], count, dicepool.EntropyPool(),
+                                  dicepool.SeededSource(3)))
     _assert_same_lines(capsys.readouterr().out, want)
     # --plan 6 rolls the same die through roll_batch: the same lines
     assert main(["roll", "--plan", "6", "-c", str(count), "--source", "seeded",
@@ -147,54 +147,62 @@ def test_roll_lines_across_block_boundaries(capsys, count):
     _assert_same_lines(capsys.readouterr().out, want)
 
 
-def test_roll_plan_lines_across_block_boundaries(monkeypatch):
+def test_roll_plan_lines_across_block_boundaries():
     per_block = cli.BLOCK_BYTES // len("1 2 51\n")  # 9362 lines
-    stdout = _RecordingStdout()
-    monkeypatch.setattr(sys, "stdout", stdout)
-    assert main(["roll", "--plan", "2,3,52", "-c", "20000", "--source", "seeded",
-                 "--seed", "3"]) == 0
-    assert [text.count("\n") for text in stdout.writes] == [
+    writes = _roll_writes("--plan", "2,3,52", "-c", "20000", "--source", "seeded",
+                          "--seed", "3")
+    assert [text.count("\n") for text in writes] == [
         per_block, per_block, 20000 - 2 * per_block]
-    pool, source = dicepool.EntropyPool(), dicepool.SeededSource(3)
-    plan = dicepool.RadixPlan((2, 3, 52))
-    want = "".join(" ".join(map(str, dicepool.roll_batch(pool, plan, source))) + "\n"
-                   for _ in range(20000))
-    _assert_same_lines("".join(stdout.writes), want)
+    want = "".join(_library_lines(["--plan", "2,3,52"], 20000, dicepool.EntropyPool(),
+                                  dicepool.SeededSource(3)))
+    _assert_same_lines("".join(writes), want)
 
 
-class _RecordingStdout:
-    def __init__(self):
-        self.writes = []
-
+class _RecordingStdout(list):
     def write(self, text):
-        self.writes.append(text)
+        self.append(text)
         return len(text)
 
     def flush(self):
         pass
 
 
-def test_roll_blocks_are_bounded_in_size(monkeypatch):
+def _roll_writes(*argv, status=0):
+    """The texts `roll *argv` passes to stdout's write, one per call."""
+    writes = _RecordingStdout()
+    with contextlib.redirect_stdout(writes):
+        assert main(["roll", *argv]) == status
+    return writes
+
+
+def _library_lines(die, count, pool, source):
+    """The `count` lines `roll` prints for `die` (["-n", N] or ["--plan", P]),
+    re-rolled one at a time through `pool.roll` or `roll_batch`."""
+    flag, text = die
+    ranges = [int(part) for part in text.split(",")]
+    plan = dicepool.RadixPlan(ranges)
+    for _ in range(count):
+        outcomes = ([pool.roll(ranges[0], source)] if flag == "-n"
+                    else dicepool.roll_batch(pool, plan, source))
+        yield " ".join(map(str, outcomes)) + "\n"
+
+
+def test_roll_blocks_are_bounded_in_size():
     # 40 lines of 10 KB: a 1024-line block would be one 400 KB write
-    stdout = _RecordingStdout()
-    monkeypatch.setattr(sys, "stdout", stdout)
-    assert main(["roll", "--plan", ",".join(["1"] * 5000), "-c", "40",
-                 "--source", "seeded"]) == 0
-    assert all(len(text) <= cli.BLOCK_BYTES for text in stdout.writes)
-    _assert_same_lines("".join(stdout.writes), (" ".join(["0"] * 5000) + "\n") * 40)
+    writes = _roll_writes("--plan", ",".join(["1"] * 5000), "-c", "40", "--source", "seeded")
+    assert all(len(text) <= cli.BLOCK_BYTES for text in writes)
+    _assert_same_lines("".join(writes), (" ".join(["0"] * 5000) + "\n") * 40)
 
 
-def test_wide_die_lines_match_on_both_paths_in_bounded_blocks(monkeypatch):
+def test_wide_die_lines_match_on_both_paths_in_bounded_blocks():
     # a 15-digit die: the -n path's block width comes from the die, not from d6
     per_block = cli.BLOCK_BYTES // len("999999999999999\n")  # 4096 lines
     outputs = []
     for die in (["-n", "1000000000000000"], ["--plan", "1000000000000000"]):
-        stdout = _RecordingStdout()
-        monkeypatch.setattr(sys, "stdout", stdout)
-        assert main(["roll", *die, "-c", "5000", "--source", "seeded", "--seed", "5"]) == 0
-        assert all(len(text) <= cli.BLOCK_BYTES for text in stdout.writes)
-        assert [text.count("\n") for text in stdout.writes] == [per_block, 5000 - per_block]
-        outputs.append("".join(stdout.writes))
+        writes = _roll_writes(*die, "-c", "5000", "--source", "seeded", "--seed", "5")
+        assert all(len(text) <= cli.BLOCK_BYTES for text in writes)
+        assert [text.count("\n") for text in writes] == [per_block, 5000 - per_block]
+        outputs.append("".join(writes))
     _assert_same_lines(outputs[0], outputs[1])
     assert len(outputs[0].splitlines()) == 5000
 
@@ -296,28 +304,23 @@ def test_lines_before_tape_runs_out_are_kept(tmp_path, capsys, argv, lines):
     (["--plan", "6,6,6"], "5 5 5\n", 20000, 15000),
 ], ids=["sides", "plan"])
 def test_tape_running_out_after_several_blocks_keeps_whole_lines(
-        tmp_path, capsys, monkeypatch, argv, line, count, tape_bytes):
+        tmp_path, capsys, argv, line, count, tape_bytes):
     # the tape lasts about 40000 (-n) or 15500 (--plan) lines, so it runs
     # out inside the second block of 32768 or 10922 lines
     per_block = cli.BLOCK_BYTES // len(line)
     data = random.Random(tape_bytes).randbytes(tape_bytes)
     tape = tmp_path / "tape.bin"
     tape.write_bytes(data)
-    stdout = _RecordingStdout()
-    monkeypatch.setattr(sys, "stdout", stdout)
-    assert main(["roll", *argv, "-c", str(count), "--source", f"tape:{tape}"]) == 1
-    pool, source = dicepool.EntropyPool(), dicepool.TapeSource(data)
-    plan = dicepool.RadixPlan((6, 6, 6))
+    writes = _roll_writes(*argv, "-c", str(count), "--source", f"tape:{tape}", status=1)
     want = []
     with pytest.raises(dicepool.EntropyExhausted):
-        for _ in range(count):
-            outcomes = ([pool.roll(6, source)] if argv[0] == "-n"
-                        else dicepool.roll_batch(pool, plan, source))
-            want.append(" ".join(map(str, outcomes)) + "\n")
+        for text in _library_lines(argv, count, dicepool.EntropyPool(),
+                                   dicepool.TapeSource(data)):
+            want.append(text)
     assert per_block < len(want) < count
-    _assert_same_lines("".join(stdout.writes), "".join(want))
-    assert all(text.endswith("\n") for text in stdout.writes)
-    assert all(text.count("\n") <= per_block for text in stdout.writes)
+    _assert_same_lines("".join(writes), "".join(want))
+    assert all(text.endswith("\n") for text in writes)
+    assert all(text.count("\n") <= per_block for text in writes)
     assert capsys.readouterr().err == f"error: tape exhausted after {8 * tape_bytes} bits\n"
 
 
@@ -333,26 +336,21 @@ def test_tape_running_out_after_several_blocks_keeps_whole_lines(
 def test_plan_lines_match_roll_batch_in_whole_bounded_blocks(ranges, count, seed):
     # lines of 2 to 80 bytes give blocks of 32768 to 819 lines, most of
     # which do not divide the count; -W 320 holds a product of five 10**15
-    stdout = _RecordingStdout()
-    with contextlib.redirect_stdout(stdout):
-        assert main(["roll", "-W", "320", "--plan", ",".join(map(str, ranges)),
-                     "-c", str(count), "--source", "seeded", "--seed", str(seed)]) == 0
+    plan = ["--plan", ",".join(map(str, ranges))]
+    writes = _roll_writes("-W", "320", *plan, "-c", str(count), "--source", "seeded",
+                          "--seed", str(seed))
     if len(ranges) == 1:  # -n N writes the blocks --plan N writes
-        sides = _RecordingStdout()
-        with contextlib.redirect_stdout(sides):
-            assert main(["roll", "-W", "320", "-n", str(ranges[0]), "-c", str(count),
-                         "--source", "seeded", "--seed", str(seed)]) == 0
-        assert list(map(len, sides.writes)) == list(map(len, stdout.writes))
-        _assert_same_lines("".join(sides.writes), "".join(stdout.writes))
-    pool, source = dicepool.EntropyPool(320), dicepool.SeededSource(seed)
-    plan = dicepool.RadixPlan(ranges)
-    want = "".join(" ".join(map(str, dicepool.roll_batch(pool, plan, source))) + "\n"
-                   for _ in range(count))
-    _assert_same_lines("".join(stdout.writes), want)
+        sides = _roll_writes("-W", "320", "-n", str(ranges[0]), "-c", str(count),
+                             "--source", "seeded", "--seed", str(seed))
+        assert list(map(len, sides)) == list(map(len, writes))
+        _assert_same_lines("".join(sides), "".join(writes))
+    want = "".join(_library_lines(plan, count, dicepool.EntropyPool(320),
+                                  dicepool.SeededSource(seed)))
+    _assert_same_lines("".join(writes), want)
     # every block but the last is full: bytes, from the widest line, are the one cap
     per_block = cli.BLOCK_BYTES // sum(len(str(n - 1)) + 1 for n in ranges)
-    assert len(stdout.writes) == -(-count // per_block)
-    for text in stdout.writes:
+    assert len(writes) == -(-count // per_block)
+    for text in writes:
         assert text.endswith("\n")
         assert len(text) <= cli.BLOCK_BYTES or text.count("\n") == 1
 

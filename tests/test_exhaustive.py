@@ -1,8 +1,9 @@
 """Exhaustive small worlds: every pool state, die and tape of a tiny pool.
 
 For every geometry with word_bits <= 4, `roll`, `roll_batch` and two
-rolls in a row must agree with the reference loop, `top_off` then
-`roll_step` until a pass accepts, on every state (size <= 2**word_bits,
+rolls in a row must agree with the reference pool of `pool_oracle`
+(a refill written out there, then a `roll_step` pass, until a pass
+accepts; it never calls `top_off`) on every state (size <= 2**word_bits,
 value < size), every die up to the ceiling, and every tape. Tapes are
 walked as a prefix tree: one that runs out is extended by each next bit,
 one on which the op completes is a leaf, since further bits stay unread.
@@ -15,18 +16,10 @@ import math
 import pytest
 
 from dicepool import EntropyExhausted, EntropyPool, RadixPlan, TapeSource, roll_batch
-from dicepool.radix import decode_mixed_radix
+from pool_oracle import observe, reference_batch, reference_roll
 
 WORLDS = [(w, b) for w in range(1, 5) for b in range(1, w + 1)]
 MAX_TAPE_BITS = 10  # a tape still running out this long is compared, not extended
-
-
-def reference_roll(pool, sides, source):
-    while True:
-        pool.top_off(source)
-        outcome = pool.roll_step(sides)
-        if outcome is not None:
-            return outcome
 
 
 def states(word_bits):
@@ -36,11 +29,7 @@ def states(word_bits):
 
 def run(op, snap, bits, nbits):
     pool, tape = EntropyPool.from_snapshot(snap), TapeSource.from_int(bits, nbits)
-    try:
-        result = op(pool, tape)
-    except EntropyExhausted:
-        result = EntropyExhausted
-    return result, pool.snapshot(), pool.bits_drawn, tape.bits_remaining
+    return observe(lambda: op(pool, tape), pool, tape)
 
 
 def walk(snap, op, reference):
@@ -91,12 +80,11 @@ def test_corrupt_states_are_refused_everywhere(word_bits, chunk_bits):
 def test_roll_batch_matches_the_reference_loop_everywhere(word_bits, chunk_bits):
     ceiling = 1 << (word_bits - chunk_bits)
     for ranges in plans(ceiling):
-        plan, product = RadixPlan(ranges), math.prod(ranges)
+        plan = RadixPlan(ranges)
         for size, value in states(word_bits):
             walk((size, value, word_bits, chunk_bits),
                  lambda pool, tape: roll_batch(pool, plan, tape),
-                 lambda pool, tape: decode_mixed_radix(
-                     reference_roll(pool, product, tape), ranges))
+                 lambda pool, tape: reference_batch(pool, ranges, tape))
 
 
 @pytest.mark.parametrize("word_bits,chunk_bits", WORLDS)

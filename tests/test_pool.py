@@ -17,6 +17,7 @@ from dicepool import (
     TapeSource,
     waste_point,
 )
+from pool_oracle import dice, observe, reference_roll, reference_top_off
 
 
 def test_new_pool_is_empty():
@@ -267,27 +268,9 @@ def test_reduction_ledger_matches_waste_model():
         assert shortfall == pytest.approx(expected, abs=1e-12)
 
 
-# Differential gate: `top_off` and `roll` against a reference that refills
-# one chunk at a time, before every pass, and reduces with `roll_step`.
-
-def reference_top_off(pool, source):
-    drawn = 0
-    while pool.size <= 1 << (pool.word_bits - pool.chunk_bits):
-        piece = source.next_bits(pool.chunk_bits)
-        pool.size <<= pool.chunk_bits
-        pool.value = (pool.value << pool.chunk_bits) | piece
-        drawn += pool.chunk_bits
-    return drawn
-
-
-def reference_roll(pool, sides, source):
-    drawn = 0
-    while True:
-        drawn += reference_top_off(pool, source)
-        outcome = pool.roll_step(sides)
-        if outcome is not None:
-            return (outcome, drawn)
-
+# Differential gate: `top_off` and `roll` against the reference pool of
+# `pool_oracle`, which refills in whole chunks before every pass and
+# reduces with `roll_step`.
 
 def source_pair(tape, seed):
     if tape is None:
@@ -312,10 +295,7 @@ def pool_setups(draw):
     value = draw(st.integers(0, size - 1))
     tape = draw(st.one_of(st.none(), st.binary(max_size=300)))
     seed = draw(st.integers(0, 2**64 - 1))
-    sides = draw(st.lists(
-        st.one_of(st.integers(1, min(ceiling, 64)), st.integers(1, ceiling)),
-        max_size=50,
-    ))
+    sides = draw(st.lists(dice(ceiling), max_size=50))
     return (size, value, word_bits, chunk_bits), tape, seed, sides
 
 
@@ -325,17 +305,8 @@ def test_top_off_matches_chunk_loop(setup):
     snap, tape, seed, _ = setup
     pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
     source, reference = source_pair(tape, seed)
-    before = rest_of(source_pair(tape, seed)[0])
-    try:
-        want = reference_top_off(expected, reference)
-    except EntropyExhausted:
-        with pytest.raises(EntropyExhausted):
-            pool.top_off(source)
-        assert pool.snapshot() == snap
-        assert rest_of(source) == before
-        return
-    assert pool.top_off(source) == want
-    assert pool.snapshot() == expected.snapshot()
+    assert observe(lambda: pool.top_off(source), pool, source) == observe(
+        lambda: reference_top_off(expected, reference), expected, reference)
     assert rest_of(source) == rest_of(reference)
 
 
@@ -345,16 +316,9 @@ def test_roll_matches_refill_every_pass_reference(setup):
     snap, tape, seed, sides_list = setup
     pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
     source, reference = source_pair(tape, seed)
-    for sides in sides_list:
-        try:
-            want = reference_roll(expected, sides, reference)
-        except EntropyExhausted:
-            with pytest.raises(EntropyExhausted):
-                pool.roll(sides, source)
-            return
-        before = pool.bits_drawn
-        assert (pool.roll(sides, source), pool.bits_drawn - before) == want
-    assert pool.snapshot() == expected.snapshot()
+    for sides in sides_list:  # a roll after one that ran out is compared too
+        assert observe(lambda: pool.roll(sides, source), pool, source) == observe(
+            lambda: reference_roll(expected, sides, reference), expected, reference)
     assert rest_of(source) == rest_of(reference)
 
 
@@ -382,9 +346,8 @@ def roll_like_reference(snap, sides, tape=bytes(range(1, 41))):
     pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
     source, reference = TapeSource(tape), TapeSource(tape)
     outcome = pool.roll(sides, source)
-    assert (outcome, pool.bits_drawn) == reference_roll(expected, sides, reference)
-    assert pool.snapshot() == expected.snapshot()
-    assert source.bits_remaining == reference.bits_remaining
+    assert observe(lambda: outcome, pool, source) == observe(
+        lambda: reference_roll(expected, sides, reference), expected, reference)
     return outcome, pool.bits_drawn
 
 
@@ -470,7 +433,8 @@ def test_corrupt_pool_is_refused_not_spun(size, value, drawn):
 
 
 # A refill wider than one chunk, from a pool that is not empty, is read
-# inline too: the empty pool alone goes through `top_off` and `roll_step`.
+# inline too: only a pool of size 1 goes through `top_off` and `roll_step`,
+# and only where two chunks fit the word (at (5, 3) it takes the one chunk).
 # (word_bits, chunk_bits, size 2 or the floor, bits its wide refill reads)
 WIDE_REFILLS = pytest.mark.parametrize("word_bits,chunk_bits,size,drawn", [
     (64, 8, 2, 56), (64, 8, 2**48, 16), (13, 5, 2, 10), (13, 5, 8, 10),

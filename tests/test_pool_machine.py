@@ -3,11 +3,12 @@
 The live pool takes `roll`, `roll_batch`, `top_off`, `roll_step` and a
 snapshot restored into a fresh pool, in any order, on one tape. The
 model is a second pool on a copy of the tape that only ever advances
-through the reference pair, `top_off` then `roll_step` until a pass
-accepts, with batch digits decoded by `decode_mixed_radix`. After every
-call both must give the same outcome or EntropyExhausted, the same
-snapshot, the same bits drawn and the same tape bits left, and the live
-state must satisfy 0 <= value < size <= 2**word_bits.
+through the reference pool of `pool_oracle`: its refill, written out
+there and never `top_off`, and `roll_step` passes until one accepts,
+with batch digits decoded by `decode_mixed_radix`. After every call both
+must give the same outcome or EntropyExhausted, the same snapshot, the
+same bits drawn and the same tape bits left, and the live state must
+satisfy 0 <= value < size <= 2**word_bits.
 """
 import math
 
@@ -15,23 +16,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from dicepool import EntropyExhausted, EntropyPool, RadixPlan, TapeSource, roll_batch
-from dicepool.radix import decode_mixed_radix
-
-
-def reference_roll(pool, sides, source):
-    while True:
-        pool.top_off(source)
-        outcome = pool.roll_step(sides)
-        if outcome is not None:
-            return outcome
-
-
-def outcome_of(call):
-    try:
-        return call()
-    except EntropyExhausted:
-        return EntropyExhausted
+from dicepool import EntropyPool, RadixPlan, TapeSource, roll_batch
+from pool_oracle import dice, observe, reference_batch, reference_roll, reference_top_off
 
 
 class PoolMachine(RuleBasedStateMachine):
@@ -46,21 +32,16 @@ class PoolMachine(RuleBasedStateMachine):
         self.source, self.reference = TapeSource(tape), TapeSource(tape)
         self.restored_bits = 0  # bits drawn by the pools a restore replaced
 
-    def sides(self, data):
-        ceiling = self.pool.refill_ceiling
-        return data.draw(st.one_of(st.integers(1, min(ceiling, 64)), st.integers(1, ceiling)))
-
-    def check(self, got, want):
-        assert got == want
-        assert self.pool.snapshot() == self.model.snapshot()
-        assert self.restored_bits + self.pool.bits_drawn == self.model.bits_drawn
-        assert self.source.bits_remaining == self.reference.bits_remaining
+    def check(self, call, model_call):
+        outcome, snap, drawn, left = observe(call, self.pool, self.source)
+        assert (outcome, snap, self.restored_bits + drawn, left) == observe(
+            model_call, self.model, self.reference)
 
     @rule(data=st.data())
     def roll(self, data):
-        sides = self.sides(data)
-        self.check(outcome_of(lambda: self.pool.roll(sides, self.source)),
-                   outcome_of(lambda: reference_roll(self.model, sides, self.reference)))
+        sides = data.draw(dice(self.pool.refill_ceiling))
+        self.check(lambda: self.pool.roll(sides, self.source),
+                   lambda: reference_roll(self.model, sides, self.reference))
 
     @rule(data=st.data())
     def batch(self, data):
@@ -69,31 +50,24 @@ class PoolMachine(RuleBasedStateMachine):
             if math.prod(ranges) * n <= ceiling:
                 ranges.append(n)
         plan = RadixPlan(ranges)
-
-        def model_batch():  # an empty plan leaves the pool untouched
-            if not ranges:
-                return []
-            return decode_mixed_radix(
-                reference_roll(self.model, plan.product, self.reference), ranges)
-
-        self.check(outcome_of(lambda: roll_batch(self.pool, plan, self.source)),
-                   outcome_of(model_batch))
+        self.check(lambda: roll_batch(self.pool, plan, self.source),
+                   lambda: reference_batch(self.model, ranges, self.reference))
 
     @rule()
     def top_off(self):
-        self.check(outcome_of(lambda: self.pool.top_off(self.source)),
-                   outcome_of(lambda: self.model.top_off(self.reference)))
+        self.check(lambda: self.pool.top_off(self.source),
+                   lambda: reference_top_off(self.model, self.reference))
 
     @rule(data=st.data())
     def roll_step(self, data):
-        sides = self.sides(data)
-        self.check(self.pool.roll_step(sides), self.model.roll_step(sides))
+        sides = data.draw(dice(self.pool.refill_ceiling))
+        self.check(lambda: self.pool.roll_step(sides), lambda: self.model.roll_step(sides))
 
     @rule()
     def restore(self):
         self.restored_bits += self.pool.bits_drawn
         self.pool = EntropyPool.from_snapshot(self.pool.snapshot())
-        self.check(None, None)
+        self.check(lambda: None, lambda: None)
 
     @invariant()
     def state_is_valid(self):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicepool import EntropyExhausted, EntropyPool, SeededSource, TapeSource
+import pool_oracle
 
 
 def size_path(word_bits, chunk_bits, record):
@@ -96,10 +97,7 @@ def runs(draw):
     word_bits = draw(st.integers(1, 130))
     chunk_bits = draw(st.integers(1, word_bits))
     ceiling = 1 << (word_bits - chunk_bits)
-    dice = draw(st.lists(
-        st.one_of(st.integers(1, min(ceiling, 64)), st.integers(1, ceiling)),
-        max_size=40,
-    ))
+    dice = draw(st.lists(pool_oracle.dice(ceiling), max_size=40))
     return word_bits, chunk_bits, dice, draw(st.binary(max_size=600))
 
 

@@ -166,6 +166,11 @@ MUTANTS = [
     ("pool.py", "pool = cls(word_bits, chunk_bits)", "pool = cls(word_bits)",
      [POOL + "test_snapshot_round_trip"]),
     ("pool.py", "0, pool.size - 1)", "0, pool.size)", [POOL + "test_snapshot_validation"]),
+    # top_off reading one chunk short into the empty pool, where roll calls it
+    ("pool.py", "        piece = source.next_bits(drawn)\n",
+     "        drawn -= chunk if size == 1 and drawn > chunk else 0\n"
+     "        piece = source.next_bits(drawn)\n",
+     [EXHAUSTIVE]),
 ]
 
 
