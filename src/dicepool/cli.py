@@ -11,6 +11,7 @@ import argparse
 import functools
 import os
 import sys
+from itertools import repeat
 
 from .analysis import ESTIMATE_REGIME_FACTOR, efficiency_estimate, waste_point
 from .harness import (MAX_ENUM_SIDES, MAX_ENUM_TAPE_BITS, BenchReport, bench_naive,
@@ -111,8 +112,7 @@ def cmd_roll(args: argparse.Namespace) -> int:
         lines = range(min(per_block, count - start))
         try:
             if args.plan is None:
-                for _ in lines:
-                    row.append(pool.roll(sides, source))
+                pool.roll_many(repeat(sides, len(lines)), source, row)
             else:
                 for _ in lines:
                     row += roll_batch(pool, plan, source)

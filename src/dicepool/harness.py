@@ -16,6 +16,7 @@ import math
 import time
 from collections import namedtuple
 from collections.abc import Sequence
+from itertools import repeat
 
 from .pool import EntropyPool
 from .sources import EntropySource, SeededSource, _int_in
@@ -23,6 +24,7 @@ from .sources import EntropySource, SeededSource, _int_in
 MAX_ENUM_TAPE_BITS = 16
 MAX_ENUM_SIDES = 20
 MAX_TABLE_SIZE = 1 << 20  # largest bench die and shuffle deck: one list slot each
+BENCH_BLOCK = 1 << 12  # most outcomes bench_recycler holds at once, whatever `rolls`
 
 
 def chi_square(counts: Sequence[int]) -> tuple[float, int]:
@@ -110,9 +112,12 @@ def bench_recycler(sides: int, rolls: int, seed: int = 1, *,
     pool = EntropyPool(word_bits, chunk_bits)
     source = SeededSource(seed)
     counts = [0] * sides
-    roll = pool.roll
-    for _ in range(rolls):
-        counts[roll(sides, source)] += 1
+    block: list[int] = []
+    for done in range(0, rolls, BENCH_BLOCK):
+        block.clear()
+        pool.roll_many(repeat(sides, min(BENCH_BLOCK, rolls - done)), source, block)
+        for outcome in block:
+            counts[outcome] += 1
     # A fresh pool holds no entropy, so its end entropy is the delta.
     return _assemble("recycler", sides, rolls, pool.bits_drawn, pool.entropy(),
                      counts, start)
@@ -191,8 +196,6 @@ def shuffle(deck: int, source: EntropySource | None = None, *,
         source = SeededSource(1)
     pool = EntropyPool(word_bits, chunk_bits)
     order = list(range(deck))
-    roll = pool.roll
-    for i in range(deck - 1, 0, -1):
-        j = roll(i + 1, source)
+    for i, j in zip(range(deck - 1, 0, -1), pool.roll_many(range(deck, 1, -1), source)):
         order[i], order[j] = order[j], order[i]
     return order

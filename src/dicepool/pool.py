@@ -9,11 +9,14 @@ of the range, the draw fails but the sliver itself is still uniform, so
 it is kept as the new, smaller pool instead of being thrown away. Fresh
 entropy only ever enters in whole fixed-size chunks: through `top_off`,
 or through `roll`'s one refill block, a single read of the chunks
-`top_off` would draw.
+`top_off` would draw. `roll_many` rolls a run of dice, fixed or
+changing, as a loop of `roll` calls would, with the pool state held in
+locals between them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from math import log2
 from operator import index
 
@@ -51,7 +54,7 @@ class EntropyPool:
         # the largest die a roll accepts; fixed for the pool's lifetime.
         self.refill_ceiling = ceiling = 1 << (word_bits - chunk_bits)
         # Sizes in (floor, ceiling] take exactly one chunk to top off (0 when
-        # two chunks overfill the word); `roll` reads that chunk inline.
+        # two chunks overfill the word); `roll` and `roll_many` read that chunk inline.
         self._refill_floor = ceiling >> chunk_bits
         self.size = 1    # the empty pool: one state, zero entropy
         self.value = 0
@@ -187,6 +190,66 @@ class EntropyPool:
             cutoff = sides * keep
             self.size = size = size - cutoff
             self.value = value - cutoff
+
+    def roll_many(self, sides: Iterable[int], source: EntropySource,
+                  out: list[int] | None = None) -> list[int]:
+        """Roll one die per item of `sides`, in order; returns `out` with
+        the outcomes appended (a new list if `out` is None).
+
+        The same as calling `roll(n, source)` for each n and appending the
+        results: the same outcomes, bits drawn and final state, and the
+        same refusals (each die is checked as `roll` checks it, when its
+        turn comes). `sides` may be any iterable, such as
+        `itertools.repeat(6, count)` or, for a shuffle, `range(deck, 1, -1)`,
+        and the dice may change from one roll to the next. The loop holds
+        the pool state in locals, makes the reduction pass and the
+        one-chunk refill inline, and writes the state back when it ends,
+        also when it raises: if a die is refused or the source runs out,
+        the outcomes rolled before it stay in `out` and the pool is left
+        as the `roll` loop would leave it. A pool that needs more than
+        one chunk, at or below ceiling >> chunk_bits (the empty pool, or
+        one a reject or a large die has shrunk), rolls that one outcome
+        through `roll`, which reads the wider refill.
+        """
+        if out is None:
+            out = []
+        append, next_bits = out.append, source.next_bits
+        ceiling, floor, chunk = self.refill_ceiling, self._refill_floor, self.chunk_bits
+        size, value = self.size, self.value
+        try:
+            for n in sides:
+                n = index(n)
+                if not 1 <= n <= ceiling:
+                    refused = ValueError if n < 1 else RangeTooLarge
+                    raise refused(_refusal("sides", n, 1, ceiling))
+                while True:
+                    if size <= ceiling:
+                        if size <= floor:  # wider than one chunk: roll reads it
+                            self.size, self.value = size, value
+                            try:
+                                append(self.roll(n, source))
+                            finally:
+                                size, value = self.size, self.value
+                            break
+                        if value < 0:  # a corrupt state would accept forever
+                            raise ValueError(_refusal("value", value, 0, size - 1))
+                        value = value << chunk | next_bits(chunk)
+                        self.bits_drawn += chunk
+                        size <<= chunk
+                    keep = size // n
+                    quotient = value // n
+                    if quotient < keep:
+                        append(value % n)
+                        size, value = keep, quotient
+                        break
+                    if value >= size:  # a corrupt state would reject forever
+                        raise ValueError(_refusal("value", value, 0, size - 1))
+                    cutoff = n * keep
+                    size -= cutoff
+                    value -= cutoff
+        finally:
+            self.size, self.value = size, value
+        return out
 
     def snapshot(self) -> tuple[int, int, int, int]:
         """State as plain integers: (size, value, word_bits, chunk_bits)."""

@@ -36,6 +36,13 @@ def reference_roll(pool, sides, source):
             return outcome
 
 
+def reference_many(pool, sides, source, out):
+    """A `reference_roll` per die of `sides`, each outcome appended to `out`."""
+    for n in sides:
+        out.append(reference_roll(pool, n, source))
+    return out
+
+
 def reference_batch(pool, ranges, source):
     """One reference roll of the product of `ranges`, as its mixed-radix digits."""
     if not ranges:  # an empty plan leaves the pool untouched

@@ -368,18 +368,46 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_traced_entry_points_are_called_per_roll(monkeypatch):
-    # The benchmark's span tracer wraps these very names; a refactor that
-    # stops calling them would make its traced run read 0.
+def test_traced_entry_points_nest_as_the_trace_divides(monkeypatch, capsys):
+    # The benchmark's span tracer wraps these very names and divides by
+    # their counts: roll_batch calls, pool.roll calls, the roll_step spans
+    # under a pool.roll span and the top_off calls. A refactor that stops
+    # making any of them would make its traced run read 0 or divide by it.
     batches = _count_calls(monkeypatch, cli, "roll_batch")
     assert main(["roll", "--plan", "6,6", "-c", "2500", "--source", "seeded"]) == 0
     assert len(batches) == 2500
+    calls, inside = [], []
+    for name in ("roll", "top_off", "roll_step"):
+        original = getattr(dicepool.EntropyPool, name)
+
+        def spy(*args, name=name, original=original):
+            calls.append((name, bool(inside)))
+            inside.append(name)
+            try:
+                return original(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(dicepool.EntropyPool, name, spy)
+    for op in (lambda: main(["bench", "-n", "6", "--rolls", "3000"]),
+               lambda: harness.shuffle(52)):
+        calls.clear()
+        op()
+        assert {("roll", False), ("top_off", True), ("roll_step", True)} <= set(calls)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("op", [
+    lambda: main(["bench", "-n", "6", "--rolls", "3000"]),
+    lambda: harness.shuffle(52),
+    lambda: main(["roll", "-n", "6", "-c", "3000", "--source", "seeded"]),
+], ids=["bench-d6", "shuffle-52", "roll-n-6"])
+def test_bulk_rolls_call_roll_only_for_the_empty_pool(monkeypatch, capsys, op):
+    # roll_many reads every one-chunk refill itself; only the empty pool's
+    # first fill, wider than one chunk, goes through one roll call.
     rolls = _count_calls(monkeypatch, dicepool.EntropyPool, "roll")
-    assert main(["bench", "-n", "6", "--rolls", "3000"]) == 0
-    assert len(rolls) == 3000
-    rolls.clear()
-    harness.shuffle(52)
-    assert len(rolls) == 51
+    op()
+    assert len(rolls) == 1
 
 
 @pytest.mark.parametrize("op", [

@@ -1,14 +1,16 @@
 """Exhaustive small worlds: every pool state, die and tape of a tiny pool.
 
-For every geometry with word_bits <= 4, `roll`, `roll_batch` and two
-rolls in a row must agree with the reference pool of `pool_oracle`
-(a refill written out there, then a `roll_step` pass, until a pass
-accepts; it never calls `top_off`) on every state (size <= 2**word_bits,
-value < size), every die up to the ceiling, and every tape. Tapes are
+For every geometry with word_bits <= 4, `roll`, `roll_batch`, two
+rolls in a row and `roll_many` over two dice must agree with the
+reference pool of `pool_oracle` (a refill written out there, then a
+`roll_step` pass, until a pass accepts; it never calls `top_off`) on
+every state (size <= 2**word_bits, value < size), every die up to the
+ceiling, and every tape. Tapes are
 walked as a prefix tree: one that runs out is extended by each next bit,
 one on which the op completes is a leaf, since further bits stay unread.
 Both sides must give the same outcome or EntropyExhausted, the same
-snapshot, `bits_drawn` and tape bits left.
+outcomes appended before it, the same snapshot, `bits_drawn` and tape
+bits left.
 """
 import itertools
 import math
@@ -16,7 +18,7 @@ import math
 import pytest
 
 from dicepool import EntropyExhausted, EntropyPool, RadixPlan, TapeSource, roll_batch
-from pool_oracle import observe, reference_batch, reference_roll
+from pool_oracle import observe, reference_batch, reference_many, reference_roll
 
 WORLDS = [(w, b) for w in range(1, 5) for b in range(1, w + 1)]
 MAX_TAPE_BITS = 10  # a tape still running out this long is compared, not extended
@@ -28,8 +30,9 @@ def states(word_bits):
 
 
 def run(op, snap, bits, nbits):
-    pool, tape = EntropyPool.from_snapshot(snap), TapeSource.from_int(bits, nbits)
-    return observe(lambda: op(pool, tape), pool, tape)
+    """`observe` of op(pool, tape, out) from `snap`, and the list `out` it appended to."""
+    pool, tape, out = EntropyPool.from_snapshot(snap), TapeSource.from_int(bits, nbits), []
+    return (*observe(lambda: op(pool, tape, out), pool, tape), out)
 
 
 def walk(snap, op, reference):
@@ -60,8 +63,8 @@ def test_roll_matches_the_reference_loop_everywhere(word_bits, chunk_bits):
     for size, value in states(word_bits):
         snap = (size, value, word_bits, chunk_bits)
         for sides in range(1, ceiling + 1):
-            walk(snap, lambda pool, tape: pool.roll(sides, tape),
-                 lambda pool, tape: reference_roll(pool, sides, tape))
+            walk(snap, lambda pool, tape, _: pool.roll(sides, tape),
+                 lambda pool, tape, _: reference_roll(pool, sides, tape))
 
 
 @pytest.mark.parametrize("word_bits,chunk_bits", WORLDS)
@@ -83,8 +86,8 @@ def test_roll_batch_matches_the_reference_loop_everywhere(word_bits, chunk_bits)
         plan = RadixPlan(ranges)
         for size, value in states(word_bits):
             walk((size, value, word_bits, chunk_bits),
-                 lambda pool, tape: roll_batch(pool, plan, tape),
-                 lambda pool, tape: reference_batch(pool, ranges, tape))
+                 lambda pool, tape, _: roll_batch(pool, plan, tape),
+                 lambda pool, tape, _: reference_batch(pool, ranges, tape))
 
 
 @pytest.mark.parametrize("word_bits,chunk_bits", WORLDS)
@@ -92,6 +95,27 @@ def test_two_rolls_match_the_reference_loop_everywhere(word_bits, chunk_bits):
     ceiling = 1 << (word_bits - chunk_bits)
     snap = (1, 0, word_bits, chunk_bits)  # the first roll leaves the second its state
     for first, second in itertools.product(range(1, ceiling + 1), repeat=2):
-        walk(snap, lambda pool, tape: (pool.roll(first, tape), pool.roll(second, tape)),
-             lambda pool, tape: (reference_roll(pool, first, tape),
-                                 reference_roll(pool, second, tape)))
+        walk(snap, lambda pool, tape, _: (pool.roll(first, tape), pool.roll(second, tape)),
+             lambda pool, tape, _: (reference_roll(pool, first, tape),
+                                    reference_roll(pool, second, tape)))
+
+
+# Every pair of dice, with tapes that run out on the second die too (the
+# first outcome stays in `out`). From every state, but in the two worlds
+# where that takes over 10 s, from the states at the edges of roll_many's
+# routes: the floor below which it calls roll, the one-chunk band above it,
+# the ceiling and the full pool.
+@pytest.mark.parametrize("word_bits,chunk_bits", WORLDS + [(5, 2)])
+def test_roll_many_matches_the_reference_loop_on_every_pair(word_bits, chunk_bits):
+    ceiling = 1 << (word_bits - chunk_bits)
+    floor = ceiling >> chunk_bits
+    if (word_bits, chunk_bits) in ((4, 1), (5, 2)):
+        sizes = sorted({1, max(1, floor), floor + 1, ceiling, ceiling + 1, 1 << word_bits})
+        starts = [(size, value) for size in sizes for value in {0, size // 2, size - 1}]
+    else:
+        starts = states(word_bits)
+    for size, value in starts:
+        for pair in itertools.product(range(1, ceiling + 1), repeat=2):
+            walk((size, value, word_bits, chunk_bits),
+                 lambda pool, tape, out: pool.roll_many(iter(pair), tape, out),
+                 lambda pool, tape, out: reference_many(pool, pair, tape, out))

@@ -1,6 +1,8 @@
 """Benchmarks, exhaustive enumeration, chi-square, shuffle."""
 
 import re
+import time
+import tracemalloc
 
 import pytest
 
@@ -14,7 +16,7 @@ from dicepool import (
     enumerate_exact,
     shuffle,
 )
-from dicepool.harness import MAX_TABLE_SIZE
+from dicepool.harness import BENCH_BLOCK, MAX_TABLE_SIZE
 
 SHUFFLE_52_SEED_7 = [
     21, 44, 14, 33, 6, 47, 22, 30, 34, 24, 35, 2, 27, 0, 36, 23, 4, 28,
@@ -71,6 +73,25 @@ def test_bench_is_deterministic():
 ], ids=["recycler-d6", "naive-d6", "recycler-d33-W13-B5"])
 def test_bench_pinned_rows(run, row):
     assert run().csv_row() == row
+
+
+def test_bench_elapsed_is_the_time_the_run_took():
+    for bench in (bench_recycler, bench_naive):
+        start = time.perf_counter()
+        report = bench(6, 3 * BENCH_BLOCK + 5)
+        assert 0 < report.elapsed <= time.perf_counter() - start
+
+
+def test_bench_recycler_memory_is_bounded():
+    # --rolls has no upper bound; outcomes are held a block at a time, so a
+    # million rolls peak far below the 8 MB one list of them would take
+    tracemalloc.start()
+    try:
+        bench_recycler(6, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_bench_naive_power_of_two_bits_exact():

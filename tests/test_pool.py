@@ -17,7 +17,7 @@ from dicepool import (
     TapeSource,
     waste_point,
 )
-from pool_oracle import dice, observe, reference_roll, reference_top_off
+from pool_oracle import dice, observe, reference_many, reference_roll, reference_top_off
 
 
 def test_new_pool_is_empty():
@@ -322,6 +322,39 @@ def test_roll_matches_refill_every_pass_reference(setup):
     assert rest_of(source) == rest_of(reference)
 
 
+# A die that roll refuses, put anywhere in a roll_many sequence, with the
+# error roll raises for it; None puts no such die in.
+REFUSED_DICE = [None, (0, ValueError), (-3, ValueError), ("ceiling + 1", RangeTooLarge),
+                (6.0, TypeError), ("6", TypeError)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_setups(), st.integers(0, 50), st.sampled_from(REFUSED_DICE))
+def test_roll_many_matches_the_reference_loop(setup, cut, refusal):
+    snap, tape, seed, sides_list = setup
+    pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
+    source, reference = source_pair(tape, seed)
+    rolled = sides_list[:]  # the dice before the refused one, if any
+    if refusal is not None:
+        bad, refused = refusal
+        cut = min(cut, len(sides_list))
+        sides_list.insert(cut, pool.refill_ceiling + 1 if bad == "ceiling + 1" else bad)
+        del rolled[cut:]
+    got, want = [], []
+    ran = observe(lambda: reference_many(expected, rolled, reference, want),
+                  expected, reference)
+    if refusal is None or ran[0] is EntropyExhausted:
+        assert observe(lambda: pool.roll_many(iter(sides_list), source, got),
+                       pool, source) == ran
+    else:
+        with pytest.raises(refused) as raised:
+            pool.roll_many(iter(sides_list), source, got)
+        assert type(raised.value) is refused
+        assert observe(lambda: got, pool, source) == ran
+    assert got == want  # the outcomes rolled before a failure stay in `out`
+    assert rest_of(source) == rest_of(reference)
+
+
 @pytest.mark.parametrize("word_bits,chunk_bits",
                          [(1, 1), (7, 7), (13, 5), (16, 8), (64, 8), (65, 8), (128, 8), (130, 1)])
 def test_top_off_boundary_sizes_match_chunk_loop(word_bits, chunk_bits):
@@ -414,7 +447,7 @@ def test_full_pool_refuses_a_bad_die_untouched(sides, refused):
 # rejects on every pass. Zero bytes make a top-off leave value == size
 # again; the tape is finite, so a roll that loops runs out instead of hanging.
 # A negative value accepts on every pass: an inline refill refuses it unread.
-@pytest.mark.parametrize("size,value,drawn", [
+CORRUPT_POOLS = pytest.mark.parametrize("size,value,drawn", [
     (2**64, 2**64, 0),  # above the ceiling: refused by the inline pass, not later
     (2**56, 2**56, 8),  # the one-chunk band: after the inline read
     (2, 5, 56),  # below the floor: after the inline wide refill
@@ -424,12 +457,24 @@ def test_full_pool_refuses_a_bad_die_untouched(sides, refused):
     (2, -1, 0),
 ], ids=["above-ceiling", "one-chunk-band", "below-floor", "size-0", "negative-size",
         "negative-value-one-chunk-band", "negative-value-below-floor"])
+
+
+@CORRUPT_POOLS
 def test_corrupt_pool_is_refused_not_spun(size, value, drawn):
     pool, tape = EntropyPool(), TapeSource(bytes(16))
     pool.size, pool.value = size, value
     with pytest.raises(ValueError, match=r"^value must be in \[0, "):
         pool.roll(6, tape)
     assert (pool.bits_drawn, tape.bits_remaining) == (drawn, 128 - drawn)
+
+
+@CORRUPT_POOLS
+def test_roll_many_refuses_a_corrupt_pool_as_roll_does(size, value, drawn):
+    pool, tape, out = EntropyPool(), TapeSource(bytes(16)), []
+    pool.size, pool.value = size, value
+    with pytest.raises(ValueError, match=r"^value must be in \[0, "):
+        pool.roll_many([6, 6], tape, out)
+    assert (out, pool.bits_drawn, tape.bits_remaining) == ([], drawn, 128 - drawn)
 
 
 # A refill wider than one chunk, from a pool that is not empty, is read

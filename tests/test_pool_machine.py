@@ -1,14 +1,14 @@
 """One pool driven by a random mix of calls, against a model of the pool.
 
-The live pool takes `roll`, `roll_batch`, `top_off`, `roll_step` and a
-snapshot restored into a fresh pool, in any order, on one tape. The
-model is a second pool on a copy of the tape that only ever advances
-through the reference pool of `pool_oracle`: its refill, written out
-there and never `top_off`, and `roll_step` passes until one accepts,
-with batch digits decoded by `decode_mixed_radix`. After every call both
-must give the same outcome or EntropyExhausted, the same snapshot, the
-same bits drawn and the same tape bits left, and the live state must
-satisfy 0 <= value < size <= 2**word_bits.
+The live pool takes `roll`, `roll_many`, `roll_batch`, `top_off`,
+`roll_step` and a snapshot restored into a fresh pool, in any order, on
+one tape. The model is a second pool on a copy of the tape that only
+ever advances through the reference pool of `pool_oracle`: its refill,
+written out there and never `top_off`, and `roll_step` passes until one
+accepts, with batch digits decoded by `decode_mixed_radix`. After every
+call both must give the same outcome or EntropyExhausted, the same
+snapshot, the same bits drawn and the same tape bits left, and the live
+state must satisfy 0 <= value < size <= 2**word_bits.
 """
 import math
 
@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from dicepool import EntropyPool, RadixPlan, TapeSource, roll_batch
-from pool_oracle import dice, observe, reference_batch, reference_roll, reference_top_off
+from pool_oracle import (dice, observe, reference_batch, reference_many, reference_roll,
+                         reference_top_off)
 
 
 class PoolMachine(RuleBasedStateMachine):
@@ -42,6 +43,14 @@ class PoolMachine(RuleBasedStateMachine):
         sides = data.draw(dice(self.pool.refill_ceiling))
         self.check(lambda: self.pool.roll(sides, self.source),
                    lambda: reference_roll(self.model, sides, self.reference))
+
+    @rule(data=st.data())
+    def roll_many(self, data):
+        sides = data.draw(st.lists(dice(self.pool.refill_ceiling), max_size=8))
+        got, want = [], []
+        self.check(lambda: self.pool.roll_many(iter(sides), self.source, got),
+                   lambda: reference_many(self.model, sides, self.reference, want))
+        assert got == want  # also the outcomes rolled before the tape ran out
 
     @rule(data=st.data())
     def batch(self, data):

@@ -1,13 +1,14 @@
 """Mutation gate: each one-line bug in the table must fail the tests named for it.
 
-One gate run works in one temporary tree: `src/`, `tests/` and
-`pyproject.toml` are copied into it once, and the union of every row's
-named tests must pass there unmutated, in one pytest run, before any row
-runs. Each row then writes its edit into the tree, runs its own tests,
-which must fail, and writes the original file back in place. No
-bytecode is written (a restored file with the same size and mtime second
-could otherwise load the mutant's), and the tree's hypothesis database
-is deleted after each row, so no example found under one mutant is
+One gate run works in WORKERS temporary trees: `src/`, `tests/` and
+`pyproject.toml` are copied into each once, and the union of every row's
+named tests must pass unmutated, in one pytest run, before any row runs.
+Rows then run WORKERS at a time, each in a tree no other row is using:
+a row writes its edit into its tree, runs its own tests, which must
+fail, and writes the original file back in place. No bytecode is
+written (a restored file with the same size and mtime second could
+otherwise load the mutant's), and the tree's hypothesis database is
+deleted after each row, so no example found under one mutant is
 replayed under the next. The checkout itself is never written. Run from
 anywhere:
 
@@ -23,11 +24,13 @@ never drop the row.
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,15 +39,22 @@ ROOT = Path(__file__).resolve().parents[1]
 # accepting `quotient <= keep` does in test_unroll_long_seeded_run); its row
 # fails the gate after this long.
 ROW_TIMEOUT_S = 120
+# Rows run this many at a time, one pytest process each, so that the whole
+# gate stays within about two minutes on two cores.
+WORKERS = min(2, os.cpu_count() or 1)
 
 POOL, CLI, RADIX = "tests/test_pool.py::", "tests/test_cli.py::", "tests/test_radix.py::"
 FROZEN = "tests/test_frozen_outputs.py::test_frozen_output"
 EXHAUSTIVE = "tests/test_exhaustive.py::test_roll_matches_the_reference_loop_everywhere"
+MANY = "tests/test_exhaustive.py::test_roll_many_matches_the_reference_loop_on_every_pair"
 # roll's wide refill repeats this line of top_off; the line after it tells them apart
 TOP_OFF_DRAWN = ("drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk\n"
                  "        piece")
 # top_off repeats this line of roll's refill block; the line after it tells them apart
 ROLL_DRAWN = "self.bits_drawn += drawn\n                size"
+# roll_many repeats these lines of roll; roll's comment and next line tell them apart
+ROLL_REFILL_DUE = "if size <= ceiling:  # a refill is due"
+ROLL_ACCEPT = "if quotient < keep:\n                self.size = keep"
 
 # (file under src/dicepool, old text occurring exactly once, new text, test node ids)
 MUTANTS = [
@@ -66,7 +76,7 @@ MUTANTS = [
     ("pool.py", TOP_OFF_DRAWN,
      TOP_OFF_DRAWN.replace("(size - 1).bit_length()", "size.bit_length()"),
      [EXHAUSTIVE, POOL + "test_top_off_boundary_sizes_match_chunk_loop"]),
-    ("pool.py", "if size <= ceiling:", "if size <= ceiling + 1:",
+    ("pool.py", ROLL_REFILL_DUE, ROLL_REFILL_DUE.replace("ceiling", "ceiling + 1"),
      [EXHAUSTIVE, POOL + "test_roll_matches_refill_every_pass_reference",
       POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not"]),
     ("radix.py", "for n in ranges:\n        digits",
@@ -99,7 +109,8 @@ MUTANTS = [
     ("cli.py", "max(1, BLOCK_BYTES // line_bytes)",
      "max(1, min(1024, BLOCK_BYTES // line_bytes))",
      [CLI + "test_plan_lines_match_roll_batch_in_whole_bounded_blocks"]),
-    ("cli.py", "row.append(pool.roll(sides, source))", "pool.roll(sides, source)",
+    ("cli.py", "pool.roll_many(repeat(sides, len(lines)), source, row)",
+     "pool.roll_many(repeat(sides, len(lines)), source)",
      [FROZEN + "[roll -n 6 -c 3 --source seeded --seed 1]"]),
     ("cli.py", "row += roll_batch(pool, plan, source)",
      "row = roll_batch(pool, plan, source)",
@@ -121,9 +132,9 @@ MUTANTS = [
      "            sys.stdout.write(text[:2 * len(row)].decode())\n",
      [CLI + "test_lines_before_tape_runs_out_are_kept"]),
     # roll's inline pass and refill, appended so the rows above keep their test ids
-    ("pool.py", "if size <= ceiling:", "if size < ceiling:",
+    ("pool.py", ROLL_REFILL_DUE, ROLL_REFILL_DUE.replace("<=", "<"),
      [EXHAUSTIVE, POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not"]),
-    ("pool.py", "if quotient < keep:\n", "if quotient <= keep:\n",
+    ("pool.py", ROLL_ACCEPT, ROLL_ACCEPT.replace("<", "<="),
      [EXHAUSTIVE, POOL + "test_full_pool_in_the_sliver_rejects_then_refills"]),
     ("pool.py", "self.value = quotient\n                return value % sides",
      "self.value = quotient\n                return quotient % sides",
@@ -171,6 +182,27 @@ MUTANTS = [
      "        drawn -= chunk if size == 1 and drawn > chunk else 0\n"
      "        piece = source.next_bits(drawn)\n",
      [EXHAUSTIVE]),
+    # roll_many: its state write-backs, its route choice, its refill and its guards
+    ("pool.py", "finally:\n            self.size, self.value = size, value",
+     "finally:\n            pass", [MANY, POOL + "test_roll_many_matches_the_reference_loop"]),
+    ("pool.py", "finally:\n                                size, value = self.size, self.value",
+     "finally:\n                                pass", [MANY]),
+    ("pool.py", "if size <= floor:", "if size < floor:", [MANY]),
+    ("pool.py", "self.bits_drawn += chunk", "pass",
+     [MANY, POOL + "test_roll_many_matches_the_reference_loop"]),
+    ("pool.py", "cutoff = n * keep", "cutoff = n * keep - 1", [MANY]),
+    ("pool.py", "if not 1 <= n <= ceiling:", "if not 1 <= n <= ceiling + 1:",
+     [POOL + "test_roll_many_matches_the_reference_loop"]),
+    ("pool.py", "if value < 0:  # a corrupt state", "if False:  # a corrupt state",
+     [POOL + "test_roll_many_refuses_a_corrupt_pool_as_roll_does"]),
+    ("pool.py", "if value >= size:  # a corrupt state", "if False:  # a corrupt state",
+     [POOL + "test_roll_many_refuses_a_corrupt_pool_as_roll_does"]),
+    # the bulk callers: bench's reused block, shuffle's dice
+    ("harness.py", "block.clear()", "pass",
+     [FROZEN + "[bench -n 6 --rolls 20000 --seed 1 --baseline]"]),
+    ("harness.py", "pool.roll_many(range(deck, 1, -1), source)",
+     "pool.roll_many(range(deck - 1, 0, -1), source)",
+     ["tests/test_harness.py::test_shuffle_fixture"]),
 ]
 
 
@@ -207,11 +239,14 @@ def mutate(tree: Path, path: str, old: str, new: str, ids: list[str]) -> str:
 def main() -> int:
     start, failed = time.perf_counter(), 0
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp)
-        for name in ("src", "tests"):
-            shutil.copytree(ROOT / name, tree / name,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", tree)
+        free: queue.SimpleQueue[Path] = queue.SimpleQueue()  # trees no row is using
+        for worker in range(WORKERS):
+            tree = Path(tmp) / str(worker)
+            for name in ("src", "tests"):
+                shutil.copytree(ROOT / name, tree / name,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            shutil.copy(ROOT / "pyproject.toml", tree)
+            free.put(tree)
         named = list(dict.fromkeys(i for *_, ids in MUTANTS for i in ids))
         status = run_tests(tree, named)
         if status != 0:
@@ -220,12 +255,20 @@ def main() -> int:
             return 1
         print(f"{len(named)} named tests pass unmutated "
               f"({time.perf_counter() - start:.1f} s)")
-        for path, old, new, ids in MUTANTS:
-            row_start = time.perf_counter()
-            verdict = mutate(tree, path, old, new, ids)
-            failed += verdict != "killed"
-            edit = f"{old.strip()!r} -> {new.strip()!r}"
-            print(f"{verdict:8} {path}: {edit} ({time.perf_counter() - row_start:.1f} s)")
+
+        def run_row(row):
+            tree, row_start = free.get(), time.perf_counter()
+            try:
+                return mutate(tree, *row), time.perf_counter() - row_start
+            finally:
+                free.put(tree)
+
+        with ThreadPoolExecutor(WORKERS) as rows:
+            for (path, old, new, _), (verdict, seconds) in zip(MUTANTS,
+                                                                rows.map(run_row, MUTANTS)):
+                failed += verdict != "killed"
+                edit = f"{old.strip()!r} -> {new.strip()!r}"
+                print(f"{verdict:8} {path}: {edit} ({seconds:.1f} s)", flush=True)
     print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.0f} s")
     return 1 if failed else 0
