@@ -8,10 +8,10 @@ size // n states; when the pool value falls in the unusable top sliver
 of the range, the draw fails but the sliver itself is still uniform, so
 it is kept as the new, smaller pool instead of being thrown away. Fresh
 entropy only ever enters in whole fixed-size chunks: through `top_off`,
-or through `roll`'s one refill block, a single read of the chunks
+or through `roll`'s one refill rule, a single read of the chunks
 `top_off` would draw. `roll_many` rolls a run of dice, fixed or
 changing, as a loop of `roll` calls would, with the pool state held in
-locals between them.
+locals between them; runs of small dice belong there.
 """
 
 from __future__ import annotations
@@ -44,18 +44,14 @@ class EntropyPool:
     experiments on independent pool/source pairs.
     """
 
-    __slots__ = ("size", "value", "word_bits", "chunk_bits", "refill_ceiling",
-                 "_refill_floor", "bits_drawn")
+    __slots__ = ("size", "value", "word_bits", "chunk_bits", "refill_ceiling", "bits_drawn")
 
     def __init__(self, word_bits: int = 64, chunk_bits: int = 8) -> None:
         self.word_bits = word_bits = _int_in("word_bits", word_bits, 1, MAX_WORD_BITS)
         self.chunk_bits = chunk_bits = _int_in("chunk_bits", chunk_bits, 1, word_bits)
         # Largest size that still admits (and demands) another chunk, and
         # the largest die a roll accepts; fixed for the pool's lifetime.
-        self.refill_ceiling = ceiling = 1 << (word_bits - chunk_bits)
-        # Sizes in (floor, ceiling] take exactly one chunk to top off (0 when
-        # two chunks overfill the word); `roll` and `roll_many` read that chunk inline.
-        self._refill_floor = ceiling >> chunk_bits
+        self.refill_ceiling = 1 << (word_bits - chunk_bits)
         self.size = 1    # the empty pool: one state, zero entropy
         self.value = 0
         self.bits_drawn = 0
@@ -125,31 +121,28 @@ class EntropyPool:
         """Roll a fair `sides`-sided die, refilling from `source` as needed.
 
         Returns the outcome in [0, sides); the fresh bits it draws are
-        added to `bits_drawn`. Before every pass that finds the pool at or
-        below the ceiling, not just on entry, the pool is topped off, so
-        the accept chance stays high even once recycling has shrunk it.
-        The loop makes `roll_step`'s pass inline, and also every refill of
-        a pool that is not empty: it chooses the width `top_off` would
-        read, one chunk for a size in (ceiling >> chunk_bits, ceiling]
-        (which skips working out the width; on the default pool rolling
-        small dice, every refill but an empty pool's first) and the most
-        whole chunks that fit the word below that (as after a roll of a
-        large product), then one shared block reads it in one `next_bits`
-        call before any write. Only a pool of size 1 can fill through the
-        reference pair, `top_off` then `roll_step`, and only when
-        word_bits >= 2 * chunk_bits; below that two chunks overfill the
-        word, the band reaches down to size 1, and its fill is the
-        one-chunk read. All routes leave
-        the same outcome, state and `bits_drawn`. Requires
-        1 <= sides <= 2**(word_bits - chunk_bits): that guarantees the
-        topped-off pool covers the range and the loop cannot stall. If a
-        refill runs out of bits, EntropyExhausted propagates and the
-        passes already made stay applied. A non-int `sides` raises
-        TypeError before any bit is drawn. The slots are writable, so a
-        state can be corrupt. One with value >= size rejects on every
-        pass, so its first reject raises ValueError instead of looping
-        forever; one with value < 0 accepts on every pass, so the refill
-        block raises ValueError on it before reading a bit.
+        added to `bits_drawn`. This is the reference pair, `top_off` then
+        `roll_step` until a pass accepts, written inline with one refill
+        rule: before every pass that finds the pool at or below the
+        ceiling, not just on entry, it reads the width `top_off` would
+        read, the most whole chunks that fit the word, in one
+        `next_bits` call before any write, so the accept chance stays
+        high even once recycling has shrunk the pool. The empty pool
+        (size 1) calls the pair itself, once, ahead of the loop, with the
+        same outcome, state and `bits_drawn`: those are the calls
+        `perfbench/run.py --trace 1` divides by, so the pair stays until
+        the trace counts what the pool did (ROADMAP direction 1). Runs of
+        small dice belong to `roll_many`.
+        Requires 1 <= sides <= 2**(word_bits - chunk_bits): that
+        guarantees the topped-off pool covers the range and the loop
+        cannot stall. If a refill runs out of bits, EntropyExhausted
+        propagates and the passes already made stay applied. A non-int
+        `sides` raises TypeError before any bit is drawn. The slots are
+        writable, so a state can be corrupt, and it raises ValueError
+        instead of looping forever: a one-state pool whose value is not
+        0, and a negative value at a refill (it would accept on every
+        pass), before a bit is read; a value >= size, which rejects on
+        every pass, at its first reject.
         """
         sides = index(sides)  # inline, not _int_in: this runs once per roll
         ceiling = self.refill_ceiling
@@ -157,25 +150,21 @@ class EntropyPool:
             refused = ValueError if sides < 1 else RangeTooLarge
             raise refused(_refusal("sides", sides, 1, ceiling))
         size = self.size
+        if size == 1:  # the empty pool fills through the reference pair
+            if self.value:  # corrupt: one state leaves only the value 0
+                raise ValueError(_refusal("value", self.value, 0, 0))
+            self.top_off(source)
+            outcome = self.roll_step(sides)
+            if outcome is not None:
+                return outcome
+            size = self.size
         while True:
             value = self.value
-            if size <= ceiling:  # a refill is due: choose its width, then read it
-                if self._refill_floor < size:  # one chunk: small dice skip bit_length
-                    drawn = self.chunk_bits
-                elif size > 1:  # the whole chunks top_off would read
-                    chunk = self.chunk_bits
-                    drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk
-                else:  # the empty pool fills through the reference pair
-                    self.top_off(source)
-                    outcome = self.roll_step(sides)
-                    if outcome is not None:
-                        return outcome
-                    size = self.size
-                    if self.value >= size:  # only a corrupt state rejects into one
-                        raise ValueError(_refusal("value", self.value, 0, size - 1))
-                    continue
+            if size <= ceiling:  # a refill is due: read what top_off would
                 if value < 0:  # corrupt: a negative value would accept forever
                     raise ValueError(_refusal("value", value, 0, size - 1))
+                chunk = self.chunk_bits
+                drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk
                 value = value << drawn | source.next_bits(drawn)  # before any write
                 self.bits_drawn += drawn
                 size <<= drawn
@@ -202,19 +191,22 @@ class EntropyPool:
         turn comes). `sides` may be any iterable, such as
         `itertools.repeat(6, count)` or, for a shuffle, `range(deck, 1, -1)`,
         and the dice may change from one roll to the next. The loop holds
-        the pool state in locals, makes the reduction pass and the
-        one-chunk refill inline, and writes the state back when it ends,
-        also when it raises: if a die is refused or the source runs out,
-        the outcomes rolled before it stay in `out` and the pool is left
-        as the `roll` loop would leave it. A pool that needs more than
-        one chunk, at or below ceiling >> chunk_bits (the empty pool, or
-        one a reject or a large die has shrunk), rolls that one outcome
-        through `roll`, which reads the wider refill.
+        the pool state in locals, makes the reduction pass inline, and
+        writes the state back when it ends, also when it raises: if a die
+        is refused or the source runs out, the outcomes rolled before it
+        stay in `out` and the pool is left as the `roll` loop would leave
+        it. It is the loop for runs of small dice, so it keeps the
+        one-chunk band (ceiling >> chunk_bits, ceiling], where one chunk
+        tops the pool off: it reads that chunk inline without working out
+        the width. A pool at or below the band (the empty pool, or one a
+        reject or a large die has shrunk) rolls that one outcome through
+        `roll`, which reads the wider refill.
         """
         if out is None:
             out = []
         append, next_bits = out.append, source.next_bits
-        ceiling, floor, chunk = self.refill_ceiling, self._refill_floor, self.chunk_bits
+        ceiling, chunk = self.refill_ceiling, self.chunk_bits
+        floor = ceiling >> chunk  # 0 when two chunks overfill the word
         size, value = self.size, self.value
         try:
             for n in sides:

@@ -67,16 +67,23 @@ def test_roll_matches_the_reference_loop_everywhere(word_bits, chunk_bits):
                  lambda pool, tape, _: reference_roll(pool, sides, tape))
 
 
+# A value >= size rejects on every pass and is refused at its first reject.
+# A negative value would accept on every pass: at or below the ceiling a
+# refill is due, and it is refused before a bit is read.
 @pytest.mark.parametrize("word_bits,chunk_bits", WORLDS)
 def test_corrupt_states_are_refused_everywhere(word_bits, chunk_bits):
     ceiling = 1 << (word_bits - chunk_bits)
-    for size in range(1, (1 << word_bits) + 1):
-        for value in range(size, (1 << word_bits) + 2):
-            for sides in range(1, ceiling + 1):
-                pool, tape = EntropyPool(word_bits, chunk_bits), TapeSource(b"\xff" * 4)
-                pool.size, pool.value = size, value
-                with pytest.raises(ValueError, match=r"^value must be in \[0, "):
-                    pool.roll(sides, tape)
+    corrupt = [(size, value) for size in range(1, (1 << word_bits) + 1)
+               for value in range(size, (1 << word_bits) + 2)]
+    negative = [(size, value) for size in range(1, ceiling + 1) for value in (-2, -1)]
+    for size, value in corrupt + negative:
+        for sides, many in itertools.product(range(1, ceiling + 1), (False, True)):
+            pool, tape = EntropyPool(word_bits, chunk_bits), TapeSource(b"\xff" * 4)
+            pool.size, pool.value = size, value
+            with pytest.raises(ValueError, match=r"^value must be in \[0, "):
+                pool.roll_many([sides], tape) if many else pool.roll(sides, tape)
+            if value < 0:
+                assert (pool.bits_drawn, tape.bits_remaining) == (0, 32), (size, value, many)
 
 
 @pytest.mark.parametrize("word_bits,chunk_bits", WORLDS)

@@ -370,8 +370,9 @@ def test_top_off_boundary_sizes_match_chunk_loop(word_bits, chunk_bits):
         assert source.next_bits(64) == reference.next_bits(64)
 
 
-# `roll` makes the pass inline, and a one-chunk refill; pinned cases at
-# the edges of those routes, where it must agree with the reference loop.
+# `roll` makes the pass and every refill but the empty pool's inline;
+# pinned cases at the edges of the ceiling and of the one-chunk band, where
+# it must agree with the reference loop.
 
 def roll_like_reference(snap, sides, tape=bytes(range(1, 41))):
     """Roll once from `snap` and from a copy through `reference_roll`, on
@@ -447,6 +448,7 @@ def test_full_pool_refuses_a_bad_die_untouched(sides, refused):
 # rejects on every pass. Zero bytes make a top-off leave value == size
 # again; the tape is finite, so a roll that loops runs out instead of hanging.
 # A negative value accepts on every pass: an inline refill refuses it unread.
+# The empty pool refuses any value but 0 unread too.
 CORRUPT_POOLS = pytest.mark.parametrize("size,value,drawn", [
     (2**64, 2**64, 0),  # above the ceiling: refused by the inline pass, not later
     (2**56, 2**56, 8),  # the one-chunk band: after the inline read
@@ -455,8 +457,11 @@ CORRUPT_POOLS = pytest.mark.parametrize("size,value,drawn", [
     (-5, 3, 56),
     (2**56, -1, 0),
     (2, -1, 0),
+    (1, -1, 0),
+    (1, 1, 0),
 ], ids=["above-ceiling", "one-chunk-band", "below-floor", "size-0", "negative-size",
-        "negative-value-one-chunk-band", "negative-value-below-floor"])
+        "negative-value-one-chunk-band", "negative-value-below-floor",
+        "negative-value-one-state", "value-1-one-state"])
 
 
 @CORRUPT_POOLS
@@ -477,9 +482,8 @@ def test_roll_many_refuses_a_corrupt_pool_as_roll_does(size, value, drawn):
     assert (out, pool.bits_drawn, tape.bits_remaining) == ([], drawn, 128 - drawn)
 
 
-# A refill wider than one chunk, from a pool that is not empty, is read
-# inline too: only a pool of size 1 goes through `top_off` and `roll_step`,
-# and only where two chunks fit the word (at (5, 3) it takes the one chunk).
+# Every refill of a pool that is not empty is read inline, wider than one
+# chunk or not: only the empty pool goes through `top_off` and `roll_step`.
 # (word_bits, chunk_bits, size 2 or the floor, bits its wide refill reads)
 WIDE_REFILLS = pytest.mark.parametrize("word_bits,chunk_bits,size,drawn", [
     (64, 8, 2, 56), (64, 8, 2**48, 16), (13, 5, 2, 10), (13, 5, 8, 10),
@@ -489,15 +493,18 @@ WIDE_REFILLS = pytest.mark.parametrize("word_bits,chunk_bits,size,drawn", [
 @WIDE_REFILLS
 def test_wide_refill_is_inline_and_matches_reference(monkeypatch, word_bits, chunk_bits,
                                                      size, drawn):
-    assert size in (2, EntropyPool(word_bits, chunk_bits)._refill_floor)
-    for value in (0, size - 1):
-        snap = (size, value, word_bits, chunk_bits)
-        with monkeypatch.context() as patched:  # calling either raises TypeError
-            patched.setattr(EntropyPool, "top_off", None)
-            patched.setattr(EntropyPool, "roll_step", None)
-            pool = EntropyPool.from_snapshot(snap)
-            pool.roll(3, TapeSource(bytes(range(1, 41))))
-        assert roll_like_reference(snap, 3)[1] == pool.bits_drawn >= drawn
+    ceiling = 1 << (word_bits - chunk_bits)
+    floor = ceiling >> chunk_bits  # the one-chunk band is (floor, ceiling]
+    assert size in (2, floor)
+    for start, least in ((size, drawn), (floor + 1, chunk_bits), (ceiling, chunk_bits)):
+        for value in (0, start - 1):
+            snap = (start, value, word_bits, chunk_bits)
+            with monkeypatch.context() as patched:  # calling either raises TypeError
+                patched.setattr(EntropyPool, "top_off", None)
+                patched.setattr(EntropyPool, "roll_step", None)
+                pool = EntropyPool.from_snapshot(snap)
+                pool.roll(3, TapeSource(bytes(range(1, 41))))
+            assert roll_like_reference(snap, 3)[1] == pool.bits_drawn >= least
 
 
 @WIDE_REFILLS

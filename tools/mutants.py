@@ -47,7 +47,7 @@ POOL, CLI, RADIX = "tests/test_pool.py::", "tests/test_cli.py::", "tests/test_ra
 FROZEN = "tests/test_frozen_outputs.py::test_frozen_output"
 EXHAUSTIVE = "tests/test_exhaustive.py::test_roll_matches_the_reference_loop_everywhere"
 MANY = "tests/test_exhaustive.py::test_roll_many_matches_the_reference_loop_on_every_pair"
-# roll's wide refill repeats this line of top_off; the line after it tells them apart
+# roll's refill repeats this line of top_off; the line after it tells them apart
 TOP_OFF_DRAWN = ("drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk\n"
                  "        piece")
 # top_off repeats this line of roll's refill block; the line after it tells them apart
@@ -139,34 +139,37 @@ MUTANTS = [
     ("pool.py", "self.value = quotient\n                return value % sides",
      "self.value = quotient\n                return quotient % sides",
      [EXHAUSTIVE, POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not"]),
-    ("pool.py", "if self._refill_floor < size:", "if self._refill_floor <= size:",
-     [EXHAUSTIVE, POOL + "test_roll_at_the_band_edges_matches_reference"]),
+    # roll_many's one-chunk band, worked out once per call
+    ("pool.py", "floor = ceiling >> chunk", "floor = ceiling >> chunk + 1", [MANY]),
+    # roll's refill block and its inline reject
     ("pool.py", ROLL_DRAWN, ROLL_DRAWN.replace("+= drawn", "+= drawn - 1"),
      [EXHAUSTIVE, POOL + "test_roll_at_the_band_edges_matches_reference"]),
     ("pool.py", "            cutoff = sides * keep\n", "            cutoff = sides * keep - 1\n",
      [EXHAUSTIVE, POOL + "test_one_chunk_refill_then_reject_matches_reference"]),
-    # roll's refill block and its wide width, from any pool but the empty one
-    ("pool.py", "elif size > 1:", "elif size > 0:",
+    # only the empty pool takes the reference pair; every other refill is
+    # roll's refill block at top_off's width
+    ("pool.py", "if size == 1:", "if size == 2:",
      [CLI + "test_plan_product_refills_are_read_inline"]),
     ("pool.py", "size <<= drawn", "size <<= self.chunk_bits",
      [EXHAUSTIVE, POOL + "test_wide_refill_is_inline_and_matches_reference"]),
     ("pool.py", ROLL_DRAWN, "size",
      [EXHAUSTIVE, POOL + "test_wide_refill_is_inline_and_matches_reference"]),
-    ("pool.py", "// chunk * chunk\n                else", "// chunk\n                else",
+    ("pool.py", "// chunk * chunk\n                value", "// chunk\n                value",
      [EXHAUSTIVE]),
     # roll's refusal of a negative value before its refill block reads a bit
     ("pool.py", "if value < 0:  # corrupt", "if False:  # corrupt",
      [POOL + "test_negative_value_is_refused_at_its_first_refill"]),
     ("pool.py", "if value < 0:  # corrupt", "if value < -1:  # corrupt",
      [POOL + "test_corrupt_pool_is_refused_not_spun"]),
-    # roll's refusal of a corrupt state (value >= size) on each reject route
+    # roll's refusal of a corrupt state: value >= size at a reject, and any
+    # value but 0 in a one-state pool before its fill reads a bit
     ("pool.py", "if value >= size:  # corrupt", "if False:  # corrupt",
      [POOL + "test_corrupt_pool_is_refused_not_spun"]),
-    ("pool.py", "if self.value >= size:", "if False:",
+    ("pool.py", "if self.value:", "if False:",
      [POOL + "test_corrupt_pool_is_refused_not_spun"]),
     ("pool.py", "if value >= size:  # corrupt", "if value > size:  # corrupt",
      [POOL + "test_corrupt_pool_is_refused_not_spun"]),
-    ("pool.py", "if self.value >= size:", "if self.value > size:",
+    ("pool.py", "if self.value:", "if self.value > 0:",
      [POOL + "test_corrupt_pool_is_refused_not_spun"]),
     # next_bits takes its bits off the buffer and pulls a word only when short
     ("sources.py", "buf - (out << nbuf), nbuf", "buf, nbuf",
