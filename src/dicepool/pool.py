@@ -11,7 +11,9 @@ entropy only ever enters in whole fixed-size chunks: through `top_off`,
 or through `roll`'s one refill rule, a single read of the chunks
 `top_off` would draw. `roll_many` rolls a run of dice, fixed or
 changing, as a loop of `roll` calls would, with the pool state held in
-locals between them; runs of small dice belong there.
+locals between them; runs of small dice belong there. `roll` and
+`roll_many` refuse a state outside 0 <= value < size on entry, before
+a bit is read; each step keeps a valid state valid.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ class EntropyPool:
 
         The refill is atomic: the read comes before any write, so if the
         source runs out, EntropyExhausted propagates with the pool
-        unchanged, and a tape keeps every bit it had.
+        unchanged, and a tape keeps every bit it had. It does not check
+        the state: a corrupt one (value outside [0, size)) stays corrupt.
         """
         size = self.size
         if size > self.refill_ceiling:
@@ -100,7 +103,8 @@ class EntropyPool:
         returns None and the pool becomes the sliver, re-based to start
         at zero; no entropy beyond the accept/reject test outcome is
         lost. `sides` must be an int (operator.index), so a float range
-        raises TypeError.
+        raises TypeError. It does not check the state: a corrupt one
+        (value outside [0, size)) gives a meaningless pass.
         """
         sides = index(sides)  # inline, not _int_in: roll calls this on each empty pool
         if sides < 1:
@@ -137,32 +141,28 @@ class EntropyPool:
         guarantees the topped-off pool covers the range and the loop
         cannot stall. If a refill runs out of bits, EntropyExhausted
         propagates and the passes already made stay applied. A non-int
-        `sides` raises TypeError before any bit is drawn. The slots are
-        writable, so a state can be corrupt, and it raises ValueError
-        instead of looping forever: a one-state pool whose value is not
-        0, and a negative value at a refill (it would accept on every
-        pass), before a bit is read; a value >= size, which rejects on
-        every pass, at its first reject.
+        `sides` raises TypeError before any bit is drawn. A corrupt state
+        (the slots are writable) raises ValueError on entry unless
+        0 <= value < size, before the die is checked or a bit is read;
+        refill, accept and reject each keep a valid state valid, so the
+        loop checks nothing more.
         """
+        size, value = self.size, self.value
+        if not 0 <= value < size:  # corrupt: a valid state stays valid until return
+            raise ValueError(_refusal("value", value, 0, size - 1))
         sides = index(sides)  # inline, not _int_in: this runs once per roll
         ceiling = self.refill_ceiling
         if not 1 <= sides <= ceiling:
             refused = ValueError if sides < 1 else RangeTooLarge
             raise refused(_refusal("sides", sides, 1, ceiling))
-        size = self.size
         if size == 1:  # the empty pool fills through the reference pair
-            if self.value:  # corrupt: one state leaves only the value 0
-                raise ValueError(_refusal("value", self.value, 0, 0))
             self.top_off(source)
             outcome = self.roll_step(sides)
             if outcome is not None:
                 return outcome
-            size = self.size
+            size, value = self.size, self.value
         while True:
-            value = self.value
             if size <= ceiling:  # a refill is due: read what top_off would
-                if value < 0:  # corrupt: a negative value would accept forever
-                    raise ValueError(_refusal("value", value, 0, size - 1))
                 chunk = self.chunk_bits
                 drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk
                 value = value << drawn | source.next_bits(drawn)  # before any write
@@ -174,11 +174,9 @@ class EntropyPool:
                 self.size = keep
                 self.value = quotient
                 return value % sides
-            if value >= size:  # corrupt: every pass would reject, so refuse
-                raise ValueError(_refusal("value", value, 0, size - 1))
             cutoff = sides * keep
             self.size = size = size - cutoff
-            self.value = value - cutoff
+            self.value = value = value - cutoff
 
     def roll_many(self, sides: Iterable[int], source: EntropySource,
                   out: list[int] | None = None) -> list[int]:
@@ -187,8 +185,10 @@ class EntropyPool:
 
         The same as calling `roll(n, source)` for each n and appending the
         results: the same outcomes, bits drawn and final state, and the
-        same refusals (each die is checked as `roll` checks it, when its
-        turn comes). `sides` may be any iterable, such as
+        same refusals: each die is checked as `roll` checks it, when its
+        turn comes. A corrupt state raises ValueError on entry unless
+        0 <= value < size, before any die is checked or a bit is read,
+        even if `sides` is empty. `sides` may be any iterable, such as
         `itertools.repeat(6, count)` or, for a shuffle, `range(deck, 1, -1)`,
         and the dice may change from one roll to the next. The loop holds
         the pool state in locals, makes the reduction pass inline, and
@@ -202,12 +202,14 @@ class EntropyPool:
         reject or a large die has shrunk) rolls that one outcome through
         `roll`, which reads the wider refill.
         """
+        size, value = self.size, self.value
+        if not 0 <= value < size:  # corrupt: a valid state stays valid until return
+            raise ValueError(_refusal("value", value, 0, size - 1))
         if out is None:
             out = []
         append, next_bits = out.append, source.next_bits
         ceiling, chunk = self.refill_ceiling, self.chunk_bits
         floor = ceiling >> chunk  # 0 when two chunks overfill the word
-        size, value = self.size, self.value
         try:
             for n in sides:
                 n = index(n)
@@ -223,8 +225,6 @@ class EntropyPool:
                             finally:
                                 size, value = self.size, self.value
                             break
-                        if value < 0:  # a corrupt state would accept forever
-                            raise ValueError(_refusal("value", value, 0, size - 1))
                         value = value << chunk | next_bits(chunk)
                         self.bits_drawn += chunk
                         size <<= chunk
@@ -234,8 +234,6 @@ class EntropyPool:
                         append(value % n)
                         size, value = keep, quotient
                         break
-                    if value >= size:  # a corrupt state would reject forever
-                        raise ValueError(_refusal("value", value, 0, size - 1))
                     cutoff = n * keep
                     size -= cutoff
                     value -= cutoff

@@ -369,10 +369,11 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_traced_entry_points_nest_as_the_trace_divides(monkeypatch, capsys):
-    # The benchmark's span tracer wraps these very names and divides by
-    # their counts: roll_batch calls, pool.roll calls, the roll_step spans
-    # under a pool.roll span and the top_off calls. A refactor that stops
-    # making any of them would make its traced run read 0 or divide by it.
+    # The benchmark's span tracer wraps these very names. It divides by the
+    # pool.top_off calls and by the roll_step spans under a pool.roll span;
+    # roll_batch shows only as self time, which perfbench's own tests require
+    # to be above 0. A refactor that stops making any of them would make its
+    # traced run divide by 0 or read 0.
     batches = _count_calls(monkeypatch, cli, "roll_batch")
     assert main(["roll", "--plan", "6,6", "-c", "2500", "--source", "seeded"]) == 0
     assert len(batches) == 2500

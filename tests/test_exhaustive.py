@@ -67,23 +67,30 @@ def test_roll_matches_the_reference_loop_everywhere(word_bits, chunk_bits):
                  lambda pool, tape, _: reference_roll(pool, sides, tape))
 
 
-# A value >= size rejects on every pass and is refused at its first reject.
-# A negative value would accept on every pass: at or below the ceiling a
-# refill is due, and it is refused before a bit is read.
+# A value >= size would reject on every pass and a negative value would
+# accept on every pass; at any size, each is refused on entry with no bit
+# read and the pool as it was. Where from_snapshot accepts the size, the
+# refusal is the text from_snapshot raises for the same snapshot.
 @pytest.mark.parametrize("word_bits,chunk_bits", WORLDS)
 def test_corrupt_states_are_refused_everywhere(word_bits, chunk_bits):
-    ceiling = 1 << (word_bits - chunk_bits)
-    corrupt = [(size, value) for size in range(1, (1 << word_bits) + 1)
-               for value in range(size, (1 << word_bits) + 2)]
-    negative = [(size, value) for size in range(1, ceiling + 1) for value in (-2, -1)]
-    for size, value in corrupt + negative:
+    ceiling, top = 1 << (word_bits - chunk_bits), 1 << word_bits
+    corrupt = [(size, value) for size in range(-1, top + 2)
+               for value in (-2, -1, *range(max(size, 0), top + 2))]
+    for size, value in corrupt:
+        snap = (size, value, word_bits, chunk_bits)
+        text = None
+        if 1 <= size <= top:
+            with pytest.raises(ValueError) as rebuilt:
+                EntropyPool.from_snapshot(snap)
+            text = str(rebuilt.value)
         for sides, many in itertools.product(range(1, ceiling + 1), (False, True)):
             pool, tape = EntropyPool(word_bits, chunk_bits), TapeSource(b"\xff" * 4)
             pool.size, pool.value = size, value
-            with pytest.raises(ValueError, match=r"^value must be in \[0, "):
+            with pytest.raises(ValueError, match=r"^value must be in \[0, ") as refused:
                 pool.roll_many([sides], tape) if many else pool.roll(sides, tape)
-            if value < 0:
-                assert (pool.bits_drawn, tape.bits_remaining) == (0, 32), (size, value, many)
+            assert (pool.snapshot(), pool.bits_drawn, tape.bits_remaining) == (
+                snap, 0, 32), (snap, sides, many)
+            assert text in (None, str(refused.value)), (snap, sides, many)
 
 
 @pytest.mark.parametrize("word_bits,chunk_bits", WORLDS)

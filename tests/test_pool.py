@@ -445,16 +445,15 @@ def test_full_pool_refuses_a_bad_die_untouched(sides, refused):
 
 
 # `size` and `value` are writable slots, and a state with value >= size
-# rejects on every pass. Zero bytes make a top-off leave value == size
-# again; the tape is finite, so a roll that loops runs out instead of hanging.
-# A negative value accepts on every pass: an inline refill refuses it unread.
-# The empty pool refuses any value but 0 unread too.
+# rejects on every pass while a negative value accepts on every pass. Every
+# such state is refused on entry, before a bit is read, at any size: the tape
+# is finite, so a roll that loops runs out instead of hanging.
 CORRUPT_POOLS = pytest.mark.parametrize("size,value,drawn", [
-    (2**64, 2**64, 0),  # above the ceiling: refused by the inline pass, not later
-    (2**56, 2**56, 8),  # the one-chunk band: after the inline read
-    (2, 5, 56),  # below the floor: after the inline wide refill
-    (0, 0, 56),
-    (-5, 3, 56),
+    (2**64, 2**64, 0),  # above the ceiling
+    (2**56, 2**56, 0),  # the one-chunk band: refused before its read
+    (2, 5, 0),  # below the floor: refused before its wide refill
+    (0, 0, 0),
+    (-5, 3, 0),
     (2**56, -1, 0),
     (2, -1, 0),
     (1, -1, 0),
@@ -471,6 +470,7 @@ def test_corrupt_pool_is_refused_not_spun(size, value, drawn):
     with pytest.raises(ValueError, match=r"^value must be in \[0, "):
         pool.roll(6, tape)
     assert (pool.bits_drawn, tape.bits_remaining) == (drawn, 128 - drawn)
+    assert pool.snapshot() == (size, value, 64, 8)
 
 
 @CORRUPT_POOLS
@@ -480,6 +480,21 @@ def test_roll_many_refuses_a_corrupt_pool_as_roll_does(size, value, drawn):
     with pytest.raises(ValueError, match=r"^value must be in \[0, "):
         pool.roll_many([6, 6], tape, out)
     assert (out, pool.bits_drawn, tape.bits_remaining) == ([], drawn, 128 - drawn)
+    assert pool.snapshot() == (size, value, 64, 8)
+
+
+# The state is checked before the die: a corrupt pool names its own value,
+# whatever die it is asked for, and roll_many refuses it even with no dice.
+@pytest.mark.parametrize("die", [6, 0, (1 << 56) + 1, 6.0], ids=str)
+def test_corrupt_pool_is_refused_before_its_die(die):
+    pool, tape = EntropyPool(), TapeSource(bytes(16))
+    pool.size, pool.value = 2, 5
+    for dice in ([die], []):
+        with pytest.raises(ValueError, match=r"^value must be in \[0, 1\], got 5$"):
+            pool.roll_many(dice, tape)
+    with pytest.raises(ValueError, match=r"^value must be in \[0, 1\], got 5$"):
+        pool.roll(die, tape)
+    assert (pool.snapshot(), pool.bits_drawn, tape.bits_remaining) == ((2, 5, 64, 8), 0, 128)
 
 
 # Every refill of a pool that is not empty is read inline, wider than one
@@ -517,11 +532,10 @@ def test_wide_refill_running_out_leaves_the_pool_untouched(word_bits, chunk_bits
 
 
 def test_negative_value_is_refused_at_its_first_refill():
-    # Above the ceiling a negative value accepts (d6 twice from 2**60); the
-    # refill it then needs refuses it before reading a bit.
+    # Above the ceiling a negative value would accept on every pass with no
+    # refill due, so only the check on entry can refuse it: the first roll does.
     pool, source = EntropyPool(), SeededSource(1)
     pool.size, pool.value = 2**60, -1
-    assert [pool.roll(6, source) for _ in range(2)] == [5, 5]
     with pytest.raises(ValueError, match=r"^value must be in \[0, "):
         pool.roll(6, source)
-    assert pool.bits_drawn == 0
+    assert (pool.snapshot(), pool.bits_drawn) == ((2**60, -1, 64, 8), 0)

@@ -55,6 +55,10 @@ ROLL_DRAWN = "self.bits_drawn += drawn\n                size"
 # roll_many repeats these lines of roll; roll's comment and next line tell them apart
 ROLL_REFILL_DUE = "if size <= ceiling:  # a refill is due"
 ROLL_ACCEPT = "if quotient < keep:\n                self.size = keep"
+# roll and roll_many open with the same state check; the line after it tells them apart
+ROLL_STATE = ("if not 0 <= value < size:  # corrupt: a valid state stays valid until return\n"
+              "            raise ValueError(_refusal(\"value\", value, 0, size - 1))\n        sides")
+MANY_STATE = ROLL_STATE.replace("sides", "if out")
 
 # (file under src/dicepool, old text occurring exactly once, new text, test node ids)
 MUTANTS = [
@@ -156,21 +160,20 @@ MUTANTS = [
      [EXHAUSTIVE, POOL + "test_wide_refill_is_inline_and_matches_reference"]),
     ("pool.py", "// chunk * chunk\n                value", "// chunk\n                value",
      [EXHAUSTIVE]),
-    # roll's refusal of a negative value before its refill block reads a bit
-    ("pool.py", "if value < 0:  # corrupt", "if False:  # corrupt",
+    # the state check on entry to roll, then to roll_many (its other rows are
+    # below), and roll's value held in a local from pass to pass
+    ("pool.py", ROLL_STATE, ROLL_STATE.replace("not 0 <= value < size", "False"),
+     [POOL + "test_corrupt_pool_is_refused_not_spun"]),
+    ("pool.py", ROLL_STATE, ROLL_STATE.replace("0 <= value", "-1 <= value"),
      [POOL + "test_negative_value_is_refused_at_its_first_refill"]),
-    ("pool.py", "if value < 0:  # corrupt", "if value < -1:  # corrupt",
+    ("pool.py", ROLL_STATE, ROLL_STATE.replace("value < size", "value <= size"),
      [POOL + "test_corrupt_pool_is_refused_not_spun"]),
-    # roll's refusal of a corrupt state: value >= size at a reject, and any
-    # value but 0 in a one-state pool before its fill reads a bit
-    ("pool.py", "if value >= size:  # corrupt", "if False:  # corrupt",
-     [POOL + "test_corrupt_pool_is_refused_not_spun"]),
-    ("pool.py", "if self.value:", "if False:",
-     [POOL + "test_corrupt_pool_is_refused_not_spun"]),
-    ("pool.py", "if value >= size:  # corrupt", "if value > size:  # corrupt",
-     [POOL + "test_corrupt_pool_is_refused_not_spun"]),
-    ("pool.py", "if self.value:", "if self.value > 0:",
-     [POOL + "test_corrupt_pool_is_refused_not_spun"]),
+    ("pool.py", MANY_STATE, MANY_STATE.replace("not 0 <= value < size", "False"),
+     [POOL + "test_roll_many_refuses_a_corrupt_pool_as_roll_does"]),
+    ("pool.py", "self.value = value = value - cutoff", "self.value = value - cutoff",
+     [EXHAUSTIVE, POOL + "test_one_chunk_refill_then_reject_matches_reference"]),
+    ("pool.py", "size, value = self.size, self.value\n        while",
+     "size = self.size\n        while", [EXHAUSTIVE]),
     # next_bits takes its bits off the buffer and pulls a word only when short
     ("sources.py", "buf - (out << nbuf), nbuf", "buf, nbuf",
      ["tests/test_sources.py::test_seeded_chunked_reads_spell_one_wide_read"]),
@@ -185,7 +188,7 @@ MUTANTS = [
      "        drawn -= chunk if size == 1 and drawn > chunk else 0\n"
      "        piece = source.next_bits(drawn)\n",
      [EXHAUSTIVE]),
-    # roll_many: its state write-backs, its route choice, its refill and its guards
+    # roll_many: its state write-backs, its route choice, its refill and its checks
     ("pool.py", "finally:\n            self.size, self.value = size, value",
      "finally:\n            pass", [MANY, POOL + "test_roll_many_matches_the_reference_loop"]),
     ("pool.py", "finally:\n                                size, value = self.size, self.value",
@@ -196,9 +199,9 @@ MUTANTS = [
     ("pool.py", "cutoff = n * keep", "cutoff = n * keep - 1", [MANY]),
     ("pool.py", "if not 1 <= n <= ceiling:", "if not 1 <= n <= ceiling + 1:",
      [POOL + "test_roll_many_matches_the_reference_loop"]),
-    ("pool.py", "if value < 0:  # a corrupt state", "if False:  # a corrupt state",
+    ("pool.py", MANY_STATE, MANY_STATE.replace("0 <= value", "-1 <= value"),
      [POOL + "test_roll_many_refuses_a_corrupt_pool_as_roll_does"]),
-    ("pool.py", "if value >= size:  # a corrupt state", "if False:  # a corrupt state",
+    ("pool.py", MANY_STATE, MANY_STATE.replace("value < size", "value <= size"),
      [POOL + "test_roll_many_refuses_a_corrupt_pool_as_roll_does"]),
     # the bulk callers: bench's reused block, shuffle's dice
     ("harness.py", "block.clear()", "pass",
