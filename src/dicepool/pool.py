@@ -11,9 +11,13 @@ entropy only ever enters in whole fixed-size chunks: through `top_off`,
 or through `roll`'s one refill rule, a single read of the chunks
 `top_off` would draw. `roll_many` rolls a run of dice, fixed or
 changing, as a loop of `roll` calls would, with the pool state held in
-locals between them; runs of small dice belong there. `roll` and
-`roll_many` refuse a state outside 0 <= value < size on entry, before
-a bit is read; each step keeps a valid state valid.
+locals between them; runs of small dice belong there. It takes its
+one-chunk refills from a word read ahead and gives the bits its pool did
+not take back to the source (`EntropySource.unread`) before anything
+else may read it, so the source serves the same bits in the same order
+either way. `roll` and `roll_many` refuse a state outside
+0 <= value < size on entry, before a bit is read; each step keeps a
+valid state valid.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from collections.abc import Iterable
 from math import log2
 from operator import index
 
-from .sources import EntropySource, _int_in, _refusal
+from .sources import EntropyExhausted, EntropySource, _int_in, _refusal
 
 MAX_WORD_BITS = 1 << 16  # widest pool: bounds the ceiling and every refill read
 
@@ -197,10 +201,22 @@ class EntropyPool:
         stay in `out` and the pool is left as the `roll` loop would leave
         it. It is the loop for runs of small dice, so it keeps the
         one-chunk band (ceiling >> chunk_bits, ceiling], where one chunk
-        tops the pool off: it reads that chunk inline without working out
-        the width. A pool at or below the band (the empty pool, or one a
-        reject or a large die has shrunk) rolls that one outcome through
-        `roll`, which reads the wider refill.
+        tops the pool off: it takes that chunk inline without working out
+        the width, from a read-ahead of the most whole chunks that fit a
+        64-bit word, fetched in one `next_bits` call. A pool at or below
+        the band (the empty pool, or one a reject or a large die has
+        shrunk) rolls that one outcome through `roll`, which reads the
+        wider refill. Before that `roll` call, and when the loop ends or
+        raises, the chunks the pool did not take go back to the source
+        with `source.unread`; by the big-endian source contract the pool
+        takes the same chunks in the same order as chunk-by-chunk reads,
+        and the source is left as the `roll` loop would leave it. So
+        while the call runs, nothing else may read the source, the
+        `sides` iterable included. A word-wide read that runs out makes
+        the rest of the call read one chunk at a time, so a finite tape
+        runs out at the same roll as in the `roll` loop. Each die is
+        checked when it is not the object last checked: a run of one
+        int object is checked once, any other die each time.
         """
         size, value = self.size, self.value
         if not 0 <= value < size:  # corrupt: a valid state stays valid until return
@@ -210,23 +226,38 @@ class EntropyPool:
         append, next_bits = out.append, source.next_bits
         ceiling, chunk = self.refill_ceiling, self.chunk_bits
         floor = ceiling >> chunk  # 0 when two chunks overfill the word
+        mask, span = (1 << chunk) - 1, (64 // chunk or 1) * chunk  # whole chunks of a word
+        ahead = left = 0  # the read-ahead, and how many of its low bits are untaken
+        n = object()  # the last die checked; fresh, so a first die of None is checked too
         try:
-            for n in sides:
-                n = index(n)
-                if not 1 <= n <= ceiling:
-                    refused = ValueError if n < 1 else RangeTooLarge
-                    raise refused(_refusal("sides", n, 1, ceiling))
+            for die in sides:
+                if die is not n:  # index(int) is the int: a repeated int is checked once
+                    n = index(die)
+                    if not 1 <= n <= ceiling:
+                        refused = ValueError if n < 1 else RangeTooLarge
+                        raise refused(_refusal("sides", n, 1, ceiling))
                 while True:
                     if size <= ceiling:
                         if size <= floor:  # wider than one chunk: roll reads it
+                            source.unread(ahead & ((1 << left) - 1), left)
+                            self.bits_drawn -= left
+                            left = 0
                             self.size, self.value = size, value
                             try:
                                 append(self.roll(n, source))
                             finally:
                                 size, value = self.size, self.value
                             break
-                        value = value << chunk | next_bits(chunk)
-                        self.bits_drawn += chunk
+                        if not left:
+                            try:
+                                ahead = next_bits(span)
+                            except EntropyExhausted:  # short of a word: a chunk at a time
+                                span = chunk
+                                ahead = next_bits(span)
+                            left = span
+                            self.bits_drawn += span  # less what is given back
+                        left -= chunk
+                        value = value << chunk | ahead >> left & mask
                         size <<= chunk
                     keep = size // n
                     quotient = value // n
@@ -239,6 +270,8 @@ class EntropyPool:
                     value -= cutoff
         finally:
             self.size, self.value = size, value
+            source.unread(ahead & ((1 << left) - 1), left)  # what the pool did not take
+            self.bits_drawn -= left
         return out
 
     def snapshot(self) -> tuple[int, int, int, int]:

@@ -57,11 +57,26 @@ class EntropySource:
     fresh bits and inherits `next_bits`, which serves any chunk size. The
     FIFO buffer keeps the oldest bit on top, so chunked reads agree with
     one wide read; a read takes its bits off the top with one shift and
-    one subtract. A source that is not word-based overrides `next_bits`.
+    one subtract. A source that is not word-based overrides `next_bits`,
+    and then `unread` too: defining the class raises TypeError otherwise,
+    since the inherited `unread` would park bits in a buffer its
+    `next_bits` never serves.
+
+    `unread(bits, count)` gives back the last `count` bits read, `bits`
+    in [0, 2**count), so the next read serves them again ahead of the
+    rest: reading 64 bits and giving back the last 40 leaves the source
+    as reading 24 would. `EntropyPool.roll_many` reads a word ahead and
+    gives back what its pool did not take before it returns, so until it
+    does, nothing else, its `sides` iterable included, may read the source.
     """
 
     _buf = 0  # empty until the first read gives the instance its own
     _nbuf = 0
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "next_bits" in vars(cls) and "unread" not in vars(cls):
+            raise TypeError(f"{cls.__name__} overrides next_bits but not unread")
 
     def next_bits(self, count: int) -> int:
         """Return the next `count` bits as an integer in [0, 2**count)."""
@@ -75,6 +90,10 @@ class EntropySource:
         out = buf >> nbuf
         self._buf, self._nbuf = buf - (out << nbuf), nbuf
         return out
+
+    def unread(self, bits: int, count: int) -> None:
+        """Put back `bits`, the last `count` bits read, ahead of the rest."""
+        self._buf, self._nbuf = bits << self._nbuf | self._buf, self._nbuf + count
 
     def _pull(self) -> int:
         raise NotImplementedError
@@ -150,12 +169,16 @@ class TapeSource(EntropySource):
         self._pos = end
         return (window >> (8 * last - end)) & ((1 << count) - 1)
 
+    def unread(self, bits: int, count: int) -> None:
+        self._pos -= count
+
 
 class CountingSource(EntropySource):
     """Transparent wrapper that totals the bits handed out.
 
-    `bits_delivered` is the exact sum of chunk sizes served so far; a
-    request that fails (tape exhaustion) adds nothing.
+    `bits_delivered` is the exact sum of chunk sizes served so far, less
+    the bits given back with `unread`; a request that fails (tape
+    exhaustion) adds nothing.
     """
 
     def __init__(self, inner: EntropySource) -> None:
@@ -166,3 +189,7 @@ class CountingSource(EntropySource):
         out = self.inner.next_bits(count)
         self.bits_delivered += count
         return out
+
+    def unread(self, bits: int, count: int) -> None:
+        self.inner.unread(bits, count)
+        self.bits_delivered -= count

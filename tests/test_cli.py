@@ -356,12 +356,12 @@ def test_plan_lines_match_roll_batch_in_whole_bounded_blocks(ranges, count, seed
 
 
 def _count_calls(monkeypatch, owner, name):
-    """Replace owner.name with a spy that counts its calls."""
+    """Replace owner.name with a spy that logs the positional args of each call."""
     calls = []
     original = getattr(owner, name)
 
     def spy(*args, **kwargs):
-        calls.append(None)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, spy)
@@ -398,17 +398,33 @@ def test_traced_entry_points_nest_as_the_trace_divides(monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("op", [
+BULK_ROLL_OPS = pytest.mark.parametrize("op", [
     lambda: main(["bench", "-n", "6", "--rolls", "3000"]),
     lambda: harness.shuffle(52),
     lambda: main(["roll", "-n", "6", "-c", "3000", "--source", "seeded"]),
 ], ids=["bench-d6", "shuffle-52", "roll-n-6"])
+
+
+@BULK_ROLL_OPS
 def test_bulk_rolls_call_roll_only_for_the_empty_pool(monkeypatch, capsys, op):
     # roll_many reads every one-chunk refill itself; only the empty pool's
     # first fill, wider than one chunk, goes through one roll call.
     rolls = _count_calls(monkeypatch, dicepool.EntropyPool, "roll")
     op()
     assert len(rolls) == 1
+
+
+@BULK_ROLL_OPS
+def test_bulk_rolls_read_the_source_a_word_at_a_time(monkeypatch, capsys, op):
+    # roll_many takes its one-chunk refills from a 64-bit read-ahead and
+    # gives back what the pool did not take: about one read per 64 bits the
+    # pool keeps, plus the empty pool's first fill and the last word.
+    reads = _count_calls(monkeypatch, dicepool.EntropySource, "next_bits")
+    given_back = _count_calls(monkeypatch, dicepool.EntropySource, "unread")
+    op()
+    bits_drawn = sum(count for _, count in reads) - sum(count for *_, count in given_back)
+    assert bits_drawn > 200
+    assert len(reads) <= math.ceil(bits_drawn / 64) + 2
 
 
 @pytest.mark.parametrize("op", [

@@ -323,9 +323,9 @@ def test_roll_matches_refill_every_pass_reference(setup):
 
 
 # A die that roll refuses, put anywhere in a roll_many sequence, with the
-# error roll raises for it; None puts no such die in.
-REFUSED_DICE = [None, (0, ValueError), (-3, ValueError), ("ceiling + 1", RangeTooLarge),
-                (6.0, TypeError), ("6", TypeError)]
+# error roll raises for it; () puts no such die in.
+REFUSED_DICE = [(), (None, TypeError), (0, ValueError), (-3, ValueError),
+                ("ceiling + 1", RangeTooLarge), (6.0, TypeError), ("6", TypeError)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -335,7 +335,7 @@ def test_roll_many_matches_the_reference_loop(setup, cut, refusal):
     pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
     source, reference = source_pair(tape, seed)
     rolled = sides_list[:]  # the dice before the refused one, if any
-    if refusal is not None:
+    if refusal:
         bad, refused = refusal
         cut = min(cut, len(sides_list))
         sides_list.insert(cut, pool.refill_ceiling + 1 if bad == "ceiling + 1" else bad)
@@ -343,7 +343,7 @@ def test_roll_many_matches_the_reference_loop(setup, cut, refusal):
     got, want = [], []
     ran = observe(lambda: reference_many(expected, rolled, reference, want),
                   expected, reference)
-    if refusal is None or ran[0] is EntropyExhausted:
+    if not refusal or ran[0] is EntropyExhausted:
         assert observe(lambda: pool.roll_many(iter(sides_list), source, got),
                        pool, source) == ran
     else:
@@ -353,6 +353,44 @@ def test_roll_many_matches_the_reference_loop(setup, cut, refusal):
         assert observe(lambda: got, pool, source) == ran
     assert got == want  # the outcomes rolled before a failure stay in `out`
     assert rest_of(source) == rest_of(reference)
+
+
+def test_roll_many_refuses_a_die_equal_to_the_last_if_not_an_int():
+    # A die is checked unless it is the very object last checked, so 6.0
+    # after 6 is refused, after the first outcome.
+    pool, tape, out = EntropyPool(), TapeSource(bytes(16)), []
+    with pytest.raises(TypeError):
+        pool.roll_many([6, 6.0], tape, out)
+    assert len(out) == 1 and tape.bits_remaining == 128 - pool.bits_drawn
+
+
+# roll_many reads its one-chunk refills a 64-bit word ahead. From an empty
+# (64, 8) pool the first fill takes 56 bits, so a tape of 56 + 8k + r bits
+# leaves k whole chunks and r odd bits for the band: the word-wide read runs
+# short, and the chunks must still run out at the same roll as in the roll
+# loop. The large die shrinks the pool below the band, so roll reads a wide
+# refill in the middle, after the unused read-ahead is given back.
+@pytest.mark.parametrize("r", range(8))
+def test_roll_many_on_a_short_tape_runs_out_where_the_roll_loop_does(r):
+    sides = [6] * 12 + [1 << 40] + [6, 52, 3] * 4
+    data = bytes(range(7, 250, 3))
+    for k in range(20):
+        pool, expected, got, want = EntropyPool(), EntropyPool(), [], []
+        tape, reference = TapeSource(data, 56 + 8 * k + r), TapeSource(data, 56 + 8 * k + r)
+        assert observe(lambda: pool.roll_many(sides, tape, got), pool, tape) == observe(
+            lambda: reference_many(expected, sides, reference, want), expected, reference), k
+        assert got == want, k
+
+
+def test_roll_many_refuses_a_first_die_of_none_unread():
+    # A pool in the one-chunk band would refill before its pass, so a first
+    # die that roll refuses must be refused before that read.
+    snap, tape, out = (2**56, 2**55, 64, 8), TapeSource(bytes(16)), []
+    pool = EntropyPool.from_snapshot(snap)
+    with pytest.raises(TypeError):
+        pool.roll_many([None, 6], tape, out)
+    assert (out, pool.snapshot(), pool.bits_drawn, tape.bits_remaining) == (
+        [], snap, 0, 128)
 
 
 @pytest.mark.parametrize("word_bits,chunk_bits",

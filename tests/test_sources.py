@@ -135,6 +135,65 @@ def test_a_read_pulls_only_the_words_it_needs():
     assert emptied.next_bits(72) == WORDS[1] << 8 | 0x80 and emptied.pulls == 3
 
 
+# `unread` gives back the last bits read: the source is then as if they
+# had never been read. (bits read, bits given back) per case.
+@pytest.mark.parametrize("read,back", [(20, 12), (64, 8), (70, 10), (130, 100)],
+                         ids=["mid-buffer", "emptied-buffer", "across-words", "two-words"])
+def test_seeded_unread_serves_the_same_bits_again(read, back):
+    source = SeededSource(5)
+    bits = source.next_bits(read)
+    source.unread(bits & ((1 << back) - 1), back)
+    fresh = SeededSource(5)
+    fresh.next_bits(read - back)
+    assert source.next_bits(200) == fresh.next_bits(200)
+
+
+def test_tape_unread_restores_the_bits_remaining():
+    tape = TapeSource(bytes([0xDE, 0xAD, 0xBE]))
+    assert tape.next_bits(13) == 0xDEAD >> 3
+    tape.unread(0xDEAD >> 3 & 0x1F, 5)
+    assert tape.bits_remaining == 16
+    assert tape.next_bits(16) == 0xADBE
+
+
+def test_counting_unread_gives_back_what_it_delivered():
+    counted = CountingSource(TapeSource(bytes([0xA7, 0x5C])))
+    assert counted.next_bits(12) == 0xA75
+    counted.unread(0x5, 4)
+    assert (counted.bits_delivered, counted.inner.bits_remaining) == (8, 8)
+    assert counted.next_bits(8) == 0x5C and counted.bits_delivered == 16
+
+
+def test_a_give_back_never_pulls_a_word():
+    source = WordList(WORDS)
+    assert source.next_bits(64) == WORDS[0]
+    source.unread(WORDS[0] & 0xFFFFFF, 24)
+    assert source.pulls == 1
+    assert source.next_bits(24) == 0xABCDEF and source.pulls == 1
+    source.unread(0xABCDEF, 24)
+    assert source.next_bits(32) == 0xABCDEFFE and source.pulls == 2
+
+
+def test_overriding_next_bits_without_unread_is_refused():
+    # The inherited unread would park the bits in a buffer next_bits never serves.
+    with pytest.raises(TypeError, match="overrides next_bits but not unread"):
+        class Lossy(EntropySource):
+            def next_bits(self, count):
+                return 0
+
+    class Whole(EntropySource):
+        def next_bits(self, count):
+            return 0
+
+        def unread(self, bits, count):
+            pass
+
+    class Words(TapeSource):
+        pass
+
+    assert Whole().next_bits(8) == 0 and Words(b"\x01").next_bits(8) == 1
+
+
 def test_seeded_sources_share_no_buffer():
     alone = [tuple(s.next_bits(8) for _ in range(24))
              for s in (SeededSource(1), SeededSource(2))]

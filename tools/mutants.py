@@ -47,6 +47,7 @@ POOL, CLI, RADIX = "tests/test_pool.py::", "tests/test_cli.py::", "tests/test_ra
 FROZEN = "tests/test_frozen_outputs.py::test_frozen_output"
 EXHAUSTIVE = "tests/test_exhaustive.py::test_roll_matches_the_reference_loop_everywhere"
 MANY = "tests/test_exhaustive.py::test_roll_many_matches_the_reference_loop_on_every_pair"
+SHORT_TAPE = POOL + "test_roll_many_on_a_short_tape_runs_out_where_the_roll_loop_does"
 # roll's refill repeats this line of top_off; the line after it tells them apart
 TOP_OFF_DRAWN = ("drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk\n"
                  "        piece")
@@ -194,7 +195,7 @@ MUTANTS = [
     ("pool.py", "finally:\n                                size, value = self.size, self.value",
      "finally:\n                                pass", [MANY]),
     ("pool.py", "if size <= floor:", "if size < floor:", [MANY]),
-    ("pool.py", "self.bits_drawn += chunk", "pass",
+    ("pool.py", "self.bits_drawn += span", "pass",
      [MANY, POOL + "test_roll_many_matches_the_reference_loop"]),
     ("pool.py", "cutoff = n * keep", "cutoff = n * keep - 1", [MANY]),
     ("pool.py", "if not 1 <= n <= ceiling:", "if not 1 <= n <= ceiling + 1:",
@@ -209,6 +210,35 @@ MUTANTS = [
     ("harness.py", "pool.roll_many(range(deck, 1, -1), source)",
      "pool.roll_many(range(deck - 1, 0, -1), source)",
      ["tests/test_harness.py::test_shuffle_fixture"]),
+    # roll_many's read-ahead: a word per read, each give-back of what the pool
+    # did not take (before roll's wide refill, and on the way out), the
+    # one-chunk reads once a word runs short, and its die checked once per object
+    ("pool.py", "(64 // chunk or 1) * chunk", "chunk",
+     [CLI + "test_bulk_rolls_read_the_source_a_word_at_a_time"]),
+    ("pool.py", "source.unread(ahead & ((1 << left) - 1), left)\n                            self",
+     "self", [SHORT_TAPE]),
+    ("pool.py", "self.bits_drawn -= left\n                            left = 0", "left = 0",
+     [SHORT_TAPE]),
+    ("pool.py", "source.unread(ahead & ((1 << left) - 1), left)  # what", "pass  # what",
+     [MANY, SHORT_TAPE]),
+    ("pool.py", "self.bits_drawn -= left\n        return out", "return out",
+     [MANY, SHORT_TAPE]),
+    ("pool.py", "except EntropyExhausted:", "except ():",
+     [MANY, SHORT_TAPE]),
+    ("pool.py", "n = object()", "n = None",
+     [POOL + "test_roll_many_refuses_a_first_die_of_none_unread"]),
+    ("pool.py", "if die is not n:", "if die != n:",
+     [POOL + "test_roll_many_refuses_a_die_equal_to_the_last_if_not_an_int"]),
+    # the sources' unread: the buffer's, the tape's and the counter's, and the
+    # refusal of a class that would inherit the buffer's without using it
+    ("sources.py", "bits << self._nbuf | self._buf", "bits << count | self._buf",
+     ["tests/test_sources.py::test_seeded_unread_serves_the_same_bits_again"]),
+    ("sources.py", "self._pos -= count", "pass",
+     ["tests/test_sources.py::test_tape_unread_restores_the_bits_remaining", MANY]),
+    ("sources.py", "self.bits_delivered -= count", "pass",
+     ["tests/test_sources.py::test_counting_unread_gives_back_what_it_delivered"]),
+    ("sources.py", 'and "unread" not in vars(cls)', "and False",
+     ["tests/test_sources.py::test_overriding_next_bits_without_unread_is_refused"]),
 ]
 
 
