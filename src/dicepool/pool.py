@@ -10,14 +10,15 @@ it is kept as the new, smaller pool instead of being thrown away. Fresh
 entropy only ever enters in whole fixed-size chunks: through `top_off`,
 or through `roll`'s one refill rule, a single read of the chunks
 `top_off` would draw. `roll_many` rolls a run of dice, fixed or
-changing, as a loop of `roll` calls would, with the pool state held in
-locals between them; runs of small dice belong there. It takes its
-one-chunk refills from a word read ahead and gives the bits its pool did
-not take back to the source (`EntropySource.unread`) before anything
-else may read it, so the source serves the same bits in the same order
-either way. `roll` and `roll_many` refuse a state outside
-0 <= value < size on entry, before a bit is read; each step keeps a
-valid state valid.
+changing, small or as wide as a product draw, as a loop of `roll` calls
+would, with the pool state held in locals between them; runs of dice
+belong there. It takes every refill, one chunk or wider, from bits read
+ahead in word-sized spans and gives the bits its pool did not take back to
+the source (`EntropySource.unread`) before anything else may read it,
+so the source serves the same bits in the same order either way; only
+the empty pool still rolls through `roll`. `roll` and `roll_many`
+refuse a state outside 0 <= value < size on entry, before a bit is
+read; each step keeps a valid state valid.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class EntropyPool:
         same outcome, state and `bits_drawn`: those are the calls
         `perfbench/run.py --trace 1` divides by, so the pair stays until
         the trace counts what the pool did (ROADMAP direction 1). Runs of
-        small dice belong to `roll_many`.
+        dice belong to `roll_many`, which reads the same refills ahead.
         Requires 1 <= sides <= 2**(word_bits - chunk_bits): that
         guarantees the topped-off pool covers the range and the loop
         cannot stall. If a refill runs out of bits, EntropyExhausted
@@ -199,22 +200,26 @@ class EntropyPool:
         writes the state back when it ends, also when it raises: if a die
         is refused or the source runs out, the outcomes rolled before it
         stay in `out` and the pool is left as the `roll` loop would leave
-        it. It is the loop for runs of small dice, so it keeps the
-        one-chunk band (ceiling >> chunk_bits, ceiling], where one chunk
-        tops the pool off: it takes that chunk inline without working out
-        the width, from a read-ahead of the most whole chunks that fit a
-        64-bit word, fetched in one `next_bits` call. A pool at or below
-        the band (the empty pool, or one a reject or a large die has
-        shrunk) rolls that one outcome through `roll`, which reads the
-        wider refill. Before that `roll` call, and when the loop ends or
-        raises, the chunks the pool did not take go back to the source
-        with `source.unread`; by the big-endian source contract the pool
-        takes the same chunks in the same order as chunk-by-chunk reads,
-        and the source is left as the `roll` loop would leave it. So
-        while the call runs, nothing else may read the source, the
-        `sides` iterable included. A word-wide read that runs out makes
-        the rest of the call read one chunk at a time, so a finite tape
-        runs out at the same roll as in the `roll` loop. Each die is
+        it. Every refill comes from a read-ahead filled in spans, the
+        most whole chunks that fit a 64-bit word. A pool in the one-chunk
+        band (ceiling >> chunk_bits, ceiling], where one chunk tops it
+        off, takes that chunk without working out the width, reading a
+        span when the read-ahead is empty. A pool below the band (one a
+        reject or a large die, such as a product draw, has shrunk) takes
+        the width `top_off` would read, topping the read-ahead up first,
+        if it holds too few bits, with the fewest whole spans that cover
+        the shortfall, in one `next_bits` call. Only the empty pool
+        (size 1) rolls that one outcome through `roll`, which fills it by
+        `top_off` and `roll_step`. Before that `roll` call, and when the
+        loop ends or raises, the bits the pool did not take go back to
+        the source with `source.unread`; by the big-endian source
+        contract the pool takes the same bits in the same order as
+        `roll`'s reads, and the source is left as the `roll` loop would
+        leave it. So while the call runs, nothing else may read the
+        source, the `sides` iterable included. A read of whole spans
+        that runs out is made again for just the bits the refill needs,
+        and the rest of the call reads one chunk at a time, so a finite
+        tape runs out at the same roll as in the `roll` loop. Each die is
         checked when it is not the object last checked: a run of one
         int object is checked once, any other die each time.
         """
@@ -224,7 +229,7 @@ class EntropyPool:
         if out is None:
             out = []
         append, next_bits = out.append, source.next_bits
-        ceiling, chunk = self.refill_ceiling, self.chunk_bits
+        word_bits, ceiling, chunk = self.word_bits, self.refill_ceiling, self.chunk_bits
         floor = ceiling >> chunk  # 0 when two chunks overfill the word
         mask, span = (1 << chunk) - 1, (64 // chunk or 1) * chunk  # whole chunks of a word
         ahead = left = 0  # the read-ahead, and how many of its low bits are untaken
@@ -238,7 +243,19 @@ class EntropyPool:
                         raise refused(_refusal("sides", n, 1, ceiling))
                 while True:
                     if size <= ceiling:
-                        if size <= floor:  # wider than one chunk: roll reads it
+                        if size > floor:  # one chunk tops the pool off
+                            if not left:
+                                try:
+                                    ahead = next_bits(span)
+                                except EntropyExhausted:  # short of a word: a chunk at a time
+                                    span = chunk
+                                    ahead = next_bits(span)
+                                left = span
+                                self.bits_drawn += span  # less what is given back
+                            left -= chunk
+                            value = value << chunk | ahead >> left & mask
+                            size <<= chunk
+                        elif size == 1:  # the empty pool: roll fills it by the reference pair
                             source.unread(ahead & ((1 << left) - 1), left)
                             self.bits_drawn -= left
                             left = 0
@@ -248,17 +265,21 @@ class EntropyPool:
                             finally:
                                 size, value = self.size, self.value
                             break
-                        if not left:
-                            try:
-                                ahead = next_bits(span)
-                            except EntropyExhausted:  # short of a word: a chunk at a time
-                                span = chunk
-                                ahead = next_bits(span)
-                            left = span
-                            self.bits_drawn += span  # less what is given back
-                        left -= chunk
-                        value = value << chunk | ahead >> left & mask
-                        size <<= chunk
+                        else:  # top_off's width, topped up by the fewest whole spans
+                            drawn = (word_bits - (size - 1).bit_length()) // chunk * chunk
+                            if left < drawn:
+                                more = (drawn - left + span - 1) // span * span
+                                try:
+                                    fresh = next_bits(more)
+                                except EntropyExhausted:  # just the shortfall, then chunks
+                                    span, more = chunk, drawn - left
+                                    fresh = next_bits(more)
+                                ahead = (ahead & ((1 << left) - 1)) << more | fresh
+                                left += more
+                                self.bits_drawn += more  # less what is given back
+                            left -= drawn
+                            value = value << drawn | ahead >> left & ((1 << drawn) - 1)
+                            size <<= drawn
                     keep = size // n
                     quotient = value // n
                     if quotient < keep:

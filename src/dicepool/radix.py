@@ -4,8 +4,10 @@ When several ranges n_1..n_j are known up front, one roll over their
 product costs at most one bit of rounding overhead in total; its digits,
 with n_1 as the least significant radix, are the individual rolls in the
 order sequential rolling peels them off the pool (value mod n first), so
-the two agree draw for draw. Runs of ranges decode by digit tables that
-TABLE_DIGITS and MAX_TABLES bound, whatever the plan's length.
+the two agree draw for draw. `roll_batch` makes any number of such
+draws in one `EntropyPool.roll_many` call. Runs of ranges decode by
+digit tables that TABLE_DIGITS and MAX_TABLES bound, whatever the
+plan's length.
 """
 
 from __future__ import annotations
@@ -87,21 +89,34 @@ def decode_mixed_radix(value: int, ranges: Sequence[int]) -> list[int]:
     return digits
 
 
-def roll_batch(pool: EntropyPool, plan: RadixPlan, source: EntropySource) -> list[int]:
-    """Roll every range in `plan` via one product-range draw.
+def roll_batch(pool: EntropyPool, plan: RadixPlan, source: EntropySource, count: int = 1,
+               out: list[int] | None = None) -> list[int]:
+    """Roll every range in `plan` via one product-range draw, `count` times.
 
-    Returns the outcomes in plan order. An empty plan returns an empty
-    list and leaves the pool untouched. The product must satisfy the
-    usual roll bound (product <= 2**(word_bits - chunk_bits)).
+    Appends the outcomes to `out` (a new list if None), in plan order,
+    draw after draw, and returns it. The `count` draws are one
+    `pool.roll_many` call over the product, so they draw the bits, and
+    leave the pool, as `count` calls of `pool.roll(plan.product, source)`
+    would; if a draw raises (a tape runs out), the draws before it are
+    still decoded into `out`. An empty plan appends nothing and leaves
+    the pool untouched. The product must satisfy the usual roll bound
+    (product <= 2**(word_bits - chunk_bits)); `count` must be an int >= 0.
     """
+    count = _int_in("count", count, 0)
+    if out is None:
+        out = []
     if not plan.ranges:
-        return []
-    value = pool.roll(plan.product, source)
-    digits: list[int] = []
-    for size, table in plan.steps:
-        if table is None:
-            digits.append(value % size)
-        else:
-            digits += table[value % size]
-        value //= size
-    return digits
+        return out
+    values: list[int] = []
+    try:
+        pool.roll_many(itertools.repeat(plan.product, count), source, values)
+    finally:  # the draws made before a raise are decoded too
+        steps, append = plan.steps, out.append
+        for value in values:
+            for size, table in steps:
+                if table is None:
+                    append(value % size)
+                else:
+                    out += table[value % size]
+                value //= size
+    return out

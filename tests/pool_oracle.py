@@ -50,6 +50,13 @@ def reference_batch(pool, ranges, source):
     return decode_mixed_radix(reference_roll(pool, math.prod(ranges), source), ranges)
 
 
+def reference_batches(pool, ranges, source, count, out):
+    """`count` reference batches in a row, their digits appended to `out`."""
+    for _ in range(count):
+        out += reference_batch(pool, ranges, source)
+    return out
+
+
 def observe(call, pool, source):
     """What `call()` did: its outcome or EntropyExhausted, the snapshot and
     `bits_drawn` of `pool`, and the bits left on `source` (None if not a tape)."""

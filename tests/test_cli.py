@@ -372,11 +372,12 @@ def test_traced_entry_points_nest_as_the_trace_divides(monkeypatch, capsys):
     # The benchmark's span tracer wraps these very names. It divides by the
     # pool.top_off calls and by the roll_step spans under a pool.roll span;
     # roll_batch shows only as self time, which perfbench's own tests require
-    # to be above 0. A refactor that stops making any of them would make its
-    # traced run divide by 0 or read 0.
+    # to be above 0, so one call per block of lines is enough (2500 lines of
+    # `6,6` are one block). A refactor that stops making any of them would
+    # make its traced run divide by 0 or read 0.
     batches = _count_calls(monkeypatch, cli, "roll_batch")
     assert main(["roll", "--plan", "6,6", "-c", "2500", "--source", "seeded"]) == 0
-    assert len(batches) == 2500
+    assert len(batches) == 1 and batches[0][3] == 2500
     calls, inside = [], []
     for name in ("roll", "top_off", "roll_step"):
         original = getattr(dicepool.EntropyPool, name)
@@ -402,13 +403,15 @@ BULK_ROLL_OPS = pytest.mark.parametrize("op", [
     lambda: main(["bench", "-n", "6", "--rolls", "3000"]),
     lambda: harness.shuffle(52),
     lambda: main(["roll", "-n", "6", "-c", "3000", "--source", "seeded"]),
-], ids=["bench-d6", "shuffle-52", "roll-n-6"])
+    lambda: main(["roll", "--plan", ",".join(["6"] * 10), "-c", "3000",
+                  "--source", "seeded"]),
+], ids=["bench-d6", "shuffle-52", "roll-n-6", "roll-plan-ten-d6"])
 
 
 @BULK_ROLL_OPS
 def test_bulk_rolls_call_roll_only_for_the_empty_pool(monkeypatch, capsys, op):
-    # roll_many reads every one-chunk refill itself; only the empty pool's
-    # first fill, wider than one chunk, goes through one roll call.
+    # roll_many reads every refill itself, one chunk or wider; only the
+    # empty pool's first fill goes through one roll call.
     rolls = _count_calls(monkeypatch, dicepool.EntropyPool, "roll")
     op()
     assert len(rolls) == 1
@@ -416,9 +419,10 @@ def test_bulk_rolls_call_roll_only_for_the_empty_pool(monkeypatch, capsys, op):
 
 @BULK_ROLL_OPS
 def test_bulk_rolls_read_the_source_a_word_at_a_time(monkeypatch, capsys, op):
-    # roll_many takes its one-chunk refills from a 64-bit read-ahead and
-    # gives back what the pool did not take: about one read per 64 bits the
-    # pool keeps, plus the empty pool's first fill and the last word.
+    # roll_many takes every refill from a 64-bit read-ahead, topped up by
+    # whole words, and gives back what the pool did not take: about one read
+    # per 64 bits the pool keeps, plus the empty pool's first fill and the
+    # last word.
     reads = _count_calls(monkeypatch, dicepool.EntropySource, "next_bits")
     given_back = _count_calls(monkeypatch, dicepool.EntropySource, "unread")
     op()

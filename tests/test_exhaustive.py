@@ -1,13 +1,13 @@
 """Exhaustive small worlds: every pool state, die and tape of a tiny pool.
 
-For every geometry with word_bits <= 4, `roll`, `roll_batch`, two
-rolls in a row and `roll_many` over two dice must agree with the
-reference pool of `pool_oracle` (a refill written out there, then a
-`roll_step` pass, until a pass accepts; it never calls `top_off`) on
-every state (size <= 2**word_bits, value < size), every die up to the
-ceiling, and every tape. Tapes are
-walked as a prefix tree: one that runs out is extended by each next bit,
-one on which the op completes is a leaf, since further bits stay unread.
+For every geometry with word_bits <= 4, `roll`, `roll_batch` of one
+and of two draws, two rolls in a row and `roll_many` over two dice must
+agree with the reference pool of `pool_oracle` (a refill written out
+there, then a `roll_step` pass, until a pass accepts; it never calls
+`top_off`) on every state (size <= 2**word_bits, value < size), every
+die up to the ceiling, and every tape. Tapes are walked as a prefix
+tree: one that runs out is extended by each next bit, one on which the
+op completes is a leaf, since further bits stay unread.
 Both sides must give the same outcome or EntropyExhausted, the same
 outcomes appended before it, the same snapshot, `bits_drawn` and tape
 bits left.
@@ -18,7 +18,8 @@ import math
 import pytest
 
 from dicepool import EntropyExhausted, EntropyPool, RadixPlan, TapeSource, roll_batch
-from pool_oracle import observe, reference_batch, reference_many, reference_roll
+from pool_oracle import (observe, reference_batch, reference_batches, reference_many,
+                         reference_roll)
 
 WORLDS = [(w, b) for w in range(1, 5) for b in range(1, w + 1)]
 MAX_TAPE_BITS = 10  # a tape still running out this long is compared, not extended
@@ -99,9 +100,13 @@ def test_roll_batch_matches_the_reference_loop_everywhere(word_bits, chunk_bits)
     for ranges in plans(ceiling):
         plan = RadixPlan(ranges)
         for size, value in states(word_bits):
-            walk((size, value, word_bits, chunk_bits),
-                 lambda pool, tape, _: roll_batch(pool, plan, tape),
+            snap = (size, value, word_bits, chunk_bits)
+            walk(snap, lambda pool, tape, _: roll_batch(pool, plan, tape),
                  lambda pool, tape, _: reference_batch(pool, ranges, tape))
+            # two draws in one call: a tape may run out on the second, after
+            # the first draw's digits are in `out`
+            walk(snap, lambda pool, tape, out: roll_batch(pool, plan, tape, 2, out),
+                 lambda pool, tape, out: reference_batches(pool, ranges, tape, 2, out))
 
 
 @pytest.mark.parametrize("word_bits,chunk_bits", WORLDS)

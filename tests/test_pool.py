@@ -364,12 +364,12 @@ def test_roll_many_refuses_a_die_equal_to_the_last_if_not_an_int():
     assert len(out) == 1 and tape.bits_remaining == 128 - pool.bits_drawn
 
 
-# roll_many reads its one-chunk refills a 64-bit word ahead. From an empty
-# (64, 8) pool the first fill takes 56 bits, so a tape of 56 + 8k + r bits
-# leaves k whole chunks and r odd bits for the band: the word-wide read runs
-# short, and the chunks must still run out at the same roll as in the roll
-# loop. The large die shrinks the pool below the band, so roll reads a wide
-# refill in the middle, after the unused read-ahead is given back.
+# roll_many reads its refills a 64-bit word ahead. From an empty (64, 8)
+# pool the first fill takes 64 bits, so a tape of 56 + 8k + r bits leaves
+# k - 1 whole chunks (k >= 1) and r odd bits for the band: the word-wide
+# read runs short, and the chunks must still run out at the same roll as in the roll
+# loop. The large die shrinks the pool below the band, so a wide refill in
+# the middle tops the read-ahead up, or reads just what it needs.
 @pytest.mark.parametrize("r", range(8))
 def test_roll_many_on_a_short_tape_runs_out_where_the_roll_loop_does(r):
     sides = [6] * 12 + [1 << 40] + [6, 52, 3] * 4
@@ -380,6 +380,21 @@ def test_roll_many_on_a_short_tape_runs_out_where_the_roll_loop_does(r):
         assert observe(lambda: pool.roll_many(sides, tape, got), pool, tape) == observe(
             lambda: reference_many(expected, sides, reference, want), expected, reference), k
         assert got == want, k
+
+
+# One chunk lifts a pool of 2**48 + 1 states to 2**56 + 256, which a die
+# of 2**56 accepts with nothing left over. The next die finds the empty
+# pool and rolls it through roll, whose first fill must read the bits after
+# the chunk taken, not after the word read ahead. That fill reads 64 bits,
+# so tapes of 8 to 71 bits run out in it and longer ones roll on.
+@pytest.mark.parametrize("nbits", [8, 63, 64, 71, 72, 80, 200])
+def test_roll_many_gives_back_its_read_ahead_before_roll_fills_an_emptied_pool(nbits):
+    snap, sides, data = (2**48 + 1, 0, 64, 8), [2**56, 6, 6, 52], bytes(range(100, 125))
+    pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
+    tape, reference, got, want = TapeSource(data, nbits), TapeSource(data, nbits), [], []
+    assert observe(lambda: pool.roll_many(sides, tape, got), pool, tape) == observe(
+        lambda: reference_many(expected, sides, reference, want), expected, reference)
+    assert got == want and got[0] == data[0]  # the first die emptied the pool
 
 
 def test_roll_many_refuses_a_first_die_of_none_unread():

@@ -5,7 +5,8 @@ The live pool takes `roll`, `roll_many`, `roll_batch`, `top_off`,
 one tape. The model is a second pool on a copy of the tape that only
 ever advances through the reference pool of `pool_oracle`: its refill,
 written out there and never `top_off`, and `roll_step` passes until one
-accepts, with batch digits decoded by `decode_mixed_radix`. After every
+accepts, with batch digits decoded by `decode_mixed_radix`, one
+`reference_batch` per draw of a `roll_batch` call. After every
 call both must give the same outcome or EntropyExhausted, the same
 snapshot, the same bits drawn and the same tape bits left, and the live
 state must satisfy 0 <= value < size <= 2**word_bits.
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from dicepool import EntropyPool, RadixPlan, TapeSource, roll_batch
-from pool_oracle import (dice, observe, reference_batch, reference_many, reference_roll,
+from pool_oracle import (dice, observe, reference_batches, reference_many, reference_roll,
                          reference_top_off)
 
 
@@ -58,9 +59,11 @@ class PoolMachine(RuleBasedStateMachine):
         for n in data.draw(st.lists(st.integers(1, 64), max_size=6)):
             if math.prod(ranges) * n <= ceiling:
                 ranges.append(n)
-        plan = RadixPlan(ranges)
-        self.check(lambda: roll_batch(self.pool, plan, self.source),
-                   lambda: reference_batch(self.model, ranges, self.reference))
+        plan, count = RadixPlan(ranges), data.draw(st.integers(0, 4))
+        got, want = [], []
+        self.check(lambda: roll_batch(self.pool, plan, self.source, count, got),
+                   lambda: reference_batches(self.model, ranges, self.reference, count, want))
+        assert got == want  # also the digits drawn before the tape ran out
 
     @rule()
     def top_off(self):

@@ -17,7 +17,7 @@ from dicepool import (
     roll_batch,
 )
 from dicepool.radix import MAX_TABLES, TABLE_DIGITS
-from pool_oracle import reference_batch
+from pool_oracle import dice, observe, reference_batch, reference_batches
 
 
 def test_plan_product():
@@ -154,6 +154,48 @@ def test_roll_batch_by_table_matches_decode_mixed_radix(ranges, seed, rolls):
     while math.prod(ranges) > ceiling:
         ranges = ranges[:-1]
     _roll_both_ways(ranges, seed, rolls, 320)
+
+
+@st.composite
+def batch_setups(draw):
+    """A snapshot of a pool up to 130 bits wide, a plan its ceiling admits,
+    a draw count, a short tape and the digits `out` holds beforehand."""
+    word_bits = draw(st.integers(1, 130))
+    chunk_bits = draw(st.integers(1, word_bits))
+    size = draw(st.one_of(st.just(1), st.integers(1, 1 << word_bits)))
+    snap = (size, draw(st.integers(0, size - 1)), word_bits, chunk_bits)
+    ceiling, ranges = 1 << (word_bits - chunk_bits), []
+    for n in draw(st.lists(dice(ceiling), max_size=6)):
+        if math.prod(ranges) * n <= ceiling:
+            ranges.append(n)
+    return (snap, ranges, draw(st.integers(0, 12)), draw(st.binary(max_size=80)),
+            draw(st.lists(st.integers(0, 9), max_size=3)))
+
+
+@settings(max_examples=300, deadline=None)
+@example(((1, 0, 64, 8), [6] * 10, 4, bytes(range(23)), []))  # every refill is wide
+@example(((2**56, 7, 64, 8), [6] * 10, 12, bytes(30), [5]))  # runs out on the 11th draw
+@given(batch_setups())
+def test_bulk_roll_batch_matches_one_reference_batch_per_draw(setup):
+    # `count` draws in one call give the digits, snapshot, bits_drawn and
+    # tape bits left of `count` reference batches; on a tape that runs out,
+    # `out` keeps what it held and the digits of every draw before.
+    snap, ranges, count, tape, head = setup
+    pool, model = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
+    source, reference = TapeSource(tape), TapeSource(tape)
+    got, want = head[:], head[:]
+    assert observe(lambda: roll_batch(pool, RadixPlan(ranges), source, count, got),
+                   pool, source) == observe(
+        lambda: reference_batches(model, ranges, reference, count, want), model, reference)
+    assert got == want
+
+
+@pytest.mark.parametrize("count, refused", [(-1, ValueError), (2.0, TypeError)])
+def test_roll_batch_refuses_a_bad_count_before_any_bit(count, refused):
+    pool, tape = EntropyPool(), TapeSource(bytes(16))
+    with pytest.raises(refused):
+        roll_batch(pool, RadixPlan((6, 6)), tape, count)
+    assert (pool.snapshot(), tape.bits_remaining) == ((1, 0, 64, 8), 128)
 
 
 def test_table_memory_is_bounded_by_constants():

@@ -48,6 +48,8 @@ FROZEN = "tests/test_frozen_outputs.py::test_frozen_output"
 EXHAUSTIVE = "tests/test_exhaustive.py::test_roll_matches_the_reference_loop_everywhere"
 MANY = "tests/test_exhaustive.py::test_roll_many_matches_the_reference_loop_on_every_pair"
 SHORT_TAPE = POOL + "test_roll_many_on_a_short_tape_runs_out_where_the_roll_loop_does"
+BULK_BATCH = RADIX + "test_bulk_roll_batch_matches_one_reference_batch_per_draw"
+EMPTIED = POOL + "test_roll_many_gives_back_its_read_ahead_before_roll_fills_an_emptied_pool"
 # roll's refill repeats this line of top_off; the line after it tells them apart
 TOP_OFF_DRAWN = ("drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk\n"
                  "        piece")
@@ -98,10 +100,12 @@ MUTANTS = [
      [RADIX + "test_table_memory_is_bounded_by_constants"]),
     ("radix.py", "return cls(next(iter(fields)))", "return tuple.__new__(cls, fields)",
      ["tests/test_records.py::test_plan_replace_and_make_rebuild_from_the_ranges"]),
-    ("radix.py", "        if table is None:\n            digits.append(value % size)\n"
-     "        else:\n            digits += table[value % size]\n        value //= size",
-     "        value //= size\n        if table is None:\n            digits.append(value % size)\n"
-     "        else:\n            digits += table[value % size]",
+    ("radix.py", "                if table is None:\n                    append(value % size)\n"
+     "                else:\n                    out += table[value % size]\n"
+     "                value //= size",
+     "                value //= size\n                if table is None:\n"
+     "                    append(value % size)\n"
+     "                else:\n                    out += table[value % size]",
      [RADIX + "test_table_decoding_matches_decode_mixed_radix"]),
     ("sources.py", "self._buf, self._nbuf = buf",
      "type(self)._buf, type(self)._nbuf = buf",
@@ -117,8 +121,8 @@ MUTANTS = [
     ("cli.py", "pool.roll_many(repeat(sides, len(lines)), source, row)",
      "pool.roll_many(repeat(sides, len(lines)), source)",
      [FROZEN + "[roll -n 6 -c 3 --source seeded --seed 1]"]),
-    ("cli.py", "row += roll_batch(pool, plan, source)",
-     "row = roll_batch(pool, plan, source)",
+    ("cli.py", "roll_batch(pool, plan, source, len(lines), row)",
+     "roll_batch(pool, plan, source, len(lines))",
      [FROZEN + "[roll --plan 2,3,52 -c 3 --source seeded --seed 1]"]),
     ("cli.py", "range(min(per_block, count - start))", "range(per_block)",
      [CLI + "test_roll_plan_lines_across_block_boundaries"]),
@@ -153,9 +157,9 @@ MUTANTS = [
      [EXHAUSTIVE, POOL + "test_one_chunk_refill_then_reject_matches_reference"]),
     # only the empty pool takes the reference pair; every other refill is
     # roll's refill block at top_off's width
-    ("pool.py", "if size == 1:", "if size == 2:",
+    ("pool.py", "if size == 1:  # the empty pool fills", "if size == 2:  # the empty pool fills",
      [CLI + "test_plan_product_refills_are_read_inline"]),
-    ("pool.py", "size <<= drawn", "size <<= self.chunk_bits",
+    ("pool.py", "size <<= drawn\n            keep", "size <<= self.chunk_bits\n            keep",
      [EXHAUSTIVE, POOL + "test_wide_refill_is_inline_and_matches_reference"]),
     ("pool.py", ROLL_DRAWN, "size",
      [EXHAUSTIVE, POOL + "test_wide_refill_is_inline_and_matches_reference"]),
@@ -194,7 +198,7 @@ MUTANTS = [
      "finally:\n            pass", [MANY, POOL + "test_roll_many_matches_the_reference_loop"]),
     ("pool.py", "finally:\n                                size, value = self.size, self.value",
      "finally:\n                                pass", [MANY]),
-    ("pool.py", "if size <= floor:", "if size < floor:", [MANY]),
+    ("pool.py", "if size > floor:", "if size >= floor:", [MANY]),
     ("pool.py", "self.bits_drawn += span", "pass",
      [MANY, POOL + "test_roll_many_matches_the_reference_loop"]),
     ("pool.py", "cutoff = n * keep", "cutoff = n * keep - 1", [MANY]),
@@ -211,19 +215,19 @@ MUTANTS = [
      "pool.roll_many(range(deck - 1, 0, -1), source)",
      ["tests/test_harness.py::test_shuffle_fixture"]),
     # roll_many's read-ahead: a word per read, each give-back of what the pool
-    # did not take (before roll's wide refill, and on the way out), the
+    # did not take (before roll fills the empty pool, and on the way out), the
     # one-chunk reads once a word runs short, and its die checked once per object
     ("pool.py", "(64 // chunk or 1) * chunk", "chunk",
      [CLI + "test_bulk_rolls_read_the_source_a_word_at_a_time"]),
     ("pool.py", "source.unread(ahead & ((1 << left) - 1), left)\n                            self",
-     "self", [SHORT_TAPE]),
+     "self", [EMPTIED]),
     ("pool.py", "self.bits_drawn -= left\n                            left = 0", "left = 0",
-     [SHORT_TAPE]),
+     [EMPTIED]),
     ("pool.py", "source.unread(ahead & ((1 << left) - 1), left)  # what", "pass  # what",
      [MANY, SHORT_TAPE]),
     ("pool.py", "self.bits_drawn -= left\n        return out", "return out",
      [MANY, SHORT_TAPE]),
-    ("pool.py", "except EntropyExhausted:", "except ():",
+    ("pool.py", "except EntropyExhausted:  # short of a word", "except ():  # short of a word",
      [MANY, SHORT_TAPE]),
     ("pool.py", "n = object()", "n = None",
      [POOL + "test_roll_many_refuses_a_first_die_of_none_unread"]),
@@ -239,6 +243,17 @@ MUTANTS = [
      ["tests/test_sources.py::test_counting_unread_gives_back_what_it_delivered"]),
     ("sources.py", 'and "unread" not in vars(cls)', "and False",
      ["tests/test_sources.py::test_overriding_next_bits_without_unread_is_refused"]),
+    # roll_many's wide refill: its top-up by whole spans, the exact shortfall
+    # read once a span runs short, the bits it takes and the count it keeps;
+    # then roll_batch decoding the draws made before a raise
+    ("pool.py", "if left < drawn:", "if not left:", [MANY, BULK_BATCH]),
+    ("pool.py", "span, more = chunk, drawn - left", "span = chunk", [MANY, SHORT_TAPE]),
+    ("pool.py", "ahead >> left & ((1 << drawn) - 1)", "ahead >> left & ((1 << drawn - 1) - 1)",
+     [MANY, BULK_BATCH]),
+    ("pool.py", "self.bits_drawn += more", "pass", [MANY, BULK_BATCH]),
+    ("radix.py", "    finally:  # the draws made before a raise are decoded too\n",
+     "    except BaseException:\n        raise\n    else:\n",
+     [BULK_BATCH, CLI + "test_lines_before_tape_runs_out_are_kept"]),
 ]
 
 
