@@ -7,9 +7,11 @@ factors the pool into an outcome in [0, n) plus a smaller pool of
 size // n states; when the pool value falls in the unusable top sliver
 of the range, the draw fails but the sliver itself is still uniform, so
 it is kept as the new, smaller pool instead of being thrown away. Fresh
-entropy only ever enters in whole fixed-size chunks: through `top_off`,
-or through `roll`'s one refill rule, a single read of the chunks
-`top_off` would draw. `roll_many` rolls a run of dice, fixed or
+entropy only ever enters in whole fixed-size chunks, through `top_off`
+or `roll_many`'s read-ahead. `top_off` and `roll_step` are the
+reference pair, one refill and one reduction pass, and `roll` is that
+pair called pass after pass: the readable reference, which pays two
+method calls a pass. `roll_many` is the one fast loop: it rolls a run of dice, fixed or
 changing, small or as wide as a product draw, as a loop of `roll` calls
 would, with the pool state held in locals between them; runs of dice
 belong there. It takes every refill, one chunk or wider, from bits read
@@ -111,7 +113,7 @@ class EntropyPool:
         raises TypeError. It does not check the state: a corrupt one
         (value outside [0, size)) gives a meaningless pass.
         """
-        sides = index(sides)  # inline, not _int_in: roll calls this on each empty pool
+        sides = index(sides)  # inline, not _int_in: roll calls this on every pass
         if sides < 1:
             raise ValueError(_refusal("sides", sides, 1))
         size, value = self.size, self.value
@@ -130,27 +132,23 @@ class EntropyPool:
         """Roll a fair `sides`-sided die, refilling from `source` as needed.
 
         Returns the outcome in [0, sides); the fresh bits it draws are
-        added to `bits_drawn`. This is the reference pair, `top_off` then
-        `roll_step` until a pass accepts, written inline with one refill
-        rule: before every pass that finds the pool at or below the
-        ceiling, not just on entry, it reads the width `top_off` would
-        read, the most whole chunks that fit the word, in one
-        `next_bits` call before any write, so the accept chance stays
-        high even once recycling has shrunk the pool. The empty pool
-        (size 1) calls the pair itself, once, ahead of the loop, with the
-        same outcome, state and `bits_drawn`: those are the calls
-        `perfbench/run.py --trace 1` divides by, so the pair stays until
-        the trace counts what the pool did (ROADMAP direction 1). Runs of
-        dice belong to `roll_many`, which reads the same refills ahead.
-        Requires 1 <= sides <= 2**(word_bits - chunk_bits): that
-        guarantees the topped-off pool covers the range and the loop
-        cannot stall. If a refill runs out of bits, EntropyExhausted
-        propagates and the passes already made stay applied. A non-int
-        `sides` raises TypeError before any bit is drawn. A corrupt state
-        (the slots are writable) raises ValueError on entry unless
-        0 <= value < size, before the die is checked or a bit is read;
-        refill, accept and reject each keep a valid state valid, so the
-        loop checks nothing more.
+        added to `bits_drawn`. This is the reference pair itself:
+        `top_off` then `roll_step`, pass after pass, until a pass
+        accepts, so the accept chance stays high even once recycling has
+        shrunk the pool. Each pass is one call of each, the calls
+        `perfbench/run.py --trace 1` divides by. A lone call pays for
+        those two method calls on every pass; runs of dice belong to
+        `roll_many`, the one fast loop, which gives the same outcomes,
+        state and `bits_drawn`. Requires
+        1 <= sides <= 2**(word_bits - chunk_bits): that guarantees the
+        topped-off pool covers the range and the loop cannot stall. If a
+        refill runs out of bits, EntropyExhausted propagates and the
+        passes already made stay applied. A non-int `sides` raises
+        TypeError before any bit is drawn. A corrupt state (the slots are
+        writable) raises ValueError on entry unless 0 <= value < size,
+        before the die is checked or a bit is read; refill, accept and
+        reject each keep a valid state valid, so the loop checks nothing
+        more.
         """
         size, value = self.size, self.value
         if not 0 <= value < size:  # corrupt: a valid state stays valid until return
@@ -160,28 +158,11 @@ class EntropyPool:
         if not 1 <= sides <= ceiling:
             refused = ValueError if sides < 1 else RangeTooLarge
             raise refused(_refusal("sides", sides, 1, ceiling))
-        if size == 1:  # the empty pool fills through the reference pair
+        while True:
             self.top_off(source)
             outcome = self.roll_step(sides)
             if outcome is not None:
                 return outcome
-            size, value = self.size, self.value
-        while True:
-            if size <= ceiling:  # a refill is due: read what top_off would
-                chunk = self.chunk_bits
-                drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk
-                value = value << drawn | source.next_bits(drawn)  # before any write
-                self.bits_drawn += drawn
-                size <<= drawn
-            keep = size // sides
-            quotient = value // sides
-            if quotient < keep:
-                self.size = keep
-                self.value = quotient
-                return value % sides
-            cutoff = sides * keep
-            self.size = size = size - cutoff
-            self.value = value = value - cutoff
 
     def roll_many(self, sides: Iterable[int], source: EntropySource,
                   out: list[int] | None = None) -> list[int]:

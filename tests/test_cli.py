@@ -446,7 +446,7 @@ def test_each_benchmark_op_calls_top_off_and_roll_step(monkeypatch, capsys, op):
 
 
 def test_plan_product_refills_are_read_inline(monkeypatch, capsys):
-    # Every line of ten d6 refills the pool by 24 or 32 bits; roll reads
+    # Every line of ten d6 refills the pool by 24 or 32 bits; roll_many reads
     # those itself, so only the empty pool's fill goes through the pair.
     top_offs = _count_calls(monkeypatch, dicepool.EntropyPool, "top_off")
     steps = _count_calls(monkeypatch, dicepool.EntropyPool, "roll_step")

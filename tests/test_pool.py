@@ -476,6 +476,26 @@ def test_one_chunk_refill_then_reject_matches_reference(snap, tape):
     assert drawn > snap[3]
 
 
+def test_roll_calls_the_reference_pair_once_per_pass(monkeypatch):
+    # Each pass of a lone roll is one top_off call and then one roll_step
+    # call, the calls the traced benchmark divides by. From the d3 sliver a
+    # one-chunk refill and then a full one land on 2**64 - 1 and reject.
+    calls = []
+    for name in ("top_off", "roll_step"):
+        def spy(pool, arg, name=name, original=getattr(EntropyPool, name)):
+            calls.append((name, original(pool, arg)))
+            return calls[-1][1]
+        monkeypatch.setattr(EntropyPool, name, spy)
+    pool = EntropyPool.from_snapshot((2**56, 2**56 - 1, 64, 8))
+    assert pool.roll(3, TapeSource(b"\xff" * 9 + bytes(8))) == 0
+    assert calls == [("top_off", 8), ("roll_step", None), ("top_off", 64),
+                     ("roll_step", None), ("top_off", 64), ("roll_step", 0)]
+    assert pool.bits_drawn == 136
+    calls.clear()  # above the ceiling a pass still calls both; top_off reads nothing
+    assert pool.roll(3, TapeSource(b"")) == 0
+    assert calls == [("top_off", 0), ("roll_step", 0)]
+
+
 @pytest.mark.parametrize("word_bits,chunk_bits", GEOMETRIES)
 def test_one_chunk_refill_running_out_leaves_the_pool_untouched(word_bits, chunk_bits):
     snap = (1 << (word_bits - chunk_bits), 1, word_bits, chunk_bits)
@@ -550,8 +570,9 @@ def test_corrupt_pool_is_refused_before_its_die(die):
     assert (pool.snapshot(), pool.bits_drawn, tape.bits_remaining) == ((2, 5, 64, 8), 0, 128)
 
 
-# Every refill of a pool that is not empty is read inline, wider than one
-# chunk or not: only the empty pool goes through `top_off` and `roll_step`.
+# roll_many reads every refill of a pool that is not empty inline, wider than
+# one chunk or not: only the empty pool goes through `roll`, and so through
+# `top_off` and `roll_step`.
 # (word_bits, chunk_bits, size 2 or the floor, bits its wide refill reads)
 WIDE_REFILLS = pytest.mark.parametrize("word_bits,chunk_bits,size,drawn", [
     (64, 8, 2, 56), (64, 8, 2**48, 16), (13, 5, 2, 10), (13, 5, 8, 10),
@@ -571,7 +592,7 @@ def test_wide_refill_is_inline_and_matches_reference(monkeypatch, word_bits, chu
                 patched.setattr(EntropyPool, "top_off", None)
                 patched.setattr(EntropyPool, "roll_step", None)
                 pool = EntropyPool.from_snapshot(snap)
-                pool.roll(3, TapeSource(bytes(range(1, 41))))
+                pool.roll_many([3], TapeSource(bytes(range(1, 41))))
             assert roll_like_reference(snap, 3)[1] == pool.bits_drawn >= least
 
 

@@ -50,14 +50,9 @@ MANY = "tests/test_exhaustive.py::test_roll_many_matches_the_reference_loop_on_e
 SHORT_TAPE = POOL + "test_roll_many_on_a_short_tape_runs_out_where_the_roll_loop_does"
 BULK_BATCH = RADIX + "test_bulk_roll_batch_matches_one_reference_batch_per_draw"
 EMPTIED = POOL + "test_roll_many_gives_back_its_read_ahead_before_roll_fills_an_emptied_pool"
-# roll's refill repeats this line of top_off; the line after it tells them apart
-TOP_OFF_DRAWN = ("drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk\n"
-                 "        piece")
-# top_off repeats this line of roll's refill block; the line after it tells them apart
-ROLL_DRAWN = "self.bits_drawn += drawn\n                size"
-# roll_many repeats these lines of roll; roll's comment and next line tell them apart
-ROLL_REFILL_DUE = "if size <= ceiling:  # a refill is due"
-ROLL_ACCEPT = "if quotient < keep:\n                self.size = keep"
+# the refill width, in top_off and in roll_many's wide branch
+TOP_OFF_DRAWN = "drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk"
+MANY_DRAWN = "drawn = (word_bits - (size - 1).bit_length()) // chunk * chunk"
 # roll and roll_many open with the same state check; the line after it tells them apart
 ROLL_STATE = ("if not 0 <= value < size:  # corrupt: a valid state stays valid until return\n"
               "            raise ValueError(_refusal(\"value\", value, 0, size - 1))\n        sides")
@@ -83,9 +78,8 @@ MUTANTS = [
     ("pool.py", TOP_OFF_DRAWN,
      TOP_OFF_DRAWN.replace("(size - 1).bit_length()", "size.bit_length()"),
      [EXHAUSTIVE, POOL + "test_top_off_boundary_sizes_match_chunk_loop"]),
-    ("pool.py", ROLL_REFILL_DUE, ROLL_REFILL_DUE.replace("ceiling", "ceiling + 1"),
-     [EXHAUSTIVE, POOL + "test_roll_matches_refill_every_pass_reference",
-      POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not"]),
+    ("pool.py", "if size <= ceiling:", "if size <= ceiling + 1:",
+     [MANY, POOL + "test_roll_many_matches_the_reference_loop"]),
     ("radix.py", "for n in ranges:\n        digits",
      "for n in reversed(ranges):\n        digits",
      [RADIX + "test_decode_least_significant_first"]),
@@ -140,33 +134,39 @@ MUTANTS = [
      "                    pass\n        if row and not wide:\n"
      "            sys.stdout.write(text[:2 * len(row)].decode())\n",
      [CLI + "test_lines_before_tape_runs_out_are_kept"]),
-    # roll's inline pass and refill, appended so the rows above keep their test ids
-    ("pool.py", ROLL_REFILL_DUE, ROLL_REFILL_DUE.replace("<=", "<"),
-     [EXHAUSTIVE, POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not"]),
-    ("pool.py", ROLL_ACCEPT, ROLL_ACCEPT.replace("<", "<="),
-     [EXHAUSTIVE, POOL + "test_full_pool_in_the_sliver_rejects_then_refills"]),
-    ("pool.py", "self.value = quotient\n                return value % sides",
-     "self.value = quotient\n                return quotient % sides",
-     [EXHAUSTIVE, POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not"]),
+    # roll_many's refill test, roll's die left unconverted, roll_many's outcome
+    ("pool.py", "if size <= ceiling:", "if size < ceiling:", [MANY]),
+    ("pool.py", "sides = index(sides)  # inline, not _int_in: this runs once per roll",
+     "pass  # inline, not _int_in: this runs once per roll",
+     [POOL + "test_roll_refuses_non_integer_die"]),
+    ("pool.py", "append(value % n)", "append(quotient % n)", [MANY]),
     # roll_many's one-chunk band, worked out once per call
     ("pool.py", "floor = ceiling >> chunk", "floor = ceiling >> chunk + 1", [MANY]),
-    # roll's refill block and its inline reject
-    ("pool.py", ROLL_DRAWN, ROLL_DRAWN.replace("+= drawn", "+= drawn - 1"),
-     [EXHAUSTIVE, POOL + "test_roll_at_the_band_edges_matches_reference"]),
-    ("pool.py", "            cutoff = sides * keep\n", "            cutoff = sides * keep - 1\n",
-     [EXHAUSTIVE, POOL + "test_one_chunk_refill_then_reject_matches_reference"]),
-    # only the empty pool takes the reference pair; every other refill is
-    # roll's refill block at top_off's width
-    ("pool.py", "if size == 1:  # the empty pool fills", "if size == 2:  # the empty pool fills",
+    # roll's pass made before its refill, roll_many's reject keeping its size.
+    # (Dropping roll's top_off, or taking an outcome of 0 for a reject, would
+    # spin forever on an empty pool or a d1 instead of failing a test.)
+    ("pool.py", "self.top_off(source)\n            outcome = self.roll_step(sides)\n",
+     "outcome = self.roll_step(sides)\n            self.top_off(source)\n",
+     [EXHAUSTIVE, POOL + "test_roll_calls_the_reference_pair_once_per_pass",
+      POOL + "test_roll_matches_refill_every_pass_reference",
+      POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not",
+      POOL + "test_roll_at_the_band_edges_matches_reference"]),
+    ("pool.py", "size -= cutoff", "pass", [MANY]),
+    # in roll_many only the empty pool goes through roll and so the reference
+    # pair; every other refill is read inline, the wide ones at top_off's width
+    ("pool.py", "elif size == 1:", "elif size == 2:",
      [CLI + "test_plan_product_refills_are_read_inline"]),
-    ("pool.py", "size <<= drawn\n            keep", "size <<= self.chunk_bits\n            keep",
-     [EXHAUSTIVE, POOL + "test_wide_refill_is_inline_and_matches_reference"]),
-    ("pool.py", ROLL_DRAWN, "size",
-     [EXHAUSTIVE, POOL + "test_wide_refill_is_inline_and_matches_reference"]),
-    ("pool.py", "// chunk * chunk\n                value", "// chunk\n                value",
-     [EXHAUSTIVE]),
+    ("pool.py", "left -= drawn", "left -= chunk",
+     [MANY, POOL + "test_wide_refill_is_inline_and_matches_reference"]),
+    # roll returning a reject, roll_many's wide refill counted in chunks
+    ("pool.py", "if outcome is not None:", "if True:",
+     [EXHAUSTIVE, POOL + "test_roll_calls_the_reference_pair_once_per_pass",
+      POOL + "test_full_pool_in_the_sliver_rejects_then_refills",
+      POOL + "test_one_chunk_refill_then_reject_matches_reference"]),
+    ("pool.py", MANY_DRAWN, MANY_DRAWN.replace("// chunk * chunk", "// chunk"),
+     [MANY, POOL + "test_wide_refill_is_inline_and_matches_reference"]),
     # the state check on entry to roll, then to roll_many (its other rows are
-    # below), and roll's value held in a local from pass to pass
+    # below), and roll's die check
     ("pool.py", ROLL_STATE, ROLL_STATE.replace("not 0 <= value < size", "False"),
      [POOL + "test_corrupt_pool_is_refused_not_spun"]),
     ("pool.py", ROLL_STATE, ROLL_STATE.replace("0 <= value", "-1 <= value"),
@@ -175,10 +175,10 @@ MUTANTS = [
      [POOL + "test_corrupt_pool_is_refused_not_spun"]),
     ("pool.py", MANY_STATE, MANY_STATE.replace("not 0 <= value < size", "False"),
      [POOL + "test_roll_many_refuses_a_corrupt_pool_as_roll_does"]),
-    ("pool.py", "self.value = value = value - cutoff", "self.value = value - cutoff",
-     [EXHAUSTIVE, POOL + "test_one_chunk_refill_then_reject_matches_reference"]),
-    ("pool.py", "size, value = self.size, self.value\n        while",
-     "size = self.size\n        while", [EXHAUSTIVE]),
+    ("pool.py", "ValueError if sides < 1 else RangeTooLarge", "ValueError",
+     [POOL + "test_full_pool_refuses_a_bad_die_untouched"]),
+    ("pool.py", "if not 1 <= sides <= ceiling:", "if not 1 <= sides <= ceiling + 1:",
+     [POOL + "test_full_pool_refuses_a_bad_die_untouched"]),
     # next_bits takes its bits off the buffer and pulls a word only when short
     ("sources.py", "buf - (out << nbuf), nbuf", "buf, nbuf",
      ["tests/test_sources.py::test_seeded_chunked_reads_spell_one_wide_read"]),
