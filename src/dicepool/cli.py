@@ -11,7 +11,6 @@ import argparse
 import functools
 import os
 import sys
-from itertools import repeat
 
 from .analysis import ESTIMATE_REGIME_FACTOR, efficiency_estimate, waste_point
 from .harness import (MAX_ENUM_SIDES, MAX_ENUM_TAPE_BITS, BenchReport, bench_naive,
@@ -113,7 +112,7 @@ def cmd_roll(args: argparse.Namespace) -> int:
         lines = range(min(per_block, count - start))
         try:
             if args.plan is None:
-                pool.roll_many(repeat(sides, len(lines)), source, row)
+                pool.roll_many(sides, source, row, count=len(lines))
             else:
                 roll_batch(pool, plan, source, len(lines), row)
         finally:

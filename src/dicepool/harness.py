@@ -16,7 +16,6 @@ import math
 import time
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import repeat
 
 from .pool import EntropyPool
 from .sources import EntropySource, SeededSource, _int_in
@@ -115,7 +114,7 @@ def bench_recycler(sides: int, rolls: int, seed: int = 1, *,
     block: list[int] = []
     for done in range(0, rolls, BENCH_BLOCK):
         block.clear()
-        pool.roll_many(repeat(sides, min(BENCH_BLOCK, rolls - done)), source, block)
+        pool.roll_many(sides, source, block, count=min(BENCH_BLOCK, rolls - done))
         for outcome in block:
             counts[outcome] += 1
     # A fresh pool holds no entropy, so its end entropy is the delta.

@@ -7,22 +7,18 @@ order sequential rolling peels them off the pool (value mod n first), so
 the two agree draw for draw. `roll_batch` makes any number of such
 draws in one `EntropyPool.roll_many` call. Runs of ranges decode by
 digit tables that TABLE_DIGITS and MAX_TABLES bound, whatever the
-plan's length.
+plan's length; the tables and their cache live in `pool`, whose count
+form decodes fused runs of one die by the same tables.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
-from .pool import EntropyPool
+from .pool import MAX_TABLES, TABLE_DIGITS, EntropyPool, _table
 from .sources import EntropySource, _int_in
-
-TABLE_DIGITS = 1 << 14  # digits one table holds: entries times ranges
-MAX_TABLES = 8  # distinct tables one plan holds, and the cache across plans
 
 
 class RadixPlan(namedtuple("RadixPlan", "ranges product steps")):
@@ -74,12 +70,6 @@ def _steps(ranges: tuple[int, ...]) -> tuple[tuple[int, tuple | None], ...]:
     return tuple(steps)
 
 
-@functools.lru_cache(maxsize=MAX_TABLES)
-def _table(group: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The digits of every value below the group's product, least significant first."""
-    return tuple([digits[::-1] for digits in itertools.product(*map(range, group[::-1]))])
-
-
 def decode_mixed_radix(value: int, ranges: Sequence[int]) -> list[int]:
     """Digits of `value` with ranges[0] as the least significant radix."""
     digits = []
@@ -95,9 +85,10 @@ def roll_batch(pool: EntropyPool, plan: RadixPlan, source: EntropySource, count:
 
     Appends the outcomes to `out` (a new list if None), in plan order,
     draw after draw, and returns it. The `count` draws are one
-    `pool.roll_many` call over the product, so they draw the bits, and
-    leave the pool, as `count` calls of `pool.roll(plan.product, source)`
-    would; if a draw raises (a tape runs out), the draws before it are
+    `pool.roll_many(plan.product, source, count=count)` call, so they
+    draw the bits, and leave the pool, as `count` calls of
+    `pool.roll(plan.product, source)` would (a product small enough is
+    fused); if a draw raises (a tape runs out), the draws before it are
     still decoded into `out`. An empty plan appends nothing and leaves
     the pool untouched. The product must satisfy the usual roll bound
     (product <= 2**(word_bits - chunk_bits)); `count` must be an int >= 0.
@@ -109,7 +100,7 @@ def roll_batch(pool: EntropyPool, plan: RadixPlan, source: EntropySource, count:
         return out
     values: list[int] = []
     try:
-        pool.roll_many(itertools.repeat(plan.product, count), source, values)
+        pool.roll_many(plan.product, source, values, count=count)
     finally:  # the draws made before a raise are decoded too
         steps, append = plan.steps, out.append
         for value in values:

@@ -37,3 +37,12 @@ def test_imports_add_no_heavy_module():
     for added in (library, with_cli):
         assert not added & set(HEAVY), sorted(added & set(HEAVY))
     assert "argparse" not in library
+
+
+def test_imports_build_no_digit_table():
+    # radix plans and the count form build their tables on first use
+    src = str(Path(dicepool.__file__).resolve().parents[1])
+    probe = "import dicepool.cli, dicepool.pool as p; print(p._table.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr

@@ -1,8 +1,8 @@
 """Exhaustive small worlds: every pool state, die and tape of a tiny pool.
 
 For every geometry with word_bits <= 4, `roll`, `roll_batch` of one
-and of two draws, two rolls in a row and `roll_many` over two dice must
-agree with the reference pool of `pool_oracle` (a refill written out
+and of two draws, two rolls in a row, `roll_many` over two dice and
+`roll_many`'s count form over up to three of one die must agree with the reference pool of `pool_oracle` (a refill written out
 there, then a `roll_step` pass, until a pass accepts; it never calls
 `top_off`) on every state (size <= 2**word_bits, value < size), every
 die up to the ceiling, and every tape. Tapes are walked as a prefix
@@ -17,6 +17,7 @@ import math
 
 import pytest
 
+import dicepool.pool
 from dicepool import EntropyExhausted, EntropyPool, RadixPlan, TapeSource, roll_batch
 from pool_oracle import (observe, reference_batch, reference_batches, reference_many,
                          reference_roll)
@@ -138,3 +139,27 @@ def test_roll_many_matches_the_reference_loop_on_every_pair(word_bits, chunk_bit
             walk((size, value, word_bits, chunk_bits),
                  lambda pool, tape, out: pool.roll_many(iter(pair), tape, out),
                  lambda pool, tape, out: reference_many(pool, pair, tape, out))
+
+
+# A run of one die, count 0 to 3. Under the real gate d2 is fused wherever
+# chunk_bits >= 2; with the gate opened to every die up to 2**chunk_bits
+# (power 1), d3 and d4 are fused at (4, 2) and d3 at (5, 2) too. A tape may
+# run out after a fused pass's outcomes are in `out`. Every state and die,
+# but in the two worlds where that takes over 10 s, three values of every
+# size and the dice up to 2**chunk_bits, the only ones any gate fuses.
+@pytest.mark.parametrize("word_bits,chunk_bits,fuse_power",
+                         [(w, b, dicepool.pool.FUSE_POWER) for w, b in WORLDS + [(5, 2)]]
+                         + [(4, 2, 1), (5, 2, 1)])
+def test_roll_many_count_matches_the_reference_loop_everywhere(monkeypatch, word_bits,
+                                                               chunk_bits, fuse_power):
+    monkeypatch.setattr(dicepool.pool, "FUSE_POWER", fuse_power)
+    ceiling = 1 << (word_bits - chunk_bits)
+    starts, dice = states(word_bits), range(1, ceiling + 1)
+    if (word_bits, chunk_bits) in ((4, 1), (5, 2)):
+        starts = {(size, value) for size, _ in starts for value in (0, size // 2, size - 1)}
+        dice = range(1, min(ceiling, 1 << chunk_bits) + 1)
+    for size, value in starts:
+        for sides, count in itertools.product(dice, range(4)):
+            walk((size, value, word_bits, chunk_bits),
+                 lambda pool, tape, out: pool.roll_many(sides, tape, out, count=count),
+                 lambda pool, tape, out: reference_many(pool, [sides] * count, tape, out))

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from dicepool import (
     TapeSource,
     waste_point,
 )
+from dicepool.pool import FUSE_POWER, MAX_TABLES, TABLE_DIGITS, _fused_run, _table
+from dicepool.radix import RadixPlan
 from pool_oracle import dice, observe, reference_many, reference_roll, reference_top_off
 
 
@@ -353,6 +356,105 @@ def test_roll_many_matches_the_reference_loop(setup, cut, refusal):
         assert observe(lambda: got, pool, source) == ran
     assert got == want  # the outcomes rolled before a failure stay in `out`
     assert rest_of(source) == rest_of(reference)
+
+
+# The count form from any state, mostly on dice small enough to be fused,
+# with counts that span several fused passes and tapes that run out
+# between or inside them.
+@settings(max_examples=300, deadline=None)
+@given(pool_setups(), st.data())
+def test_roll_many_count_matches_the_reference_loop(setup, data):
+    snap, tape, seed, _ = setup
+    ceiling = 1 << (snap[2] - snap[3])
+    sides = data.draw(st.one_of(st.integers(1, min(ceiling, 20)), dice(ceiling)))
+    count = data.draw(st.integers(0, 60))
+    pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
+    source, reference = source_pair(tape, seed)
+    got, want = [], []
+    assert observe(lambda: pool.roll_many(sides, source, got, count=count), pool,
+                   source) == observe(lambda: reference_many(expected, [sides] * count,
+                                                             reference, want),
+                                      expected, reference)
+    assert got == want  # the outcomes rolled before the tape ran out
+    assert rest_of(source) == rest_of(reference)
+
+
+def _count_and_repeat(snap, sides, count):
+    """What `roll_many` does with `count=count` and with `repeat(sides, count)`:
+    the error it raises (type and text), `out`, the snapshot and the bits read."""
+    seen = []
+    for form in ("count", "repeat"):
+        pool, tape, out = EntropyPool(*snap[2:]), TapeSource(bytes(16)), []
+        pool.size, pool.value = snap[:2]
+        try:
+            if form == "count":
+                pool.roll_many(sides, tape, out, count=count)
+            else:
+                pool.roll_many(repeat(sides, count), tape, out)
+            raised = None
+        except (TypeError, ValueError) as exc:
+            raised = type(exc), str(exc)
+        seen.append((raised, out, pool.snapshot(), pool.bits_drawn, tape.bits_remaining))
+    return seen
+
+
+# Refused dice (none checked at count 0), a corrupt state (refused even at
+# count 0, before the die) and a non-int die give the same error, the same
+# `out` and an untouched pool and tape either way.
+@pytest.mark.parametrize("snap", [(2**56, 5, 64, 8), (2, 5, 64, 8), (1, 0, 4, 2)], ids=str)
+def test_roll_many_count_refuses_as_the_repeat_form_does(snap):
+    for sides in (6, 2, 0, -1, (1 << 56) + 1, 6.0, "6", None):
+        for count in (0, 1, 2, 5, True):
+            counted, repeated = _count_and_repeat(snap, sides, count)
+            assert counted == repeated, (sides, count)
+
+
+def test_roll_many_count_is_refused_first_unless_an_int_at_least_0():
+    # repeat(6, 1.0) raises TypeError before roll_many runs, so the count is
+    # checked before the state; a negative count, which repeat takes as 0,
+    # is refused as roll_batch refuses it.
+    for snap in ((2**56, 5, 64, 8), (2, 5, 64, 8)):
+        counted, repeated = _count_and_repeat(snap, 6, 1.0)
+        assert counted[0][0] is repeated[0][0] is TypeError and counted[1:] == repeated[1:]
+        counted, _ = _count_and_repeat(snap, 6, -1)
+        assert counted == ((ValueError, "count must be in [0, inf], got -1"), [], snap, 0, 128)
+
+
+def test_the_count_form_fuses_only_small_dice():
+    # d2 to d16 at (64, 8); at bit-wise refills no die; at (128, 64) every
+    # die whose two passes fit one table (2 * 90 * 90 <= TABLE_DIGITS)
+    assert FUSE_POWER == 2
+    assert [n for n in range(1, 300) if _fused_run(n, 2, 64, 8)] == list(range(2, 17))
+    assert not [n for n in range(1, 300) if _fused_run(n, 2, 64, 1)]
+    assert [n for n in range(1, 300) if _fused_run(n, 2, 128, 64)] == list(range(2, 91))
+    assert _fused_run(6, 1, 64, 8) is _fused_run(True, 5, 64, 8) is None
+    assert _fused_run(6.0, 5, 64, 8) is _fused_run(3, 5, 6, 5) is None  # d3 > ceiling 2
+    # k runs up to the widest pool, the count and TABLE_DIGITS, and only the
+    # two largest k have tables
+    sizes, powers, tables, low = _fused_run(6, 10**6, 64, 8)
+    assert sizes == [(2**56 + 1) * 6**j for j in range(4)] and powers == [1, 6, 36, 216, 1296]
+    assert low == 3 and tables == [None] * 3 + [_table((6,) * 3), _table((6,) * 4)]
+    assert _fused_run(6, 3, 64, 8)[1:] == ([1, 6, 36, 216], [None] * 2 + [_table((6, 6)),
+                                                                      _table((6,) * 3)], 2)
+    assert _fused_run(16, 10**6, 64, 8)[3] == 2  # d16 fits two passes, no more
+    sizes, powers, tables, low = _fused_run(2, 10**6, 128, 64)
+    assert len(sizes) == 10 and len(tables[10]) * 10 <= TABLE_DIGITS < 2**11 * 11
+    # a ten-d6 plan decodes by the same (6, 6, 6, 6) table
+    assert RadixPlan([6] * 10).steps[0][1] is _fused_run(6, 4, 64, 8)[2][4]
+
+
+def test_runs_of_four_dice_in_turn_keep_their_tables():
+    # each run fuses only its two largest k, so four dice need 8 tables,
+    # which the cache holds: after the first round, every table is a hit
+    _table.cache_clear()
+    pool, source = EntropyPool(), SeededSource(1)
+    for n in (2, 3, 6, 16):
+        pool.roll_many(n, source, count=40)
+    built = _table.cache_info().misses
+    for _ in range(20):
+        for n in (2, 3, 6, 16):
+            pool.roll_many(n, source, count=40)
+    assert _table.cache_info().misses == built <= MAX_TABLES
 
 
 def test_roll_many_refuses_a_die_equal_to_the_last_if_not_an_int():

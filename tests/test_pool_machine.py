@@ -1,8 +1,8 @@
 """One pool driven by a random mix of calls, against a model of the pool.
 
-The live pool takes `roll`, `roll_many`, `roll_batch`, `top_off`,
-`roll_step` and a snapshot restored into a fresh pool, in any order, on
-one tape. The model is a second pool on a copy of the tape that only
+The live pool takes `roll`, `roll_many` (over a list of dice, or one
+die `count` times), `roll_batch`, `top_off`, `roll_step` and a snapshot
+restored into a fresh pool, in any order, on one tape. The model is a second pool on a copy of the tape that only
 ever advances through the reference pool of `pool_oracle`: its refill,
 written out there and never `top_off`, and `roll_step` passes until one
 accepts, with batch digits decoded by `decode_mixed_radix`, one
@@ -51,6 +51,16 @@ class PoolMachine(RuleBasedStateMachine):
         got, want = [], []
         self.check(lambda: self.pool.roll_many(iter(sides), self.source, got),
                    lambda: reference_many(self.model, sides, self.reference, want))
+        assert got == want  # also the outcomes rolled before the tape ran out
+
+    @rule(data=st.data())
+    def roll_run(self, data):
+        ceiling = self.pool.refill_ceiling
+        sides = data.draw(st.one_of(st.integers(1, min(ceiling, 16)), dice(ceiling)))
+        count = data.draw(st.integers(0, 12))
+        got, want = [], []
+        self.check(lambda: self.pool.roll_many(sides, self.source, got, count=count),
+                   lambda: reference_many(self.model, [sides] * count, self.reference, want))
         assert got == want  # also the outcomes rolled before the tape ran out
 
     @rule(data=st.data())

@@ -50,6 +50,9 @@ MANY = "tests/test_exhaustive.py::test_roll_many_matches_the_reference_loop_on_e
 SHORT_TAPE = POOL + "test_roll_many_on_a_short_tape_runs_out_where_the_roll_loop_does"
 BULK_BATCH = RADIX + "test_bulk_roll_batch_matches_one_reference_batch_per_draw"
 EMPTIED = POOL + "test_roll_many_gives_back_its_read_ahead_before_roll_fills_an_emptied_pool"
+COUNT = "tests/test_exhaustive.py::test_roll_many_count_matches_the_reference_loop_everywhere"
+COUNT_ANY = POOL + "test_roll_many_count_matches_the_reference_loop"
+GATE = POOL + "test_the_count_form_fuses_only_small_dice"
 # the refill width, in top_off and in roll_many's wide branch
 TOP_OFF_DRAWN = "drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk"
 MANY_DRAWN = "drawn = (word_bits - (size - 1).bit_length()) // chunk * chunk"
@@ -57,6 +60,13 @@ MANY_DRAWN = "drawn = (word_bits - (size - 1).bit_length()) // chunk * chunk"
 ROLL_STATE = ("if not 0 <= value < size:  # corrupt: a valid state stays valid until return\n"
               "            raise ValueError(_refusal(\"value\", value, 0, size - 1))\n        sides")
 MANY_STATE = ROLL_STATE.replace("sides", "if out")
+# the iterable loop's refill test; the count form's is followed by its detour test
+MANY_REFILL = "if size <= ceiling:\n                        if size > floor:"
+# the iterable loop's give-back before roll fills the empty pool (the count
+# form's detour makes the same two steps under another comment)
+UNREAD_LINE = "                            source.unread(ahead & ((1 << left) - 1), left)\n"
+DRAWN_LINE = "                            self.bits_drawn -= left\n"
+EMPTY_GIVE_BACK = "reference pair\n" + UNREAD_LINE + DRAWN_LINE
 
 # (file under src/dicepool, old text occurring exactly once, new text, test node ids)
 MUTANTS = [
@@ -78,13 +88,13 @@ MUTANTS = [
     ("pool.py", TOP_OFF_DRAWN,
      TOP_OFF_DRAWN.replace("(size - 1).bit_length()", "size.bit_length()"),
      [EXHAUSTIVE, POOL + "test_top_off_boundary_sizes_match_chunk_loop"]),
-    ("pool.py", "if size <= ceiling:", "if size <= ceiling + 1:",
+    ("pool.py", MANY_REFILL, MANY_REFILL.replace("ceiling:", "ceiling + 1:"),
      [MANY, POOL + "test_roll_many_matches_the_reference_loop"]),
     ("radix.py", "for n in ranges:\n        digits",
      "for n in reversed(ranges):\n        digits",
      [RADIX + "test_decode_least_significant_first"]),
-    ("radix.py", "[digits[::-1] for digits", "[digits for digits",
-     [RADIX + "test_plan_groups_fill_each_table_cap"]),
+    ("radix.py", "_table(group)", "_table(group[::-1])",
+     [RADIX + "test_table_decoding_matches_decode_mixed_radix"]),
     ("radix.py", "> TABLE_DIGITS:", ">= TABLE_DIGITS:",
      [RADIX + "test_plan_groups_fill_each_table_cap"]),
     ("radix.py", "size * (len(groups[-1]) + 1) > TABLE_DIGITS",
@@ -112,8 +122,8 @@ MUTANTS = [
     ("cli.py", "max(1, BLOCK_BYTES // line_bytes)",
      "max(1, min(1024, BLOCK_BYTES // line_bytes))",
      [CLI + "test_plan_lines_match_roll_batch_in_whole_bounded_blocks"]),
-    ("cli.py", "pool.roll_many(repeat(sides, len(lines)), source, row)",
-     "pool.roll_many(repeat(sides, len(lines)), source)",
+    ("cli.py", "pool.roll_many(sides, source, row, count=len(lines))",
+     "pool.roll_many(sides, source, count=len(lines))",
      [FROZEN + "[roll -n 6 -c 3 --source seeded --seed 1]"]),
     ("cli.py", "roll_batch(pool, plan, source, len(lines), row)",
      "roll_batch(pool, plan, source, len(lines))",
@@ -135,11 +145,14 @@ MUTANTS = [
      "            sys.stdout.write(text[:2 * len(row)].decode())\n",
      [CLI + "test_lines_before_tape_runs_out_are_kept"]),
     # roll_many's refill test, roll's die left unconverted, roll_many's outcome
-    ("pool.py", "if size <= ceiling:", "if size < ceiling:", [MANY]),
+    ("pool.py", MANY_REFILL, MANY_REFILL.replace("<= ceiling", "< ceiling"), [MANY]),
     ("pool.py", "sides = index(sides)  # inline, not _int_in: this runs once per roll",
      "pass  # inline, not _int_in: this runs once per roll",
      [POOL + "test_roll_refuses_non_integer_die"]),
-    ("pool.py", "append(value % n)", "append(quotient % n)", [MANY]),
+    ("pool.py", "append(value % n)\n                        size, value = keep, quotient\n"
+     "                        break",
+     "append(quotient % n)\n                        size, value = keep, quotient\n"
+     "                        break", [MANY]),
     # roll_many's one-chunk band, worked out once per call
     ("pool.py", "floor = ceiling >> chunk", "floor = ceiling >> chunk + 1", [MANY]),
     # roll's pass made before its refill, roll_many's reject keeping its size.
@@ -151,7 +164,7 @@ MUTANTS = [
       POOL + "test_roll_matches_refill_every_pass_reference",
       POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not",
       POOL + "test_roll_at_the_band_edges_matches_reference"]),
-    ("pool.py", "size -= cutoff", "pass", [MANY]),
+    ("pool.py", "\n                    size -= cutoff", "\n                    pass", [MANY]),
     # in roll_many only the empty pool goes through roll and so the reference
     # pair; every other refill is read inline, the wide ones at top_off's width
     ("pool.py", "elif size == 1:", "elif size == 2:",
@@ -196,12 +209,16 @@ MUTANTS = [
     # roll_many: its state write-backs, its route choice, its refill and its checks
     ("pool.py", "finally:\n            self.size, self.value = size, value",
      "finally:\n            pass", [MANY, POOL + "test_roll_many_matches_the_reference_loop"]),
-    ("pool.py", "finally:\n                                size, value = self.size, self.value",
-     "finally:\n                                pass", [MANY]),
+    ("pool.py", "finally:\n                                size, value = self.size, self.value\n"
+     "                            break",
+     "finally:\n                                pass\n                            break", [MANY]),
     ("pool.py", "if size > floor:", "if size >= floor:", [MANY]),
-    ("pool.py", "self.bits_drawn += span", "pass",
+    ("pool.py", "self.bits_drawn += span  # less what is given back\n"
+     "                            left -= chunk",
+     "pass\n                            left -= chunk",
      [MANY, POOL + "test_roll_many_matches_the_reference_loop"]),
-    ("pool.py", "cutoff = n * keep", "cutoff = n * keep - 1", [MANY]),
+    ("pool.py", "\n                    cutoff = n * keep", "\n                    cutoff = n * keep - 1",
+     [MANY]),
     ("pool.py", "if not 1 <= n <= ceiling:", "if not 1 <= n <= ceiling + 1:",
      [POOL + "test_roll_many_matches_the_reference_loop"]),
     ("pool.py", MANY_STATE, MANY_STATE.replace("0 <= value", "-1 <= value"),
@@ -219,15 +236,13 @@ MUTANTS = [
     # one-chunk reads once a word runs short, and its die checked once per object
     ("pool.py", "(64 // chunk or 1) * chunk", "chunk",
      [CLI + "test_bulk_rolls_read_the_source_a_word_at_a_time"]),
-    ("pool.py", "source.unread(ahead & ((1 << left) - 1), left)\n                            self",
-     "self", [EMPTIED]),
-    ("pool.py", "self.bits_drawn -= left\n                            left = 0", "left = 0",
-     [EMPTIED]),
+    ("pool.py", EMPTY_GIVE_BACK, EMPTY_GIVE_BACK.replace(UNREAD_LINE, ""), [EMPTIED]),
+    ("pool.py", EMPTY_GIVE_BACK, EMPTY_GIVE_BACK.replace(DRAWN_LINE, ""), [EMPTIED]),
     ("pool.py", "source.unread(ahead & ((1 << left) - 1), left)  # what", "pass  # what",
      [MANY, SHORT_TAPE]),
     ("pool.py", "self.bits_drawn -= left\n        return out", "return out",
      [MANY, SHORT_TAPE]),
-    ("pool.py", "except EntropyExhausted:  # short of a word", "except ():  # short of a word",
+    ("pool.py", "except EntropyExhausted:  # short of a word:", "except ():  # short of a word:",
      [MANY, SHORT_TAPE]),
     ("pool.py", "n = object()", "n = None",
      [POOL + "test_roll_many_refuses_a_first_die_of_none_unread"]),
@@ -254,6 +269,26 @@ MUTANTS = [
     ("radix.py", "    finally:  # the draws made before a raise are decoded too\n",
      "    except BaseException:\n        raise\n    else:\n",
      [BULK_BATCH, CLI + "test_lines_before_tape_runs_out_are_kept"]),
+    # the digit tables, least significant first, now in pool.py; then the
+    # count form: its gate and table cap, the least size for k passes, k
+    # capped by the dice left and fused only from its lowest tabled k, the
+    # fused pass's test and digits, the detour
+    ("pool.py", "[digits[::-1] for digits", "[digits for digits",
+     [RADIX + "test_plan_groups_fill_each_table_cap", COUNT]),
+    ("pool.py", "n ** FUSE_POWER <= 1 << chunk_bits", "n ** FUSE_POWER < 1 << chunk_bits",
+     [GATE]),
+    ("pool.py", "powers[-1] * n * len(powers) <= TABLE_DIGITS", "powers[-1] * n <= TABLE_DIGITS",
+     [GATE]),
+    ("pool.py", "[ceiling + 1], [1, n]", "[ceiling], [1, n]", [COUNT, COUNT_ANY]),
+    ("pool.py", "if low <= k <= rest:", "if low <= k:", [COUNT, COUNT_ANY]),
+    ("pool.py", "low = max(2, top - 1)\n", "low = max(2, top - 2)\n",
+     [POOL + "test_runs_of_four_dice_in_turn_keep_their_tables"]),
+    ("pool.py", "if quotient < keep:\n                            out +=",
+     "if quotient <= keep:\n                            out +=", [COUNT]),
+    ("pool.py", "out += tables[k][value % power]", "out += tables[k][value % power][::-1]",
+     [COUNT, COUNT_ANY]),
+    ("pool.py", "if size <= floor:  # the empty pool or a sliver",
+     "if size < floor:  # the empty pool or a sliver", [COUNT]),
 ]
 
 
