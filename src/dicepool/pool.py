@@ -15,7 +15,7 @@ method calls a pass. `roll_many` is the one fast loop: it rolls a run of dice, f
 changing, small or as wide as a product draw, as a loop of `roll` calls
 would, with the pool state held in locals between them; runs of dice
 belong there. It takes every refill, one chunk or wider, from bits read
-ahead in word-sized spans and gives the bits its pool did not take back to
+ahead in 256-bit spans and gives the bits its pool did not take back to
 the source (`EntropySource.unread`) before anything else may read it,
 so the source serves the same bits in the same order either way; only
 the empty pool (and, in the count form, a reject's sliver) still rolls
@@ -196,14 +196,15 @@ class EntropyPool:
         is refused or the source runs out, the outcomes rolled before it
         stay in `out` and the pool is left as the `roll` loop would leave
         it. Every refill comes from a read-ahead filled in spans, the
-        most whole chunks that fit a 64-bit word. A pool in the one-chunk
-        band (ceiling >> chunk_bits, ceiling], where one chunk tops it
-        off, takes that chunk without working out the width, reading a
-        span when the read-ahead is empty. A pool below the band (one a
-        reject or a large die, such as a product draw, has shrunk) takes
-        the width `top_off` would read, topping the read-ahead up first,
-        if it holds too few bits, with the fewest whole spans that cover
-        the shortfall, in one `next_bits` call. Only the empty pool
+        most whole chunks that fit 256 bits (one `SeededSource` pull). A
+        pool in the one-chunk band (ceiling >> chunk_bits, ceiling], where
+        one chunk tops it off, takes that chunk without working out the
+        width, reading a span when the read-ahead is empty. A pool below
+        the band (one a reject or a large die, such as a product draw, has
+        shrunk) takes the width `top_off` would read, topping the
+        read-ahead up first, if it holds too few bits, with the fewest
+        whole spans that cover the shortfall, in one `next_bits` call.
+        Only the empty pool
         (size 1) rolls that one outcome through `roll`, which fills it by
         `top_off` and `roll_step`. Before that `roll` call, and when the
         loop ends or raises, the bits the pool did not take go back to
@@ -252,7 +253,7 @@ class EntropyPool:
         append, next_bits = out.append, source.next_bits
         word_bits, ceiling, chunk = self.word_bits, self.refill_ceiling, self.chunk_bits
         floor = ceiling >> chunk  # 0 when two chunks overfill the word
-        mask, span = (1 << chunk) - 1, (64 // chunk or 1) * chunk  # whole chunks of a word
+        mask, span = (1 << chunk) - 1, (256 // chunk or 1) * chunk  # whole chunks of 256 bits
         ahead = left = 0  # the read-ahead, and how many of its low bits are untaken
         n = object()  # the last die checked; fresh, so a first die of None is checked too
         try:
@@ -274,7 +275,7 @@ class EntropyPool:
                         if not left:
                             try:
                                 ahead = next_bits(span)
-                            except EntropyExhausted:  # short of a word, a chunk at a time
+                            except EntropyExhausted:  # short of a span, a chunk at a time
                                 span = chunk
                                 ahead = next_bits(span)
                             left = span
@@ -315,7 +316,7 @@ class EntropyPool:
                             if not left:
                                 try:
                                     ahead = next_bits(span)
-                                except EntropyExhausted:  # short of a word: a chunk at a time
+                                except EntropyExhausted:  # short of a span: a chunk at a time
                                     span = chunk
                                     ahead = next_bits(span)
                                 left = span
@@ -398,19 +399,35 @@ def _fused_run(n: object, count: int, word_bits: int, chunk_bits: int) -> tuple 
     2 <= n <= ceiling with n**FUSE_POWER <= 2**chunk_bits is fused: a
     larger one too rarely fits a second pass above the ceiling to pay for
     choosing k (at (64, 8), d2 to d16 are fused; fused, d20 rolled as
-    fast, d52 and d90 about 10% and 15% slower).
+    fast, d52 and d90 about 10% and 15% slower). The sizes and powers up
+    to the widest pool are worked out once per die and geometry; the type
+    test comes first, so that 6.0 or True never finds the entry of 6 or 1.
     """
-    ceiling = 1 << (word_bits - chunk_bits)
-    if not (count > 1 and type(n) is int and 1 < n <= ceiling
-            and n ** FUSE_POWER <= 1 << chunk_bits):
+    if not (count > 1 and type(n) is int):
         return None
-    sizes, powers = [ceiling + 1], [1, n]
-    while (len(sizes) < count and sizes[-1] * n <= 1 << word_bits
-           and powers[-1] * n * len(powers) <= TABLE_DIGITS):
-        sizes.append(sizes[-1] * n)
-        powers.append(powers[-1] * n)
-    top = len(sizes)
+    steps = _fuse_steps(n, word_bits, chunk_bits)
+    if steps is None:
+        return None
+    sizes, powers = steps
+    top = min(len(sizes), count)
     if top < 2:
         return None
     low = max(2, top - 1)
-    return sizes, powers, [None] * low + [_table((n,) * k) for k in range(low, top + 1)], low
+    tables = [None] * top + [_table((n,) * top)]
+    if low < top:
+        tables[low] = _table((n,) * low)
+    return sizes[:top], powers[:top + 1], tables, low
+
+
+@lru_cache(maxsize=MAX_TABLES)
+def _fuse_steps(n: int, word_bits: int, chunk_bits: int) -> tuple | None:
+    """`_fused_run`'s sizes and powers for an int die n, with top uncapped
+    by a count, or None if the gate does not fuse n."""
+    ceiling = 1 << (word_bits - chunk_bits)
+    if not (1 < n <= ceiling and n ** FUSE_POWER <= 1 << chunk_bits):
+        return None
+    sizes, powers = [ceiling + 1], [1, n]
+    while sizes[-1] * n <= 1 << word_bits and powers[-1] * n * len(powers) <= TABLE_DIGITS:
+        sizes.append(sizes[-1] * n)
+        powers.append(powers[-1] * n)
+    return sizes, powers

@@ -19,6 +19,17 @@ _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _SPLITMIX_MULT1 = 0xBF58476D1CE4E5B9
 _SPLITMIX_MULT2 = 0x94D049BB133111EB
+# SeededSource makes four outputs per pull, output i in 128-bit lane 3 - i
+# of one int: wide enough that a lane masked to 64 bits times a 64-bit
+# multiplier never carries into the next lane.
+_LANE_ONES = sum(1 << 128 * i for i in range(4))  # times x: x in every lane
+_LANE_MASK = _MASK64 * _LANE_ONES  # the low 64 bits of every lane
+_LANE_STEPS = sum((i + 1) * _SPLITMIX_GAMMA << 128 * (3 - i) for i in range(4))
+_PULL_STEP = 4 * _SPLITMIX_GAMMA & _MASK64
+# Packing the lanes: each odd lane drops 64 bits onto the even one below,
+# then the top 128-bit pair drops 128 bits onto the bottom one.
+_PAIRS_MASK = ((1 << 128) - 1) * (1 | 1 << 256)
+_MASK256 = (1 << 256) - 1
 
 
 def _refusal(name: str, value: int, low: int, high: float = inf) -> str:
@@ -51,25 +62,28 @@ class EntropyExhausted(RuntimeError):
 
 
 class EntropySource:
-    """Producer of unbiased bits, served from 64-bit words.
+    """Producer of unbiased bits, served from words of `pull_bits` bits.
 
-    A subclass implements `_pull()` returning the next 64-bit word of
-    fresh bits and inherits `next_bits`, which serves any chunk size. The
-    FIFO buffer keeps the oldest bit on top, so chunked reads agree with
-    one wide read; a read takes its bits off the top with one shift and
-    one subtract. A source that is not word-based overrides `next_bits`,
-    and then `unread` too: defining the class raises TypeError otherwise,
-    since the inherited `unread` would park bits in a buffer its
-    `next_bits` never serves.
+    A subclass implements `_pull()` returning the next word of fresh bits,
+    `pull_bits` wide (64 unless the class sets it), and inherits
+    `next_bits`, which serves any chunk size. The FIFO buffer keeps the
+    oldest bit on top, so chunked reads agree with one wide read; a read
+    takes its bits off the top with one shift and one subtract, and pulls
+    a word only when the buffer is short. A source that is not word-based
+    overrides `next_bits`, and then `unread` too: defining the class
+    raises TypeError otherwise, since the inherited `unread` would park
+    bits in a buffer its `next_bits` never serves.
 
     `unread(bits, count)` gives back the last `count` bits read, `bits`
     in [0, 2**count), so the next read serves them again ahead of the
     rest: reading 64 bits and giving back the last 40 leaves the source
-    as reading 24 would. `EntropyPool.roll_many` reads a word ahead and
-    gives back what its pool did not take before it returns, so until it
-    does, nothing else, its `sides` iterable included, may read the source.
+    as reading 24 would. `EntropyPool.roll_many` reads up to 256 bits
+    ahead and gives back what its pool did not take before it returns, so
+    until it does, nothing else, its `sides` iterable included, may read
+    the source.
     """
 
+    pull_bits = 64  # the width of one `_pull()` word
     _buf = 0  # empty until the first read gives the instance its own
     _nbuf = 0
 
@@ -85,8 +99,8 @@ class EntropySource:
             raise ValueError(_refusal("count", count, 1))
         buf, nbuf = self._buf, self._nbuf - count  # bits left after this read
         while nbuf < 0:
-            buf = (buf << 64) | self._pull()
-            nbuf += 64
+            buf = (buf << self.pull_bits) | self._pull()
+            nbuf += self.pull_bits
         out = buf >> nbuf
         self._buf, self._nbuf = buf - (out << nbuf), nbuf
         return out
@@ -107,27 +121,41 @@ class SeededSource(EntropySource):
     so changing the generator is a breaking change. Statistical quality
     is ample for the uniformity harness; this is not a cryptographic
     source. The seed is taken mod 2**64, so seed + 2**64 replays seed.
+
+    Each `_pull()` makes the next four SplitMix64 outputs at once, first
+    output most significant, so the stream is the one a pull per output
+    would give; the Python overhead of a pull is paid once per 256 bits.
     """
+
+    pull_bits = 256
 
     def __init__(self, seed: int) -> None:
         self._state = _int_in("seed", seed, 0) & _MASK64
 
     def _pull(self) -> int:
-        z = self._state = (self._state + _SPLITMIX_GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) * _SPLITMIX_MULT1) & _MASK64
-        z = ((z ^ (z >> 27)) * _SPLITMIX_MULT2) & _MASK64
-        return z ^ (z >> 31)
+        # Output i mixes the state stepped i + 1 times. The mix runs on all
+        # four lanes at once, each lane masked to 64 bits before a multiply.
+        state = self._state
+        self._state = (state + _PULL_STEP) & _MASK64
+        z = (state * _LANE_ONES + _LANE_STEPS) & _LANE_MASK
+        z = ((z ^ z >> 30) & _LANE_MASK) * _SPLITMIX_MULT1 & _LANE_MASK
+        z = ((z ^ z >> 27) & _LANE_MASK) * _SPLITMIX_MULT2 & _LANE_MASK
+        z = (z ^ z >> 31) & _LANE_MASK
+        z = (z | z >> 64) & _PAIRS_MASK
+        return (z | z >> 128) & _MASK256
 
 
 class OsSource(EntropySource):
-    """Operating-system randomness (os.urandom). Not reproducible.
+    """Operating-system randomness (os.urandom, 32 bytes a pull). Not reproducible.
 
     Raises the platform's error (NotImplementedError/OSError) if no OS
     randomness facility exists. Excluded from regression fixtures.
     """
 
+    pull_bits = 256
+
     def _pull(self) -> int:
-        return int.from_bytes(os.urandom(8), "big")
+        return int.from_bytes(os.urandom(32), "big")
 
 
 class TapeSource(EntropySource):

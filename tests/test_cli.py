@@ -419,16 +419,16 @@ def test_bulk_rolls_call_roll_only_for_the_empty_pool(monkeypatch, capsys, op):
 
 @BULK_ROLL_OPS
 def test_bulk_rolls_read_the_source_a_word_at_a_time(monkeypatch, capsys, op):
-    # roll_many takes every refill from a 64-bit read-ahead, topped up by
-    # whole words, and gives back what the pool did not take: about one read
-    # per 64 bits the pool keeps, plus the empty pool's first fill and the
-    # last word.
+    # roll_many takes every refill from a read-ahead of 256-bit spans, topped
+    # up by whole spans, and gives back what the pool did not take: about one
+    # read per 256 bits the pool keeps, plus the empty pool's first fill and
+    # the last span.
     reads = _count_calls(monkeypatch, dicepool.EntropySource, "next_bits")
     given_back = _count_calls(monkeypatch, dicepool.EntropySource, "unread")
     op()
     bits_drawn = sum(count for _, count in reads) - sum(count for *_, count in given_back)
     assert bits_drawn > 200
-    assert len(reads) <= math.ceil(bits_drawn / 64) + 2
+    assert len(reads) <= math.ceil(bits_drawn / 256) + 2
 
 
 @pytest.mark.parametrize("op", [

@@ -18,7 +18,8 @@ from dicepool import (
     TapeSource,
     waste_point,
 )
-from dicepool.pool import FUSE_POWER, MAX_TABLES, TABLE_DIGITS, _fused_run, _table
+from dicepool.pool import (FUSE_POWER, MAX_TABLES, TABLE_DIGITS, _fuse_steps, _fused_run,
+                           _table)
 from dicepool.radix import RadixPlan
 from pool_oracle import dice, observe, reference_many, reference_roll, reference_top_off
 
@@ -443,6 +444,17 @@ def test_the_count_form_fuses_only_small_dice():
     assert RadixPlan([6] * 10).steps[0][1] is _fused_run(6, 4, 64, 8)[2][4]
 
 
+def test_the_count_form_works_out_its_steps_once_per_die():
+    # the sizes and powers are cached per die and geometry; 6.0 is refused
+    # by the type test before the cache, whose key it would share with 6
+    _fuse_steps.cache_clear()
+    pool, source = EntropyPool(), SeededSource(1)
+    for count in (2, 3, 16, 64) * 5:
+        pool.roll_many(6, source, count=count)
+    assert _fuse_steps.cache_info().misses == 1
+    assert _fused_run(6.0, 5, 64, 8) is None and _fuse_steps.cache_info().misses == 1
+
+
 def test_runs_of_four_dice_in_turn_keep_their_tables():
     # each run fuses only its two largest k, so four dice need 8 tables,
     # which the cache holds: after the first round, every table is a hit
@@ -466,17 +478,18 @@ def test_roll_many_refuses_a_die_equal_to_the_last_if_not_an_int():
     assert len(out) == 1 and tape.bits_remaining == 128 - pool.bits_drawn
 
 
-# roll_many reads its refills a 64-bit word ahead. From an empty (64, 8)
-# pool the first fill takes 64 bits, so a tape of 56 + 8k + r bits leaves
-# k - 1 whole chunks (k >= 1) and r odd bits for the band: the word-wide
-# read runs short, and the chunks must still run out at the same roll as in the roll
-# loop. The large die shrinks the pool below the band, so a wide refill in
-# the middle tops the read-ahead up, or reads just what it needs.
+# roll_many reads its refills in 256-bit spans. From an empty (64, 8) pool
+# the first fill takes 64 bits, so a tape of 56 + 8k + r bits leaves k - 1
+# whole chunks (k >= 1) and r odd bits for the band: the first span read
+# runs short below k = 33, a later one from there on, and the chunks must
+# still run out at the same roll as in the roll loop; the dice take about
+# 400 bits in all. Each large die shrinks the pool below the band, so a wide
+# refill tops the read-ahead up, or reads just what it needs.
 @pytest.mark.parametrize("r", range(8))
 def test_roll_many_on_a_short_tape_runs_out_where_the_roll_loop_does(r):
-    sides = [6] * 12 + [1 << 40] + [6, 52, 3] * 4
+    sides = ([6] * 12 + [1 << 40] + [6, 52, 3] * 4) * 3
     data = bytes(range(7, 250, 3))
-    for k in range(20):
+    for k in range(50):
         pool, expected, got, want = EntropyPool(), EntropyPool(), [], []
         tape, reference = TapeSource(data, 56 + 8 * k + r), TapeSource(data, 56 + 8 * k + r)
         assert observe(lambda: pool.roll_many(sides, tape, got), pool, tape) == observe(
@@ -487,11 +500,12 @@ def test_roll_many_on_a_short_tape_runs_out_where_the_roll_loop_does(r):
 # One chunk lifts a pool of 2**48 + 1 states to 2**56 + 256, which a die
 # of 2**56 accepts with nothing left over. The next die finds the empty
 # pool and rolls it through roll, whose first fill must read the bits after
-# the chunk taken, not after the word read ahead. That fill reads 64 bits,
-# so tapes of 8 to 71 bits run out in it and longer ones roll on.
-@pytest.mark.parametrize("nbits", [8, 63, 64, 71, 72, 80, 200])
+# the chunk taken, not after the span read ahead. That fill reads 64 bits,
+# so tapes of 8 to 71 bits run out in it and longer ones roll on. A tape of
+# 256 bits or more is read a whole span ahead, 248 bits of it given back.
+@pytest.mark.parametrize("nbits", [8, 63, 64, 71, 72, 80, 200, 256, 263, 330])
 def test_roll_many_gives_back_its_read_ahead_before_roll_fills_an_emptied_pool(nbits):
-    snap, sides, data = (2**48 + 1, 0, 64, 8), [2**56, 6, 6, 52], bytes(range(100, 125))
+    snap, sides, data = (2**48 + 1, 0, 64, 8), [2**56, 6, 6, 52], bytes(range(100, 145))
     pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
     tape, reference, got, want = TapeSource(data, nbits), TapeSource(data, nbits), [], []
     assert observe(lambda: pool.roll_many(sides, tape, got), pool, tape) == observe(

@@ -174,6 +174,7 @@ def batch_setups(draw):
 
 @settings(max_examples=300, deadline=None)
 @example(((1, 0, 64, 8), [6] * 10, 4, bytes(range(23)), []))  # every refill is wide
+@example(((2**30, 0, 64, 8), [6] * 10, 12, bytes(range(80)), []))  # spans top it up
 @example(((2**56, 7, 64, 8), [6] * 10, 12, bytes(30), [5]))  # runs out on the 11th draw
 @given(batch_setups())
 def test_bulk_roll_batch_matches_one_reference_batch_per_draw(setup):

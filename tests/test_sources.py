@@ -1,5 +1,7 @@
 """Bit-source contracts: order, exhaustion, counting, determinism."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,17 +95,79 @@ def test_tape_nbits_trims():
         tape.next_bits(1)
 
 
+def splitmix64(seed):
+    """The SplitMix64 outputs from `seed`, one 64-bit word at a time."""
+    mask, state = (1 << 64) - 1, seed
+    while True:
+        state = z = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+def scalar_bits(seed, count):
+    """The first `count` bits of the scalar stream from `seed`, as one int."""
+    words = splitmix64(seed)
+    bits = 0
+    for _ in range(-(-count // 64)):
+        bits = bits << 64 | next(words)
+    return bits >> (-count % 64)
+
+
+GAMMA = 0x9E3779B97F4A7C15
+# 0, 1 and the top seed, then seeds whose lane i of a pull, the state plus
+# (i + 1) * GAMMA, lands one below, on or one past a multiple of 2**64
+EDGE_SEEDS = [0, 1, (1 << 64) - 1] + [
+    (d - (i + 1) * GAMMA) % (1 << 64) for i in range(4) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS, ids=hex)
+def test_seeded_source_is_scalar_splitmix64(seed):
+    # Each pull makes four words at once; together they spell the scalar
+    # stream, first word first, over several pulls.
+    source = SeededSource(seed)
+    assert source.next_bits(64 * 12) == scalar_bits(seed, 64 * 12)
+
+
 @settings(deadline=None)
-@given(seed=st.integers(0, (1 << 64) - 1),
-       counts=st.lists(st.integers(1, 200), min_size=1, max_size=20))
+@given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, (1 << 64) - 1)),
+       counts=st.lists(st.integers(1, 600), min_size=1, max_size=20))
 def test_seeded_chunked_reads_spell_one_wide_read(seed, counts):
+    # reads of 1 to 600 bits, across 256-bit pulls, spell the scalar stream
     source = SeededSource(seed)
     joined = 0
     for count in counts:
         bits = source.next_bits(count)
         assert 0 <= bits < 1 << count  # else `|` could hide bits read twice
         joined = (joined << count) | bits
-    assert joined == SeededSource(seed).next_bits(sum(counts))
+    assert joined == SeededSource(seed).next_bits(sum(counts)) == scalar_bits(seed, sum(counts))
+
+
+@pytest.mark.parametrize("read,back", [(300, 100), (257, 2), (512, 257)],
+                         ids=["across-one-pull", "two-bits-across", "more-than-a-pull"])
+def test_seeded_unread_across_a_pull_boundary(read, back):
+    # Bits given back from both sides of a 256-bit pull boundary are served
+    # again, then the stream goes on where it left off.
+    source = SeededSource(7)
+    bits = source.next_bits(read)
+    source.unread(bits & ((1 << back) - 1), back)
+    assert source.next_bits(back + 300) == scalar_bits(7, read + 300) & ((1 << back + 300) - 1)
+
+
+def test_os_source_pulls_32_bytes_at_a_time(monkeypatch):
+    calls = []
+
+    def urandom(n):
+        calls.append(n)
+        return bytes(range(n))
+
+    monkeypatch.setattr(os, "urandom", urandom)
+    source = OsSource()
+    assert source.next_bits(8) == 0 and calls == [32]
+    assert source.next_bits(248) == int.from_bytes(bytes(range(1, 32)), "big")
+    assert calls == [32]
+    assert source.next_bits(257) == int.from_bytes(bytes(range(32)) * 2, "big") >> 255
+    assert calls == [32] * 3
 
 
 class WordList(EntropySource):

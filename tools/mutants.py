@@ -53,6 +53,7 @@ EMPTIED = POOL + "test_roll_many_gives_back_its_read_ahead_before_roll_fills_an_
 COUNT = "tests/test_exhaustive.py::test_roll_many_count_matches_the_reference_loop_everywhere"
 COUNT_ANY = POOL + "test_roll_many_count_matches_the_reference_loop"
 GATE = POOL + "test_the_count_form_fuses_only_small_dice"
+SCALAR = "tests/test_sources.py::test_seeded_source_is_scalar_splitmix64"
 # the refill width, in top_off and in roll_many's wide branch
 TOP_OFF_DRAWN = "drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk"
 MANY_DRAWN = "drawn = (word_bits - (size - 1).bit_length()) // chunk * chunk"
@@ -231,10 +232,10 @@ MUTANTS = [
     ("harness.py", "pool.roll_many(range(deck, 1, -1), source)",
      "pool.roll_many(range(deck - 1, 0, -1), source)",
      ["tests/test_harness.py::test_shuffle_fixture"]),
-    # roll_many's read-ahead: a word per read, each give-back of what the pool
+    # roll_many's read-ahead: a span per read, each give-back of what the pool
     # did not take (before roll fills the empty pool, and on the way out), the
-    # one-chunk reads once a word runs short, and its die checked once per object
-    ("pool.py", "(64 // chunk or 1) * chunk", "chunk",
+    # one-chunk reads once a span runs short, and its die checked once per object
+    ("pool.py", "(256 // chunk or 1) * chunk", "chunk",
      [CLI + "test_bulk_rolls_read_the_source_a_word_at_a_time"]),
     ("pool.py", EMPTY_GIVE_BACK, EMPTY_GIVE_BACK.replace(UNREAD_LINE, ""), [EMPTIED]),
     ("pool.py", EMPTY_GIVE_BACK, EMPTY_GIVE_BACK.replace(DRAWN_LINE, ""), [EMPTIED]),
@@ -242,7 +243,7 @@ MUTANTS = [
      [MANY, SHORT_TAPE]),
     ("pool.py", "self.bits_drawn -= left\n        return out", "return out",
      [MANY, SHORT_TAPE]),
-    ("pool.py", "except EntropyExhausted:  # short of a word:", "except ():  # short of a word:",
+    ("pool.py", "except EntropyExhausted:  # short of a span:", "except ():  # short of a span:",
      [MANY, SHORT_TAPE]),
     ("pool.py", "n = object()", "n = None",
      [POOL + "test_roll_many_refuses_a_first_die_of_none_unread"]),
@@ -289,6 +290,28 @@ MUTANTS = [
      [COUNT, COUNT_ANY]),
     ("pool.py", "if size <= floor:  # the empty pool or a sliver",
      "if size < floor:  # the empty pool or a sliver", [COUNT]),
+    # SeededSource's four-lane pull: each lane's state offset, the state's
+    # step, the mask of the wrapped lanes and of each lane before the first
+    # multiply, the first fold's mask; next_bits counting the class's word
+    # width, OsSource's one 32-byte read, roll_many's 256-bit span
+    ("sources.py", "<< 128 * (3 - i) for i", "<< 128 * i for i", [SCALAR]),
+    ("sources.py", "_PULL_STEP = 4 *", "_PULL_STEP = 3 *", [SCALAR]),
+    ("sources.py", "z = (state * _LANE_ONES + _LANE_STEPS) & _LANE_MASK",
+     "z = state * _LANE_ONES + _LANE_STEPS", [SCALAR]),
+    ("sources.py", "((z ^ z >> 30) & _LANE_MASK) * _SPLITMIX_MULT1",
+     "(z ^ z >> 30) * _SPLITMIX_MULT1", [SCALAR]),
+    ("sources.py", "z = (z | z >> 64) & _PAIRS_MASK", "z = z | z >> 64", [SCALAR]),
+    ("sources.py", "nbuf += self.pull_bits", "nbuf += 256",
+     ["tests/test_sources.py::test_a_read_pulls_only_the_words_it_needs"]),
+    ("sources.py", "os.urandom(32)", "os.urandom(8)",
+     ["tests/test_sources.py::test_os_source_pulls_32_bytes_at_a_time"]),
+    ("pool.py", "(256 // chunk or 1) * chunk", "(64 // chunk or 1) * chunk",
+     [CLI + "test_bulk_rolls_read_the_source_a_word_at_a_time"]),
+    # the count form's thresholds, worked out once per die and geometry, and
+    # the type test ahead of that cache
+    ("pool.py", "@lru_cache(maxsize=MAX_TABLES)\ndef _fuse_steps", "def _fuse_steps",
+     [POOL + "test_the_count_form_works_out_its_steps_once_per_die"]),
+    ("pool.py", "if not (count > 1 and type(n) is int):", "if not count > 1:", [GATE]),
 ]
 
 
