@@ -24,10 +24,11 @@ a run of one small die several passes at a time: on a pool above the
 ceiling, k passes all accept iff one pass over n**k does, with the same
 outcomes, state and bits, so it makes that one pass and takes the k
 outcomes from a digit table (the tables radix plans use, in one bounded
-cache). Other dice and the iterable form go through the iterable loop
-unchanged. `roll` and `roll_many` refuse a state outside
-0 <= value < size on entry, before a bit is read; each step keeps a
-valid state valid.
+cache). Each die's run, its thresholds and two tables, is worked out
+once and cached; the dice left cap k in the loop. Other dice and the
+iterable form go through the iterable loop unchanged. `roll` and
+`roll_many` refuse a state outside 0 <= value < size on entry, before a
+bit is read; each step keeps a valid state valid.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .sources import EntropyExhausted, EntropySource, _int_in, _refusal
 
 MAX_WORD_BITS = 1 << 16  # widest pool: bounds the ceiling and every refill read
 TABLE_DIGITS = 1 << 14  # digits one table holds: entries times ranges
-MAX_TABLES = 8  # distinct tables one plan holds, and the cache plans and fused runs share
+MAX_TABLES = 8  # distinct tables one plan holds, the table cache, and what cached runs pin
 FUSE_POWER = 2  # roll_many's count form fuses a die n with n**FUSE_POWER <= 2**chunk_bits
 
 
@@ -227,7 +228,9 @@ class EntropyPool:
         checked only if count >= 1. An int die 2 <= n with
         n**FUSE_POWER <= 2**chunk_bits (d2 to d16 at (64, 8)), whose two
         passes fit one table, and a count of at least 2 take a loop of
-        their own: after each one-chunk refill, the most passes k with
+        their own. Its run, the thresholds and the two digit tables, is
+        worked out once per die and geometry and cached. After each
+        one-chunk refill, the most passes k with
         size >= (ceiling + 1) * n**(k - 1), so that no refill falls
         between them, are made as one pass over n**k, whose digits,
         least significant first, come from the `(n,) * k` digit table,
@@ -236,13 +239,13 @@ class EntropyPool:
         is made. A pool below the one-chunk band (the empty pool or a
         reject's sliver) gives the read-ahead back and rolls one outcome
         through `roll`. Any other die or count goes through the iterable
-        loop above as
-        `repeat(n, count)`, unchanged.
+        loop above as `repeat(n, count)`, unchanged.
         """
         run = None
         if count is not None:
             count = _int_in("count", count, 0)
-            run = _fused_run(sides, count, self.word_bits, self.chunk_bits)
+            if count > 1 and type(sides) is int:  # 6.0 and True never find 6's and 1's run
+                run = _fused_run(sides, self.word_bits, self.chunk_bits)
             if run is None:
                 sides = repeat(sides, count)
         size, value = self.size, self.value
@@ -384,45 +387,27 @@ def _table(group: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple([digits[::-1] for digits in product(*map(range, group[::-1]))])
 
 
-def _fused_run(n: object, count: int, word_bits: int, chunk_bits: int) -> tuple | None:
-    """What `roll_many`'s count form needs to roll `count` dice of n several
-    passes at a time, or None if it rolls them one pass at a time.
+@lru_cache(maxsize=MAX_TABLES // 2)  # each run pins two tables: at most MAX_TABLES in all
+def _fused_run(n: int, word_bits: int, chunk_bits: int) -> tuple | None:
+    """What `roll_many`'s count form needs to roll a run of the int die n
+    several passes at a time, or None if it rolls it one pass at a time.
 
     For k = 1, 2, ..., top: sizes[k - 1] = (ceiling + 1) * n**(k - 1), the
     least size from which k passes fit with no refill between them, and
-    powers[k] = n**k. top stops at `count`, at the widest pool and at
-    TABLE_DIGITS. Only the top two k, from low = max(2, top - 1), are
-    fused, by their digit tables tables[k] = `_table((n,) * k)`: after a
-    refill, the pool a fused pass left fits one of them at (64, 8), and a
-    run that keeps two tables in the cache of MAX_TABLES lets runs of up
-    to four dice in turn keep theirs. None if top < 2. Only an int die
-    2 <= n <= ceiling with n**FUSE_POWER <= 2**chunk_bits is fused: a
-    larger one too rarely fits a second pass above the ceiling to pay for
-    choosing k (at (64, 8), d2 to d16 are fused; fused, d20 rolled as
-    fast, d52 and d90 about 10% and 15% slower). The sizes and powers up
-    to the widest pool are worked out once per die and geometry; the type
-    test comes first, so that 6.0 or True never finds the entry of 6 or 1.
+    powers[k] = n**k. top stops at the widest pool and at TABLE_DIGITS;
+    the loop's `k <= rest` test stops k at the dice left. Only the top two
+    k, from low = max(2, top - 1), are fused, by their digit tables
+    tables[k] = `_table((n,) * k)`: after a refill, the pool a fused pass
+    left fits one of them at (64, 8), and a cache of MAX_TABLES // 2 runs
+    holds at most MAX_TABLES tables, so runs of up to four dice in turn
+    keep theirs. None if top < 2. Only a die 2 <= n <= ceiling with
+    n**FUSE_POWER <= 2**chunk_bits is fused: a larger one too rarely fits
+    a second pass above the ceiling to pay for choosing k (at (64, 8), d2
+    to d16 are fused; fused, d20 rolled as fast, d52 and d90 about 10% and
+    15% slower). Worked out once per die and geometry; `roll_many` calls
+    it only for an int die, so that 6.0 or True never finds the entry of
+    6 or 1.
     """
-    if not (count > 1 and type(n) is int):
-        return None
-    steps = _fuse_steps(n, word_bits, chunk_bits)
-    if steps is None:
-        return None
-    sizes, powers = steps
-    top = min(len(sizes), count)
-    if top < 2:
-        return None
-    low = max(2, top - 1)
-    tables = [None] * top + [_table((n,) * top)]
-    if low < top:
-        tables[low] = _table((n,) * low)
-    return sizes[:top], powers[:top + 1], tables, low
-
-
-@lru_cache(maxsize=MAX_TABLES)
-def _fuse_steps(n: int, word_bits: int, chunk_bits: int) -> tuple | None:
-    """`_fused_run`'s sizes and powers for an int die n, with top uncapped
-    by a count, or None if the gate does not fuse n."""
     ceiling = 1 << (word_bits - chunk_bits)
     if not (1 < n <= ceiling and n ** FUSE_POWER <= 1 << chunk_bits):
         return None
@@ -430,4 +415,9 @@ def _fuse_steps(n: int, word_bits: int, chunk_bits: int) -> tuple | None:
     while sizes[-1] * n <= 1 << word_bits and powers[-1] * n * len(powers) <= TABLE_DIGITS:
         sizes.append(sizes[-1] * n)
         powers.append(powers[-1] * n)
-    return sizes, powers
+    top = len(sizes)
+    if top < 2:
+        return None
+    low = max(2, top - 1)
+    tables = [None] * low + [_table((n,) * k) for k in range(low, top + 1)]
+    return sizes, powers, tables, low

@@ -18,8 +18,7 @@ from dicepool import (
     TapeSource,
     waste_point,
 )
-from dicepool.pool import (FUSE_POWER, MAX_TABLES, TABLE_DIGITS, _fuse_steps, _fused_run,
-                           _table)
+from dicepool.pool import FUSE_POWER, MAX_TABLES, TABLE_DIGITS, _fused_run, _table
 from dicepool.radix import RadixPlan
 from pool_oracle import dice, observe, reference_many, reference_roll, reference_top_off
 
@@ -425,34 +424,59 @@ def test_the_count_form_fuses_only_small_dice():
     # d2 to d16 at (64, 8); at bit-wise refills no die; at (128, 64) every
     # die whose two passes fit one table (2 * 90 * 90 <= TABLE_DIGITS)
     assert FUSE_POWER == 2
-    assert [n for n in range(1, 300) if _fused_run(n, 2, 64, 8)] == list(range(2, 17))
-    assert not [n for n in range(1, 300) if _fused_run(n, 2, 64, 1)]
-    assert [n for n in range(1, 300) if _fused_run(n, 2, 128, 64)] == list(range(2, 91))
-    assert _fused_run(6, 1, 64, 8) is _fused_run(True, 5, 64, 8) is None
-    assert _fused_run(6.0, 5, 64, 8) is _fused_run(3, 5, 6, 5) is None  # d3 > ceiling 2
-    # k runs up to the widest pool, the count and TABLE_DIGITS, and only the
-    # two largest k have tables
-    sizes, powers, tables, low = _fused_run(6, 10**6, 64, 8)
+    assert [n for n in range(1, 300) if _fused_run(n, 64, 8)] == list(range(2, 17))
+    assert not [n for n in range(1, 300) if _fused_run(n, 64, 1)]
+    assert [n for n in range(1, 300) if _fused_run(n, 128, 64)] == list(range(2, 91))
+    assert _fused_run(3, 6, 5) is None  # d3 > ceiling 2
+    # k runs up to the widest pool and TABLE_DIGITS, not the count, and only
+    # the two largest k have tables
+    sizes, powers, tables, low = _fused_run(6, 64, 8)
     assert sizes == [(2**56 + 1) * 6**j for j in range(4)] and powers == [1, 6, 36, 216, 1296]
     assert low == 3 and tables == [None] * 3 + [_table((6,) * 3), _table((6,) * 4)]
-    assert _fused_run(6, 3, 64, 8)[1:] == ([1, 6, 36, 216], [None] * 2 + [_table((6, 6)),
-                                                                      _table((6,) * 3)], 2)
-    assert _fused_run(16, 10**6, 64, 8)[3] == 2  # d16 fits two passes, no more
-    sizes, powers, tables, low = _fused_run(2, 10**6, 128, 64)
+    sizes, powers, tables, low = _fused_run(16, 64, 8)  # d16 fits two passes, no more
+    assert (sizes, powers, tables, low) == ([2**56 + 1, (2**56 + 1) * 16], [1, 16, 256],
+                                            [None, None, _table((16, 16))], 2)
+    sizes, powers, tables, low = _fused_run(2, 128, 64)
     assert len(sizes) == 10 and len(tables[10]) * 10 <= TABLE_DIGITS < 2**11 * 11
     # a ten-d6 plan decodes by the same (6, 6, 6, 6) table
-    assert RadixPlan([6] * 10).steps[0][1] is _fused_run(6, 4, 64, 8)[2][4]
+    assert RadixPlan([6] * 10).steps[0][1] is _fused_run(6, 64, 8)[2][4]
 
 
 def test_the_count_form_works_out_its_steps_once_per_die():
-    # the sizes and powers are cached per die and geometry; 6.0 is refused
-    # by the type test before the cache, whose key it would share with 6
-    _fuse_steps.cache_clear()
+    # each die's run is cached per geometry, whatever the count; 6.0 is
+    # refused by the type test ahead of the cache, whose key it would share
+    # with 6
+    _fused_run.cache_clear()
     pool, source = EntropyPool(), SeededSource(1)
     for count in (2, 3, 16, 64) * 5:
         pool.roll_many(6, source, count=count)
-    assert _fuse_steps.cache_info().misses == 1
-    assert _fused_run(6.0, 5, 64, 8) is None and _fuse_steps.cache_info().misses == 1
+    assert _fused_run.cache_info()[:2] == (19, 1)  # hits, misses
+    with pytest.raises(TypeError):
+        pool.roll_many(6.0, source, count=5)
+    assert _fused_run.cache_info()[:2] == (19, 1)
+
+
+def test_runs_of_five_dice_in_turn_cache_at_most_half_the_tables():
+    # each cached run pins its two tables, so the cache holds
+    # MAX_TABLES // 2 runs and its runs pin at most MAX_TABLES tables
+    _fused_run.cache_clear()
+    pool, source = EntropyPool(), SeededSource(1)
+    for _ in range(3):
+        for n in (2, 3, 4, 5, 6):
+            pool.roll_many(n, source, count=40)
+    assert _fused_run.cache_info().currsize <= MAX_TABLES // 2
+
+
+def test_the_count_form_rolls_6_0_and_true_as_the_repeat_form_after_6_and_1():
+    # 6.0 and True equal 6 and 1, so they would find those dice's cached runs
+    pool, source = EntropyPool(), SeededSource(1)
+    pool.roll_many(6, source, count=5)
+    pool.roll_many(1, source, count=5)
+    for snap in ((2**56, 5, 64, 8), (2**60, 2**59, 64, 8)):
+        counted, repeated = _count_and_repeat(snap, 6.0, 5)
+        assert counted == repeated and counted[0][0] is TypeError
+        counted, repeated = _count_and_repeat(snap, True, 5)
+        assert counted == repeated and counted[1] == [0] * 5
 
 
 def test_runs_of_four_dice_in_turn_keep_their_tables():

@@ -307,11 +307,16 @@ MUTANTS = [
      ["tests/test_sources.py::test_os_source_pulls_32_bytes_at_a_time"]),
     ("pool.py", "(256 // chunk or 1) * chunk", "(64 // chunk or 1) * chunk",
      [CLI + "test_bulk_rolls_read_the_source_a_word_at_a_time"]),
-    # the count form's thresholds, worked out once per die and geometry, and
-    # the type test ahead of that cache
-    ("pool.py", "@lru_cache(maxsize=MAX_TABLES)\ndef _fuse_steps", "def _fuse_steps",
+    # the count form's run, worked out once per die and geometry, the type
+    # test at the call site ahead of that cache, the cache's size, and the
+    # gate's power, which the opened-gate cases must see
+    ("pool.py", "@lru_cache(maxsize=MAX_TABLES // 2)", "",
      [POOL + "test_the_count_form_works_out_its_steps_once_per_die"]),
-    ("pool.py", "if not (count > 1 and type(n) is int):", "if not count > 1:", [GATE]),
+    ("pool.py", "if count > 1 and type(sides) is int:", "if count > 1:",
+     [POOL + "test_the_count_form_rolls_6_0_and_true_as_the_repeat_form_after_6_and_1"]),
+    ("pool.py", "maxsize=MAX_TABLES // 2", "maxsize=MAX_TABLES",
+     [POOL + "test_runs_of_five_dice_in_turn_cache_at_most_half_the_tables"]),
+    ("pool.py", "n ** FUSE_POWER <= 1 << chunk_bits", "n ** 2 <= 1 << chunk_bits", [COUNT]),
 ]
 
 
