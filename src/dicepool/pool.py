@@ -18,17 +18,17 @@ belong there. It takes every refill, one chunk or wider, from bits read
 ahead in 256-bit spans and gives the bits its pool did not take back to
 the source (`EntropySource.unread`) before anything else may read it,
 so the source serves the same bits in the same order either way; only
-the empty pool (and, in the count form, a reject's sliver) still rolls
-through `roll`. Its count form, `roll_many(n, source, count=k)`, rolls
-a run of one small die several passes at a time: on a pool above the
-ceiling, k passes all accept iff one pass over n**k does, with the same
-outcomes, state and bits, so it makes that one pass and takes the k
-outcomes from a digit table (the tables radix plans use, in one bounded
-cache). Each die's run, its thresholds and two tables, is worked out
-once and cached; the dice left cap k in the loop. Other dice and the
-iterable form go through the iterable loop unchanged. `roll` and
-`roll_many` refuse a state outside 0 <= value < size on entry, before a
-bit is read; each step keeps a valid state valid.
+the empty pool rolls through `roll`. Its count form,
+`roll_many(n, source, count=k)`, rolls a run of one small die several
+passes at a time: on a pool above the ceiling, k passes all accept iff
+one pass over n**k does, with the same outcomes, state and bits, so it
+makes that one pass and takes the k outcomes from a digit table (the
+tables radix plans use, in one bounded cache). Each die's run, its
+thresholds and two tables, is worked out once and cached; the dice left
+cap k in the loop. The run's rare passes (a refill below the one-chunk
+band, a reject, a short read) and other dice go through the iterable
+loop. `roll` and `roll_many` refuse a state outside 0 <= value < size
+on entry, before a bit is read; each step keeps a valid state valid.
 """
 
 from __future__ import annotations
@@ -225,27 +225,33 @@ class EntropyPool:
         state, `bits_drawn` and refusals, and the same EntropyExhausted at
         the same roll with the same `out` prefix and tape position.
         `count` must be an int >= 0 and is checked first; the die is
-        checked only if count >= 1. An int die 2 <= n with
+        checked only if count >= 1. An int die 2 <= n <= ceiling with
         n**FUSE_POWER <= 2**chunk_bits (d2 to d16 at (64, 8)), whose two
         passes fit one table, and a count of at least 2 take a loop of
-        their own. Its run, the thresholds and the two digit tables, is
-        worked out once per die and geometry and cached. After each
-        one-chunk refill, the most passes k with
+        their own; that gate is tested before the cache, so no other die
+        takes a place in it. The run, the thresholds and the two digit
+        tables, is worked out once per die and geometry and cached. After
+        each one-chunk refill, the most passes k with
         size >= (ceiling + 1) * n**(k - 1), so that no refill falls
         between them, are made as one pass over n**k, whose digits,
         least significant first, come from the `(n,) * k` digit table,
         if k is one of the two largest that can fit and at most the
         dice left. Otherwise, or if that pass rejects, one pass over n
-        is made. A pool below the one-chunk band (the empty pool or a
-        reject's sliver) gives the read-ahead back and rolls one outcome
-        through `roll`. Any other die or count goes through the iterable
-        loop above as `repeat(n, count)`, unchanged.
+        is made. Every other case hands that one die to the iterable
+        loop, which rolls it as any other, and the run resumes after it:
+        a pool below the one-chunk band (the empty pool or a sliver), a
+        single pass that rejects, and a span read that runs short. Any
+        other die or count goes through the iterable loop as
+        `repeat(n, count)`.
         """
-        run = None
+        word_bits, ceiling, chunk = self.word_bits, self.refill_ceiling, self.chunk_bits
+        run, rest = None, 0  # the count form's run, and the dice it has left
         if count is not None:
             count = _int_in("count", count, 0)
-            if count > 1 and type(sides) is int:  # 6.0 and True never find 6's and 1's run
-                run = _fused_run(sides, self.word_bits, self.chunk_bits)
+            # a small int die: 6.0 and True never find 6's and 1's run
+            if (count > 1 and type(sides) is int and 1 < sides <= ceiling
+                    and sides ** FUSE_POWER <= 1 << chunk):
+                run = _fused_run(sides, word_bits, chunk)
             if run is None:
                 sides = repeat(sides, count)
         size, value = self.size, self.value
@@ -254,33 +260,77 @@ class EntropyPool:
         if out is None:
             out = []
         append, next_bits = out.append, source.next_bits
-        word_bits, ceiling, chunk = self.word_bits, self.refill_ceiling, self.chunk_bits
         floor = ceiling >> chunk  # 0 when two chunks overfill the word
         mask, span = (1 << chunk) - 1, (256 // chunk or 1) * chunk  # whole chunks of 256 bits
         ahead = left = 0  # the read-ahead, and how many of its low bits are untaken
         n = object()  # the last die checked; fresh, so a first die of None is checked too
+        if run is not None:  # one die, count times, several passes at a time
+            n, rest, sides, (sizes, powers, tables, low) = sides, count, (), run
         try:
-            if run is not None:  # one die, count times, several passes at a time
-                n, rest, (sizes, powers, tables, low) = sides, count, run
-                while rest:
+            while True:
+                for die in sides:
+                    if die is not n:  # index(int) is the int: a repeated int is checked once
+                        n = index(die)
+                        if not 1 <= n <= ceiling:
+                            refused = ValueError if n < 1 else RangeTooLarge
+                            raise refused(_refusal("sides", n, 1, ceiling))
+                    while True:
+                        if size <= ceiling:
+                            if size > floor:  # one chunk tops the pool off
+                                if not left:
+                                    try:
+                                        ahead = next_bits(span)
+                                    except EntropyExhausted:  # short of a span: a chunk at a time
+                                        span = chunk
+                                        ahead = next_bits(span)
+                                    left = span
+                                    self.bits_drawn += span  # less what is given back
+                                left -= chunk
+                                value = value << chunk | ahead >> left & mask
+                                size <<= chunk
+                            elif size == 1:  # the empty pool: roll fills it by the reference pair
+                                source.unread(ahead & ((1 << left) - 1), left)
+                                self.bits_drawn -= left
+                                left = 0
+                                self.size, self.value = size, value
+                                try:
+                                    append(self.roll(n, source))
+                                finally:
+                                    size, value = self.size, self.value
+                                break
+                            else:  # top_off's width, topped up by the fewest whole spans
+                                drawn = (word_bits - (size - 1).bit_length()) // chunk * chunk
+                                if left < drawn:
+                                    more = (drawn - left + span - 1) // span * span
+                                    try:
+                                        fresh = next_bits(more)
+                                    except EntropyExhausted:  # just the shortfall, then chunks
+                                        span, more = chunk, drawn - left
+                                        fresh = next_bits(more)
+                                    ahead = (ahead & ((1 << left) - 1)) << more | fresh
+                                    left += more
+                                    self.bits_drawn += more  # less what is given back
+                                left -= drawn
+                                value = value << drawn | ahead >> left & ((1 << drawn) - 1)
+                                size <<= drawn
+                        keep = size // n
+                        quotient = value // n
+                        if quotient < keep:
+                            append(value % n)
+                            size, value = keep, quotient
+                            break
+                        cutoff = n * keep
+                        size -= cutoff
+                        value -= cutoff
+                while rest:  # the count form's fast path; the loop above rolls the rest
                     if size <= ceiling:
-                        if size <= floor:  # the empty pool or a sliver: roll fills it
-                            source.unread(ahead & ((1 << left) - 1), left)
-                            self.bits_drawn -= left
-                            left = 0
-                            self.size, self.value = size, value
-                            try:
-                                append(self.roll(n, source))
-                            finally:
-                                size, value = self.size, self.value
-                            rest -= 1
-                            continue
+                        if size <= floor:  # below the one-chunk band: hand the die over
+                            break
                         if not left:
                             try:
                                 ahead = next_bits(span)
-                            except EntropyExhausted:  # short of a span, a chunk at a time
-                                span = chunk
-                                ahead = next_bits(span)
+                            except EntropyExhausted:  # too few bits for a span: hand the die over
+                                break
                             left = span
                             self.bits_drawn += span  # less what is given back
                         left -= chunk
@@ -296,76 +346,20 @@ class EntropyPool:
                             size, value = keep, quotient
                             rest -= k
                             continue
-                    keep = size // n  # one pass: k too small, too few dice left, or a reject
+                    keep = size // n  # one pass: k too small or too few dice left
                     quotient = value // n
-                    if quotient < keep:
-                        append(value % n)
-                        size, value = keep, quotient
-                        rest -= 1
-                    else:
-                        cutoff = n * keep
-                        size -= cutoff
-                        value -= cutoff
-                return out
-            for die in sides:
-                if die is not n:  # index(int) is the int: a repeated int is checked once
-                    n = index(die)
-                    if not 1 <= n <= ceiling:
-                        refused = ValueError if n < 1 else RangeTooLarge
-                        raise refused(_refusal("sides", n, 1, ceiling))
-                while True:
-                    if size <= ceiling:
-                        if size > floor:  # one chunk tops the pool off
-                            if not left:
-                                try:
-                                    ahead = next_bits(span)
-                                except EntropyExhausted:  # short of a span: a chunk at a time
-                                    span = chunk
-                                    ahead = next_bits(span)
-                                left = span
-                                self.bits_drawn += span  # less what is given back
-                            left -= chunk
-                            value = value << chunk | ahead >> left & mask
-                            size <<= chunk
-                        elif size == 1:  # the empty pool: roll fills it by the reference pair
-                            source.unread(ahead & ((1 << left) - 1), left)
-                            self.bits_drawn -= left
-                            left = 0
-                            self.size, self.value = size, value
-                            try:
-                                append(self.roll(n, source))
-                            finally:
-                                size, value = self.size, self.value
-                            break
-                        else:  # top_off's width, topped up by the fewest whole spans
-                            drawn = (word_bits - (size - 1).bit_length()) // chunk * chunk
-                            if left < drawn:
-                                more = (drawn - left + span - 1) // span * span
-                                try:
-                                    fresh = next_bits(more)
-                                except EntropyExhausted:  # just the shortfall, then chunks
-                                    span, more = chunk, drawn - left
-                                    fresh = next_bits(more)
-                                ahead = (ahead & ((1 << left) - 1)) << more | fresh
-                                left += more
-                                self.bits_drawn += more  # less what is given back
-                            left -= drawn
-                            value = value << drawn | ahead >> left & ((1 << drawn) - 1)
-                            size <<= drawn
-                    keep = size // n
-                    quotient = value // n
-                    if quotient < keep:
-                        append(value % n)
-                        size, value = keep, quotient
+                    if quotient >= keep:  # a reject: hand the die over
                         break
-                    cutoff = n * keep
-                    size -= cutoff
-                    value -= cutoff
+                    append(value % n)
+                    size, value = keep, quotient
+                    rest -= 1
+                else:
+                    return out
+                sides, rest = (n,), rest - 1  # the loop above rolls this one die
         finally:
             self.size, self.value = size, value
             source.unread(ahead & ((1 << left) - 1), left)  # what the pool did not take
             self.bits_drawn -= left
-        return out
 
     def snapshot(self) -> tuple[int, int, int, int]:
         """State as plain integers: (size, value, word_bits, chunk_bits)."""
@@ -390,7 +384,7 @@ def _table(group: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=MAX_TABLES // 2)  # each run pins two tables: at most MAX_TABLES in all
 def _fused_run(n: int, word_bits: int, chunk_bits: int) -> tuple | None:
     """What `roll_many`'s count form needs to roll a run of the int die n
-    several passes at a time, or None if it rolls it one pass at a time.
+    several passes at a time, or None if fewer than two passes fit.
 
     For k = 1, 2, ..., top: sizes[k - 1] = (ceiling + 1) * n**(k - 1), the
     least size from which k passes fit with no refill between them, and
@@ -400,17 +394,14 @@ def _fused_run(n: int, word_bits: int, chunk_bits: int) -> tuple | None:
     tables[k] = `_table((n,) * k)`: after a refill, the pool a fused pass
     left fits one of them at (64, 8), and a cache of MAX_TABLES // 2 runs
     holds at most MAX_TABLES tables, so runs of up to four dice in turn
-    keep theirs. None if top < 2. Only a die 2 <= n <= ceiling with
-    n**FUSE_POWER <= 2**chunk_bits is fused: a larger one too rarely fits
-    a second pass above the ceiling to pay for choosing k (at (64, 8), d2
-    to d16 are fused; fused, d20 rolled as fast, d52 and d90 about 10% and
-    15% slower). Worked out once per die and geometry; `roll_many` calls
-    it only for an int die, so that 6.0 or True never finds the entry of
-    6 or 1.
+    keep theirs. `roll_many` looks it up only for a die its gate passes,
+    an int 2 <= n <= ceiling with n**FUSE_POWER <= 2**chunk_bits: a
+    larger one too rarely fits a second pass above the ceiling to pay for
+    choosing k (at (64, 8), d2 to d16 are fused; fused, d20 rolled as
+    fast, d52 and d90 about 10% and 15% slower), and 6.0 or True never
+    finds the entry of 6 or 1. Worked out once per die and geometry.
     """
     ceiling = 1 << (word_bits - chunk_bits)
-    if not (1 < n <= ceiling and n ** FUSE_POWER <= 1 << chunk_bits):
-        return None
     sizes, powers = [ceiling + 1], [1, n]
     while sizes[-1] * n <= 1 << word_bits and powers[-1] * n * len(powers) <= TABLE_DIGITS:
         sizes.append(sizes[-1] * n)

@@ -144,20 +144,21 @@ def test_roll_many_matches_the_reference_loop_on_every_pair(word_bits, chunk_bit
 # A run of one die, count 0 to 3. Under the real gate d2 is fused wherever
 # chunk_bits >= 2; with the gate opened to every die up to 2**chunk_bits
 # (power 1), d3 is fused at (4, 2) and (5, 2) too (d4 never is at (4, 2):
-# only one pass fits there, as 5 * 4 > 16). The gate's cache is cleared
-# before and after each case, so no case finds a run another gate cached.
-# A tape may run out after a fused pass's outcomes are in `out`. Every
-# state and die, but in the two worlds where that takes over 10 s, three
-# values of every size and the dice up to 2**chunk_bits, the only ones any
-# gate fuses.
+# only one pass fits there, as 5 * 4 > 16). The gate comes before the
+# run's cache, so a run cached under one gate never leaks into a case
+# under another; the dice whose run is looked up are recorded, and d3's
+# must be under the opened gate alone. A tape may run out after a fused
+# pass's outcomes are in `out`. Every state and die, but in the two
+# worlds where that takes over 10 s, three values of every size and the
+# dice up to 2**chunk_bits, the only ones any gate fuses.
 @pytest.mark.parametrize("word_bits,chunk_bits,fuse_power",
                          [(w, b, dicepool.pool.FUSE_POWER) for w, b in WORLDS + [(5, 2)]]
                          + [(4, 2, 1), (5, 2, 1)])
-def test_roll_many_count_matches_the_reference_loop_everywhere(monkeypatch, request, word_bits,
+def test_roll_many_count_matches_the_reference_loop_everywhere(monkeypatch, word_bits,
                                                                chunk_bits, fuse_power):
-    fused_run = dicepool.pool._fused_run
-    fused_run.cache_clear()
-    request.addfinalizer(fused_run.cache_clear)
+    looked_up, fused_run = set(), dicepool.pool._fused_run
+    monkeypatch.setattr(dicepool.pool, "_fused_run",
+                        lambda *key: looked_up.add(key) or fused_run(*key))
     monkeypatch.setattr(dicepool.pool, "FUSE_POWER", fuse_power)
     ceiling = 1 << (word_bits - chunk_bits)
     starts, dice = states(word_bits), range(1, ceiling + 1)
@@ -169,5 +170,4 @@ def test_roll_many_count_matches_the_reference_loop_everywhere(monkeypatch, requ
             walk((size, value, word_bits, chunk_bits),
                  lambda pool, tape, out: pool.roll_many(sides, tape, out, count=count),
                  lambda pool, tape, out: reference_many(pool, [sides] * count, tape, out))
-    if fuse_power == 1:
-        assert fused_run(3, word_bits, chunk_bits) is not None
+    assert ((3, word_bits, chunk_bits) in looked_up) == (fuse_power == 1)

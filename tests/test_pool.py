@@ -18,6 +18,7 @@ from dicepool import (
     TapeSource,
     waste_point,
 )
+import dicepool.pool as pool_module
 from dicepool.pool import FUSE_POWER, MAX_TABLES, TABLE_DIGITS, _fused_run, _table
 from dicepool.radix import RadixPlan
 from pool_oracle import dice, observe, reference_many, reference_roll, reference_top_off
@@ -420,14 +421,35 @@ def test_roll_many_count_is_refused_first_unless_an_int_at_least_0():
         assert counted == ((ValueError, "count must be in [0, inf], got -1"), [], snap, 0, 128)
 
 
-def test_the_count_form_fuses_only_small_dice():
+def _count_form_lookups(monkeypatch, word_bits, chunk_bits, dice=range(1, 300)):
+    """{die: its run} for each die of `dice` whose run a count-2 `roll_many` looks up."""
+    looked_up, fused_run = {}, _fused_run
+
+    def spy(n, *geometry):
+        assert geometry == (word_bits, chunk_bits)
+        looked_up[n] = fused_run(n, *geometry)
+        return looked_up[n]
+
+    monkeypatch.setattr(pool_module, "_fused_run", spy)
+    for n in dice:
+        try:
+            EntropyPool(word_bits, chunk_bits).roll_many(n, SeededSource(n), count=2)
+        except RangeTooLarge:
+            pass
+    return looked_up
+
+
+def test_the_count_form_fuses_only_small_dice(monkeypatch):
     # d2 to d16 at (64, 8); at bit-wise refills no die; at (128, 64) every
-    # die whose two passes fit one table (2 * 90 * 90 <= TABLE_DIGITS)
+    # die whose two passes fit one table (2 * 90 * 90 <= TABLE_DIGITS). The
+    # gate comes before the cache, so a die it turns away is not looked up.
     assert FUSE_POWER == 2
-    assert [n for n in range(1, 300) if _fused_run(n, 64, 8)] == list(range(2, 17))
-    assert not [n for n in range(1, 300) if _fused_run(n, 64, 1)]
-    assert [n for n in range(1, 300) if _fused_run(n, 128, 64)] == list(range(2, 91))
-    assert _fused_run(3, 6, 5) is None  # d3 > ceiling 2
+    looked_up = _count_form_lookups(monkeypatch, 64, 8)
+    assert list(looked_up) == list(range(2, 17)) and all(looked_up.values())
+    assert not _count_form_lookups(monkeypatch, 64, 1)
+    looked_up = _count_form_lookups(monkeypatch, 128, 64)
+    assert [n for n, run in looked_up.items() if run] == list(range(2, 91))
+    assert list(_count_form_lookups(monkeypatch, 6, 5, range(1, 5))) == [2]  # d3 > ceiling 2
     # k runs up to the widest pool and TABLE_DIGITS, not the count, and only
     # the two largest k have tables
     sizes, powers, tables, low = _fused_run(6, 64, 8)
@@ -454,6 +476,44 @@ def test_the_count_form_works_out_its_steps_once_per_die():
     with pytest.raises(TypeError):
         pool.roll_many(6.0, source, count=5)
     assert _fused_run.cache_info()[:2] == (19, 1)
+
+
+def test_runs_of_dice_it_does_not_fuse_leave_the_cache_to_those_it_does():
+    # d20 and d52 are turned away before the cache, so the three fused dice
+    # keep their runs: every call after the first round is a hit
+    _fused_run.cache_clear()
+    pool, source = EntropyPool(), SeededSource(1)
+    for _ in range(10):
+        for n in (2, 3, 6, 20, 52):
+            pool.roll_many(n, source, count=16)
+    assert _fused_run.cache_info()[:2] == (27, 3)  # hits, misses
+
+
+# From a sliver below the one-chunk band, or a single pass that rejects,
+# the count form hands the die to the iterable loop, which refills it from
+# the read-ahead: only the empty pool rolls through `roll`. Tapes of every
+# length up to 40 bits run out in the hand-off, after it, or not at all.
+@pytest.mark.parametrize("snap, sides", [
+    ((2, 1, 5, 2), 2),             # a sliver at the floor of (5, 2)
+    ((17, 16, 8, 4), 3),           # a reject leaves a sliver of 2 in (8, 4)'s band
+    ((4097, 4096, 16, 4), 3),      # a reject leaves a sliver of 2 below (16, 4)'s band
+    ((200, 7, 16, 4), 4),          # a sliver below the band, then fused passes
+], ids=str)
+def test_the_count_form_hands_slivers_and_rejects_to_the_iterable_loop(monkeypatch, snap,
+                                                                       sides):
+    def roll(*_):
+        raise AssertionError("roll called")
+
+    for nbits in range(41):
+        pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
+        data, got, want = bytes(range(90, 95)), [], []
+        tape, reference = TapeSource(data, nbits), TapeSource(data, nbits)
+        with monkeypatch.context() as patched:
+            patched.setattr(EntropyPool, "roll", roll)
+            counted = observe(lambda: pool.roll_many(sides, tape, got, count=5), pool, tape)
+        assert counted == observe(lambda: reference_many(expected, [sides] * 5, reference, want),
+                                  expected, reference), nbits
+        assert got == want, nbits
 
 
 def test_runs_of_five_dice_in_turn_cache_at_most_half_the_tables():

@@ -61,13 +61,12 @@ MANY_DRAWN = "drawn = (word_bits - (size - 1).bit_length()) // chunk * chunk"
 ROLL_STATE = ("if not 0 <= value < size:  # corrupt: a valid state stays valid until return\n"
               "            raise ValueError(_refusal(\"value\", value, 0, size - 1))\n        sides")
 MANY_STATE = ROLL_STATE.replace("sides", "if out")
-# the iterable loop's refill test; the count form's is followed by its detour test
-MANY_REFILL = "if size <= ceiling:\n                        if size > floor:"
-# the iterable loop's give-back before roll fills the empty pool (the count
-# form's detour makes the same two steps under another comment)
-UNREAD_LINE = "                            source.unread(ahead & ((1 << left) - 1), left)\n"
-DRAWN_LINE = "                            self.bits_drawn -= left\n"
-EMPTY_GIVE_BACK = "reference pair\n" + UNREAD_LINE + DRAWN_LINE
+# the iterable loop's refill test; the count form's is followed by its hand-off test
+MANY_REFILL = "if size <= ceiling:\n                            if size > floor:"
+# the iterable loop's give-back before roll fills the empty pool
+UNREAD_LINE = "                                source.unread(ahead & ((1 << left) - 1), left)\n"
+DRAWN_LINE = "                                self.bits_drawn -= left\n"
+EMPTY_GIVE_BACK = UNREAD_LINE + DRAWN_LINE
 
 # (file under src/dicepool, old text occurring exactly once, new text, test node ids)
 MUTANTS = [
@@ -150,10 +149,10 @@ MUTANTS = [
     ("pool.py", "sides = index(sides)  # inline, not _int_in: this runs once per roll",
      "pass  # inline, not _int_in: this runs once per roll",
      [POOL + "test_roll_refuses_non_integer_die"]),
-    ("pool.py", "append(value % n)\n                        size, value = keep, quotient\n"
-     "                        break",
-     "append(quotient % n)\n                        size, value = keep, quotient\n"
-     "                        break", [MANY]),
+    ("pool.py", "append(value % n)\n                            size, value = keep, quotient\n"
+     "                            break",
+     "append(quotient % n)\n                            size, value = keep, quotient\n"
+     "                            break", [MANY]),
     # roll_many's one-chunk band, worked out once per call
     ("pool.py", "floor = ceiling >> chunk", "floor = ceiling >> chunk + 1", [MANY]),
     # roll's pass made before its refill, roll_many's reject keeping its size.
@@ -165,7 +164,8 @@ MUTANTS = [
       POOL + "test_roll_matches_refill_every_pass_reference",
       POOL + "test_pool_at_the_ceiling_refills_and_above_it_does_not",
       POOL + "test_roll_at_the_band_edges_matches_reference"]),
-    ("pool.py", "\n                    size -= cutoff", "\n                    pass", [MANY]),
+    ("pool.py", "\n                        size -= cutoff", "\n                        pass",
+     [MANY]),
     # in roll_many only the empty pool goes through roll and so the reference
     # pair; every other refill is read inline, the wide ones at top_off's width
     ("pool.py", "elif size == 1:", "elif size == 2:",
@@ -210,16 +210,17 @@ MUTANTS = [
     # roll_many: its state write-backs, its route choice, its refill and its checks
     ("pool.py", "finally:\n            self.size, self.value = size, value",
      "finally:\n            pass", [MANY, POOL + "test_roll_many_matches_the_reference_loop"]),
-    ("pool.py", "finally:\n                                size, value = self.size, self.value\n"
-     "                            break",
-     "finally:\n                                pass\n                            break", [MANY]),
+    ("pool.py", "finally:\n                                    size, value = self.size, self.value\n"
+     "                                break",
+     "finally:\n                                    pass\n                                break",
+     [MANY]),
     ("pool.py", "if size > floor:", "if size >= floor:", [MANY]),
     ("pool.py", "self.bits_drawn += span  # less what is given back\n"
-     "                            left -= chunk",
-     "pass\n                            left -= chunk",
+     "                                left -= chunk",
+     "pass\n                                left -= chunk",
      [MANY, POOL + "test_roll_many_matches_the_reference_loop"]),
-    ("pool.py", "\n                    cutoff = n * keep", "\n                    cutoff = n * keep - 1",
-     [MANY]),
+    ("pool.py", "\n                        cutoff = n * keep",
+     "\n                        cutoff = n * keep - 1", [MANY]),
     ("pool.py", "if not 1 <= n <= ceiling:", "if not 1 <= n <= ceiling + 1:",
      [POOL + "test_roll_many_matches_the_reference_loop"]),
     ("pool.py", MANY_STATE, MANY_STATE.replace("0 <= value", "-1 <= value"),
@@ -241,7 +242,7 @@ MUTANTS = [
     ("pool.py", EMPTY_GIVE_BACK, EMPTY_GIVE_BACK.replace(DRAWN_LINE, ""), [EMPTIED]),
     ("pool.py", "source.unread(ahead & ((1 << left) - 1), left)  # what", "pass  # what",
      [MANY, SHORT_TAPE]),
-    ("pool.py", "self.bits_drawn -= left\n        return out", "return out",
+    ("pool.py", "self.bits_drawn -= left\n\n    def snapshot", "\n\n    def snapshot",
      [MANY, SHORT_TAPE]),
     ("pool.py", "except EntropyExhausted:  # short of a span:", "except ():  # short of a span:",
      [MANY, SHORT_TAPE]),
@@ -273,10 +274,10 @@ MUTANTS = [
     # the digit tables, least significant first, now in pool.py; then the
     # count form: its gate and table cap, the least size for k passes, k
     # capped by the dice left and fused only from its lowest tabled k, the
-    # fused pass's test and digits, the detour
+    # fused pass's test and digits, the hand-off of a pool below the band
     ("pool.py", "[digits[::-1] for digits", "[digits for digits",
      [RADIX + "test_plan_groups_fill_each_table_cap", COUNT]),
-    ("pool.py", "n ** FUSE_POWER <= 1 << chunk_bits", "n ** FUSE_POWER < 1 << chunk_bits",
+    ("pool.py", "sides ** FUSE_POWER <= 1 << chunk", "sides ** FUSE_POWER < 1 << chunk",
      [GATE]),
     ("pool.py", "powers[-1] * n * len(powers) <= TABLE_DIGITS", "powers[-1] * n <= TABLE_DIGITS",
      [GATE]),
@@ -288,8 +289,8 @@ MUTANTS = [
      "if quotient <= keep:\n                            out +=", [COUNT]),
     ("pool.py", "out += tables[k][value % power]", "out += tables[k][value % power][::-1]",
      [COUNT, COUNT_ANY]),
-    ("pool.py", "if size <= floor:  # the empty pool or a sliver",
-     "if size < floor:  # the empty pool or a sliver", [COUNT]),
+    ("pool.py", "if size <= floor:  # below the one-chunk band",
+     "if size < floor:  # below the one-chunk band", [COUNT]),
     # SeededSource's four-lane pull: each lane's state offset, the state's
     # step, the mask of the wrapped lanes and of each lane before the first
     # multiply, the first fold's mask; next_bits counting the class's word
@@ -308,15 +309,23 @@ MUTANTS = [
     ("pool.py", "(256 // chunk or 1) * chunk", "(64 // chunk or 1) * chunk",
      [CLI + "test_bulk_rolls_read_the_source_a_word_at_a_time"]),
     # the count form's run, worked out once per die and geometry, the type
-    # test at the call site ahead of that cache, the cache's size, and the
-    # gate's power, which the opened-gate cases must see
+    # test in the gate at the call site ahead of that cache, the cache's
+    # size, and the gate's power, which the opened-gate cases must see
     ("pool.py", "@lru_cache(maxsize=MAX_TABLES // 2)", "",
      [POOL + "test_the_count_form_works_out_its_steps_once_per_die"]),
-    ("pool.py", "if count > 1 and type(sides) is int:", "if count > 1:",
+    ("pool.py", "count > 1 and type(sides) is int and", "count > 1 and",
      [POOL + "test_the_count_form_rolls_6_0_and_true_as_the_repeat_form_after_6_and_1"]),
     ("pool.py", "maxsize=MAX_TABLES // 2", "maxsize=MAX_TABLES",
      [POOL + "test_runs_of_five_dice_in_turn_cache_at_most_half_the_tables"]),
-    ("pool.py", "n ** FUSE_POWER <= 1 << chunk_bits", "n ** 2 <= 1 << chunk_bits", [COUNT]),
+    ("pool.py", "sides ** FUSE_POWER <= 1 << chunk", "sides ** 2 <= 1 << chunk", [COUNT]),
+    # the count form's other hand-offs to the iterable loop: a single pass
+    # that rejects, a span read that runs short, the die the loop rolls
+    # counted once; then the gate's ceiling
+    ("pool.py", "if quotient >= keep:  # a reject", "if quotient > keep:  # a reject", [COUNT]),
+    ("pool.py", "except EntropyExhausted:  # too few bits for a span",
+     "except ():  # too few bits for a span", [COUNT]),
+    ("pool.py", "sides, rest = (n,), rest - 1", "sides, rest = (n,), rest", [COUNT]),
+    ("pool.py", "1 < sides <= ceiling\n", "1 < sides <= ceiling + 1\n", [GATE]),
 ]
 
 
