@@ -10,7 +10,7 @@ import math
 
 from hypothesis import strategies as st
 
-from dicepool import EntropyExhausted
+from dicepool import EntropyExhausted, RangeTooLarge
 from dicepool.radix import decode_mixed_radix
 
 
@@ -41,6 +41,25 @@ def reference_many(pool, sides, source, out):
     for n in sides:
         out.append(reference_roll(pool, n, source))
     return out
+
+
+def reference_checked(pool, sides, source, out):
+    """`reference_many`, with each die checked in its turn as `roll` checks
+    an int die: ValueError below 1, RangeTooLarge above the ceiling."""
+    ceiling = 1 << (pool.word_bits - pool.chunk_bits)
+    for n in sides:
+        if not 1 <= n <= ceiling:
+            raise (ValueError if n < 1 else RangeTooLarge)(n)
+        out.append(reference_roll(pool, n, source))
+    return out
+
+
+def refusal_or(call):
+    """What `call()` returns, or the type of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as refused:
+        return type(refused)
 
 
 def reference_batch(pool, ranges, source):

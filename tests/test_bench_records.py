@@ -1,6 +1,7 @@
 """Committed BENCH_*.json records (written by tools/bench_record.py) are whole and correct."""
 
 import json
+import math
 import runpy
 from pathlib import Path
 
@@ -56,3 +57,40 @@ def test_summarize_counts_pair_wins_losses_and_ties():
 
 def test_spread_of_one_run_is_that_run():
     assert BENCH_RECORD["spread"]([2.5]) == {"median": 2.5, "q1": 2.5, "q3": 2.5}
+
+
+# The grid of the head-to-head block that tools/bench_record.py writes
+VERSUS_GRID = [(sides, word_bits, chunk_bits) for word_bits, chunk_bits in ((64, 8), (128, 64))
+               for sides in (6, 52, 1000)]
+
+
+@pytest.mark.parametrize("path", [p for p in RECORDS if "versus" in json.loads(p.read_text())],
+                         ids=lambda p: p.name)
+def test_versus_block_covers_its_grid_with_whole_pairs(path):
+    record = json.loads(path.read_text())
+    block = record["versus"]
+    assert block["python"].count(".") == 2
+    cells = block["cells"]
+    assert [(c["sides"], c["word_bits"], c["chunk_bits"]) for c in cells] == VERSUS_GRID
+    for cell in cells:
+        assert cell["pairs"] == len(record["seeds"]) and cell["rolls"] > 0
+        ratio = cell["ratio"]
+        assert 0 < ratio["min"] <= ratio["median"] <= ratio["max"], cell
+        assert cell["recycler_rolls_per_s"] > 0 and cell["naive_rolls_per_s"] > 0
+        for side in ("recycler", "naive"):
+            bits, rolls = cell[side + "_bits"], cell["rolls"] * cell["pairs"]
+            assert isinstance(bits, int) and cell[side + "_bits_per_roll"] == bits / rolls
+        # each roll carries log2(sides) bits, and the recycler wastes less
+        assert (math.log2(cell["sides"]) <= cell["recycler_bits_per_roll"]
+                < cell["naive_bits_per_roll"]), cell
+
+
+def test_head_to_head_takes_medians_and_pairwise_ratios():
+    pairs = [([4.0, 30, "3.11.7"], [2.0, 40, "3.11.7"]),
+             ([3.0, 31, "3.11.7"], [3.0, 42, "3.11.7"]),
+             ([9.0, 29, "3.11.7"], [1.0, 41, "3.11.7"])]
+    cell = BENCH_RECORD["head_to_head"](pairs, 10)
+    assert cell["recycler_rolls_per_s"] == 4.0 and cell["naive_rolls_per_s"] == 2.0
+    assert cell["ratio"] == {"median": 2.0, "min": 1.0, "max": 9.0}
+    assert (cell["recycler_bits"], cell["naive_bits"]) == (90, 123)
+    assert cell["recycler_bits_per_roll"] == 3.0 and cell["naive_bits_per_roll"] == 4.1

@@ -19,8 +19,8 @@ import pytest
 
 import dicepool.pool
 from dicepool import EntropyExhausted, EntropyPool, RadixPlan, TapeSource, roll_batch
-from pool_oracle import (observe, reference_batch, reference_batches, reference_many,
-                         reference_roll)
+from pool_oracle import (observe, reference_batch, reference_batches, reference_checked,
+                         reference_many, reference_roll, refusal_or)
 
 WORLDS = [(w, b) for w in range(1, 5) for b in range(1, w + 1)]
 MAX_TAPE_BITS = 10  # a tape still running out this long is compared, not extended
@@ -139,6 +139,32 @@ def test_roll_many_matches_the_reference_loop_on_every_pair(word_bits, chunk_bit
             walk((size, value, word_bits, chunk_bits),
                  lambda pool, tape, out: pool.roll_many(iter(pair), tape, out),
                  lambda pool, tape, out: reference_many(pool, pair, tape, out))
+
+
+# Every range(a, b, 1) and range(a, b, -1) whose dice lie in [0, ceiling + 1],
+# the empty one included: roll_many checks a range by its two ends on entry
+# and, if either fails, die by die, so a bad end is refused in its turn with
+# the error `roll` raises (its type is compared). From every state, but at
+# (4, 1), where that takes over 30 s, ranges of up to three dice from the
+# states at the edges of roll_many's routes.
+@pytest.mark.parametrize("word_bits,chunk_bits", WORLDS)
+def test_roll_many_over_every_small_range_matches_the_reference_loop(word_bits, chunk_bits):
+    ceiling = 1 << (word_bits - chunk_bits)
+    floor = ceiling >> chunk_bits
+    top = ceiling + 1
+    ranges = [range(0)] + [range(a, b, 1) for a in range(top + 1) for b in range(a + 1, top + 2)]
+    ranges += [range(a, b, -1) for a in range(top + 1) for b in range(-1, a)]
+    starts = states(word_bits)
+    if (word_bits, chunk_bits) == (4, 1):
+        sizes = sorted({1, max(1, floor), floor + 1, ceiling, ceiling + 1, 1 << word_bits})
+        starts = [(size, value) for size in sizes for value in {0, size // 2, size - 1}]
+        ranges = [sides for sides in ranges if len(sides) <= 3]
+    for size, value in starts:
+        for sides in ranges:
+            walk((size, value, word_bits, chunk_bits),
+                 lambda pool, tape, out: refusal_or(lambda: pool.roll_many(sides, tape, out)),
+                 lambda pool, tape, out: refusal_or(
+                     lambda: reference_checked(pool, sides, tape, out)))
 
 
 # A run of one die, count 0 to 3. Under the real gate d2 is fused wherever

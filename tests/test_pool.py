@@ -2,11 +2,13 @@
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import repeat
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dicepool import (
@@ -21,7 +23,8 @@ from dicepool import (
 import dicepool.pool as pool_module
 from dicepool.pool import FUSE_POWER, MAX_TABLES, TABLE_DIGITS, _fused_run, _table
 from dicepool.radix import RadixPlan
-from pool_oracle import dice, observe, reference_many, reference_roll, reference_top_off
+from pool_oracle import (dice, observe, reference_checked, reference_many, reference_roll,
+                         reference_top_off, refusal_or)
 
 
 def test_new_pool_is_empty():
@@ -332,8 +335,13 @@ REFUSED_DICE = [(), (None, TypeError), (0, ValueError), (-3, ValueError),
                 ("ceiling + 1", RangeTooLarge), (6.0, TypeError), ("6", TypeError)]
 
 
+# The example is a (64, 8) pool whose first band refill reads a span and
+# makes its byte view; wide refills then take the rest of that span, and
+# one tops the read-ahead up with a fresh span, after which band refills
+# must shift the new read-ahead, not index the old span's bytes.
 @settings(max_examples=300, deadline=None)
 @given(pool_setups(), st.integers(0, 50), st.sampled_from(REFUSED_DICE))
+@example(((1, 0, 64, 8), None, 7, [6] * 4 + [2**55] * 8 + [6] * 30), 0, ())
 def test_roll_many_matches_the_reference_loop(setup, cut, refusal):
     snap, tape, seed, sides_list = setup
     pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
@@ -357,6 +365,53 @@ def test_roll_many_matches_the_reference_loop(setup, cut, refusal):
         assert observe(lambda: got, pool, source) == ran
     assert got == want  # the outcomes rolled before a failure stay in `out`
     assert rest_of(source) == rest_of(reference)
+
+
+# A `range` of dice, checked once on entry by its two ends: empty,
+# stepped and descending ranges, with ends at 0, at the ceiling + 1 or far
+# past it (at most about 60 dice: a long span takes a longer step). A
+# range whose ends fail is checked die by die, so its first bad die is
+# refused in its turn, after the outcomes before it are in `out`, with the
+# error `roll` raises.
+@settings(max_examples=300, deadline=None)
+@given(pool_setups(), st.data())
+def test_roll_many_over_a_range_matches_the_reference_loop(setup, data):
+    snap, tape, seed, _ = setup
+    ceiling = 1 << (snap[2] - snap[3])
+    ends = st.one_of(st.sampled_from([-1, 0, 1, 2, ceiling, ceiling + 1, 3 * ceiling + 7]),
+                     dice(ceiling))
+    start, stop, step = data.draw(ends), data.draw(ends), data.draw(st.integers(-9, 9))
+    step = (1 if step >= 0 else -1) * max(abs(step), 1, -(-abs(stop - start) // 60))
+    sides = range(start, stop, step)
+    pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
+    source, reference = source_pair(tape, seed)
+    got, want = [], []
+    assert observe(lambda: refusal_or(lambda: pool.roll_many(sides, source, got)), pool,
+                   source) == observe(lambda: refusal_or(
+                       lambda: reference_checked(expected, sides, reference, want)),
+                       expected, reference), sides
+    assert got == want  # the outcomes rolled before a refusal or the tape's end
+    assert rest_of(source) == rest_of(reference)
+
+
+# A range whose first or last die fails, at each end: 0 and the ceiling + 1.
+# It is refused in its turn, as the `roll` loop refuses it, whichever end
+# fails, and a range whose ends pass rolls as that loop does.
+@pytest.mark.parametrize("snap", [(1, 0, 64, 8), (2**60, 2**59, 64, 8), (5, 3, 5, 2),
+                                  (9, 2, 4, 1)], ids=str)
+def test_roll_many_refuses_a_range_end_in_its_turn(snap):
+    ceiling = 1 << (snap[2] - snap[3])
+    for sides in (range(max(1, ceiling - 2), ceiling + 2), range(ceiling + 1, 0, -1),
+                  range(4, -1, -1), range(0, 4), range(ceiling + 1, 0, -2),
+                  range(max(1, ceiling - 3), ceiling + 1), range(ceiling, 0, -1)):
+        pool, expected = EntropyPool.from_snapshot(snap), EntropyPool.from_snapshot(snap)
+        tape, reference = TapeSource(bytes(range(60))), TapeSource(bytes(range(60)))
+        got, want = [], []
+        assert observe(lambda: refusal_or(lambda: pool.roll_many(sides, tape, got)), pool,
+                       tape) == observe(lambda: refusal_or(
+                           lambda: reference_checked(expected, sides, reference, want)),
+                           expected, reference), sides
+        assert got == want, sides
 
 
 # The count form from any state, mostly on dice small enough to be fused,
@@ -427,6 +482,7 @@ def _count_form_lookups(monkeypatch, word_bits, chunk_bits, dice=range(1, 300)):
 
     def spy(n, *geometry):
         assert geometry == (word_bits, chunk_bits)
+        fused_run.cache_clear()  # a full cache turns new dice away; the gate alone decides here
         looked_up[n] = fused_run(n, *geometry)
         return looked_up[n]
 
@@ -516,6 +572,76 @@ def test_the_count_form_hands_slivers_and_rejects_to_the_iterable_loop(monkeypat
         assert got == want, nbits
 
 
+def test_five_fused_dice_in_turn_build_no_run_or_table_after_the_first_round():
+    # Four runs fill the cache; the fifth die is turned away, rolls as the
+    # repeat form, and evicts none of them: each round after the first makes
+    # four hits and builds nothing. The outcomes are the repeat form's.
+    _fused_run.cache_clear()
+    _table.cache_clear()
+    pool, source = EntropyPool(), SeededSource(1)
+    expected, reference = EntropyPool(), SeededSource(1)
+    for n in (2, 3, 4, 5, 6):
+        pool.roll_many(n, source, count=16)
+        expected.roll_many(repeat(n, 16), reference)
+    built = _fused_run.cache_info().misses, _table.cache_info().misses
+    for _ in range(20):
+        for n in (2, 3, 4, 5, 6):
+            assert pool.roll_many(n, source, count=16) == expected.roll_many(repeat(n, 16),
+                                                                              reference)
+    assert (_fused_run.cache_info().misses, _table.cache_info().misses) == built == (4, 8)
+    assert _fused_run.cache_info().hits == 4 * 20
+
+
+def test_runs_no_call_uses_give_way_to_new_dice():
+    # A full cache of runs no call uses any more: a new die is turned away
+    # once at most, then takes an unused run's place, so two new dice in
+    # turn hit the cache from their second round on.
+    _fused_run.cache_clear()
+    pool, source = EntropyPool(), SeededSource(1)
+    for n in (2, 3, 4, 5):
+        pool.roll_many(n, source, count=16)
+    for _ in range(2):
+        for n in (6, 8):
+            pool.roll_many(n, source, count=16)
+    hits = _fused_run.cache_info().hits
+    for _ in range(5):
+        for n in (6, 8):
+            pool.roll_many(n, source, count=16)
+    assert _fused_run.cache_info().hits == hits + 10
+
+
+def test_threads_sharing_the_run_cache_roll_as_the_repeat_form():
+    # Six threads, each with its own pool and source, roll runs of six fused
+    # dice in turn through the one run cache while the interpreter switches
+    # threads every 10 us: every outcome is the repeat form's, and the cache
+    # never holds more runs than its bound.
+    _fused_run.cache_clear()
+    errors, interval = [], sys.getswitchinterval()
+
+    def work(seed):
+        try:
+            pool, source = EntropyPool(), SeededSource(seed)
+            expected, reference = EntropyPool(), SeededSource(seed)
+            for _ in range(30):
+                for n in (2, 3, 4, 5, 6, 8):
+                    got = pool.roll_many(n, source, count=12)
+                    assert got == expected.roll_many(repeat(n, 12), reference), (seed, n)
+                    assert _fused_run.cache_info().currsize <= MAX_TABLES // 2
+        except Exception as error:  # read by the main thread below
+            errors.append(error)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+
+
 def test_runs_of_five_dice_in_turn_cache_at_most_half_the_tables():
     # each cached run pins its two tables, so the cache holds
     # MAX_TABLES // 2 runs and its runs pin at most MAX_TABLES tables
@@ -541,7 +667,10 @@ def test_the_count_form_rolls_6_0_and_true_as_the_repeat_form_after_6_and_1():
 
 def test_runs_of_four_dice_in_turn_keep_their_tables():
     # each run fuses only its two largest k, so four dice need 8 tables,
-    # which the cache holds: after the first round, every table is a hit
+    # which the cache holds: after the first round, every table is a hit.
+    # (A cache full of runs from earlier calls can take two rounds to give
+    # way: test_runs_no_call_uses_give_way_to_new_dice.)
+    _fused_run.cache_clear()
     _table.cache_clear()
     pool, source = EntropyPool(), SeededSource(1)
     for n in (2, 3, 6, 16):

@@ -20,6 +20,16 @@ metric also records REV's median and quartiles and how many pairs the
 checkout won and lost (a tie is neither). Records name the code they
 ran by `source_digest`. The checkout is only read, apart from the record
 itself: the first free `BENCH_<n>.json` at the repository root.
+
+The record's `versus` block sets the checkout's recycler against the
+naive rejection sampler head to head, on a fixed grid: d6, d52 and d1000
+at (word_bits, chunk_bits) = (64, 8) and (128, 64). For each cell,
+`--seeds` pairs of `harness.bench_recycler` and `harness.bench_naive`
+calls run alternately (the recycler first on even pairs), each in a
+fresh process, and the block keeps each side's median rate, the median
+pairwise ratio of the rates with its range, each side's bits drawn, summed
+over the pairs, and so its exact bits per roll, and the interpreter's
+version.
 """
 
 from __future__ import annotations
@@ -83,6 +93,63 @@ def summarize(metrics: list[dict], runs: list[dict], against: list[dict]) -> dic
     return summary
 
 
+# One bench call in a fresh process: its rolls per second (timed inside
+# the call) and the bits it drew, as JSON.
+BENCH_CALL = """
+import json, platform, sys
+from dicepool import harness
+sampler, sides, rolls, seed, word_bits, chunk_bits = json.loads(sys.argv[1])
+geometry = dict(word_bits=word_bits, chunk_bits=chunk_bits) if sampler == "recycler" else {}
+report = getattr(harness, "bench_" + sampler)(sides, rolls, seed, **geometry)
+print(json.dumps([rolls / report.elapsed, report.bits_in, platform.python_version()]))
+"""
+
+
+def bench_call(tree: Path, *args) -> list:
+    """`BENCH_CALL` run on `tree`'s sources: [rolls/s, bits drawn, Python version]."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", BENCH_CALL, json.dumps(args)], cwd=tree,
+                          env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if done.returncode:
+        raise SystemExit(f"error: bench call {args} exited {done.returncode}: "
+                         f"{done.stderr.strip()[-2000:]}")
+    return json.loads(done.stdout)
+
+
+def head_to_head(pairs: list[tuple[list, list]], rolls: int) -> dict:
+    """One `versus` cell from its (recycler, naive) pairs of `bench_call` results."""
+    ratios = [recycler[0] / naive[0] for recycler, naive in pairs]
+    bits = {"recycler_bits": sum(r[1] for r, _ in pairs),
+            "naive_bits": sum(n[1] for _, n in pairs)}
+    return {
+        "pairs": len(pairs), "rolls": rolls,
+        "recycler_rolls_per_s": statistics.median(r[0] for r, _ in pairs),
+        "naive_rolls_per_s": statistics.median(n[0] for _, n in pairs),
+        "ratio": {"median": statistics.median(ratios), "min": min(ratios), "max": max(ratios)},
+        **bits, **{name + "_per_roll": total / (rolls * len(pairs))
+                   for name, total in bits.items()},
+    }
+
+
+def versus(tree: Path, seeds: range) -> dict:
+    """The `versus` block: the recycler against bench_naive on the grid."""
+    rolls, cells, python = 200_000, [], None
+    for word_bits, chunk_bits in ((64, 8), (128, 64)):
+        for sides in (6, 52, 1000):
+            pairs = []
+            for i, seed in enumerate(seeds):
+                order = ("recycler", "naive") if i % 2 == 0 else ("naive", "recycler")
+                calls = {sampler: bench_call(tree, sampler, sides, rolls, seed, word_bits,
+                                             chunk_bits) for sampler in order}
+                pairs.append((calls["recycler"], calls["naive"]))
+                python = calls["recycler"][2]
+            cells.append({"sides": sides, "word_bits": word_bits, "chunk_bits": chunk_bits,
+                          **head_to_head(pairs, rolls)})
+            print(f"versus d{sides} at ({word_bits}, {chunk_bits}): recycler/naive "
+                  f"{cells[-1]['ratio']['median']:.3f}x", file=sys.stderr)
+    return {"python": python, "cells": cells}
+
+
 def fill_tree(into: Path, rev: str | None) -> str | None:
     """Put REV's src/ (the checkout's if REV is None) and the checkout's
     perfbench/ into `into`, leaving out cached bytecode; REV's full hash."""
@@ -144,10 +211,11 @@ def main(argv=None) -> int:
                 "runs": runs,
                 **({"against_runs": theirs} if against else {}),
             }
+        head = versus(ours, seeds)
     record = {
         "command": ["python", "tools/bench_record.py", *(argv or sys.argv[1:])],
         "seconds": seconds, "trace": 0, "seeds": list(seeds),
-        "against": against, "workloads": workloads,
+        "against": against, "workloads": workloads, "versus": head,
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)

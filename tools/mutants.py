@@ -67,6 +67,11 @@ MANY_REFILL = "if size <= ceiling:\n                            if size > floor:
 UNREAD_LINE = "                                source.unread(ahead & ((1 << left) - 1), left)\n"
 DRAWN_LINE = "                                self.bits_drawn -= left\n"
 EMPTY_GIVE_BACK = UNREAD_LINE + DRAWN_LINE
+# the byte view of a span read, made in the iterable loop's band and in the
+# count loop (told apart by their indents)
+BAND_VIEW = "                                    octets = bytewise and ahead.to_bytes("
+COUNT_VIEW = "\n                            octets = bytewise and ahead.to_bytes("
+RANGES = POOL + "test_roll_many_refuses_a_range_end_in_its_turn"
 
 # (file under src/dicepool, old text occurring exactly once, new text, test node ids)
 MUTANTS = [
@@ -215,9 +220,8 @@ MUTANTS = [
      "finally:\n                                    pass\n                                break",
      [MANY]),
     ("pool.py", "if size > floor:", "if size >= floor:", [MANY]),
-    ("pool.py", "self.bits_drawn += span  # less what is given back\n"
-     "                                left -= chunk",
-     "pass\n                                left -= chunk",
+    ("pool.py", "self.bits_drawn += span  # less what is given back\n" + BAND_VIEW,
+     "pass\n" + BAND_VIEW,
      [MANY, POOL + "test_roll_many_matches_the_reference_loop"]),
     ("pool.py", "\n                        cutoff = n * keep",
      "\n                        cutoff = n * keep - 1", [MANY]),
@@ -311,11 +315,11 @@ MUTANTS = [
     # the count form's run, worked out once per die and geometry, the type
     # test in the gate at the call site ahead of that cache, the cache's
     # size, and the gate's power, which the opened-gate cases must see
-    ("pool.py", "@lru_cache(maxsize=MAX_TABLES // 2)", "",
+    ("pool.py", "run = self.runs.get(key, self)", "run = self",
      [POOL + "test_the_count_form_works_out_its_steps_once_per_die"]),
     ("pool.py", "count > 1 and type(sides) is int and", "count > 1 and",
      [POOL + "test_the_count_form_rolls_6_0_and_true_as_the_repeat_form_after_6_and_1"]),
-    ("pool.py", "maxsize=MAX_TABLES // 2", "maxsize=MAX_TABLES",
+    ("pool.py", "if len(runs) >= MAX_TABLES // 2:", "if len(runs) >= MAX_TABLES:",
      [POOL + "test_runs_of_five_dice_in_turn_cache_at_most_half_the_tables"]),
     ("pool.py", "sides ** FUSE_POWER <= 1 << chunk", "sides ** 2 <= 1 << chunk", [COUNT]),
     # the count form's other hand-offs to the iterable loop: a single pass
@@ -326,6 +330,24 @@ MUTANTS = [
      "except ():  # too few bits for a span", [COUNT]),
     ("pool.py", "sides, rest = (n,), rest - 1", "sides, rest = (n,), rest", [COUNT]),
     ("pool.py", "1 < sides <= ceiling\n", "1 < sides <= ceiling + 1\n", [GATE]),
+    # a range checked once by its two ends, each against 1 and the ceiling
+    ("pool.py", "and 1 <= sides[-1] <= ceiling)", "and True)", [RANGES]),
+    ("pool.py", "1 <= sides[0] <= ceiling\n", "1 <= sides[0] <= ceiling + 1\n", [RANGES]),
+    # the byte view: dropped when a wide top-up replaces the read-ahead,
+    # each span's bytes least significant first, in both loops
+    ("pool.py", 'octets = b""  # ahead is new', 'pass  # ahead is new',
+     [POOL + "test_roll_many_matches_the_reference_loop"]),
+    ("pool.py", BAND_VIEW + 'span >> 3, "little")', BAND_VIEW + 'span >> 3, "big")',
+     ["tests/test_harness.py::test_shuffle_fixture"]),
+    ("pool.py", COUNT_VIEW + 'span >> 3, "little")', COUNT_VIEW + 'span >> 3, "big")',
+     [FROZEN + "[bench -n 6 --rolls 20000 --seed 1 --baseline]"]),
+    # the run cache: a full cache evicts only a run unused since it last
+    # turned a key away, and a refusal marks every run unused again
+    ("pool.py", "idle = next((old for old in runs if old not in self.used), None)",
+     "idle = next(iter(runs))",
+     [POOL + "test_five_fused_dice_in_turn_build_no_run_or_table_after_the_first_round"]),
+    ("pool.py", "self.used.clear()\n                            return None", "return None",
+     [POOL + "test_runs_no_call_uses_give_way_to_new_dice"]),
 ]
 
 
