@@ -7,12 +7,28 @@ factors the pool into an outcome in [0, n) plus a smaller pool of
 size // n states; when the pool value falls in the unusable top sliver
 of the range, the draw fails but the sliver itself is still uniform, so
 it is kept as the new, smaller pool instead of being thrown away. Fresh
-entropy only ever enters in whole fixed-size chunks. `top_off` and
-`roll_step` are the reference pair, one refill and one reduction pass,
-and `roll` is that pair called pass after pass. `roll_many` is the one
-fast loop, for runs of dice: it gives what a loop of `roll` calls gives,
-bit for bit, and the README's `roll_many` section tells how (read-ahead
-spans, the byte view, the count form and its cached runs). `roll` and
+entropy only ever enters in whole fixed-size chunks, through `top_off`
+or `roll_many`'s read-ahead. `top_off` and `roll_step` are the
+reference pair, one refill and one reduction pass, and `roll` is that
+pair called pass after pass: the readable reference, which pays two
+method calls a pass. `roll_many` is the one fast loop: it rolls a run of dice, fixed or
+changing, small or as wide as a product draw, as a loop of `roll` calls
+would, with the pool state held in locals between them; runs of dice
+belong there. It takes every refill, one chunk or wider, from bits read
+ahead in 256-bit spans (at 8-bit chunks, a one-chunk refill indexes the
+span's bytes) and gives the bits its pool did not take back to the
+source (`EntropySource.unread`) before anything else may read it,
+so the source serves the same bits in the same order either way; only
+the empty pool rolls through `roll`. Its count form,
+`roll_many(n, source, count=k)`, rolls a run of one small die several
+passes at a time: on a pool above the ceiling, k passes all accept iff
+one pass over n**k does, with the same outcomes, state and bits, so it
+makes that one pass and takes the k outcomes from a digit table (the
+tables radix plans use, in one bounded cache). Each die's run, its
+thresholds and two tables, is worked out once and cached; the dice left
+cap k in the loop. The run's rare passes (a refill below the one-chunk
+band, a reject, a short read) and other dice go through the iterable
+loop. A `range` of dice is checked once, by its two ends. `roll` and
 `roll_many` refuse a state outside 0 <= value < size on entry, before a
 bit is read; each step keeps a valid state valid.
 """
@@ -21,11 +37,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable
-from functools import _CacheInfo, lru_cache
+from functools import lru_cache
 from itertools import product, repeat
 from math import log2
 from operator import index
-from threading import Lock
 
 from .sources import EntropyExhausted, EntropySource, _int_in, _refusal
 
@@ -135,17 +150,21 @@ class EntropyPool:
         Returns the outcome in [0, sides); the fresh bits it draws are
         added to `bits_drawn`. This is the reference pair itself:
         `top_off` then `roll_step`, pass after pass, until a pass
-        accepts. Each pass is one call of each, the calls
-        `perfbench/run.py --trace 1` divides by; runs of dice belong to
-        `roll_many`, which gives the same outcomes, state and
-        `bits_drawn`. Requires 1 <= sides <= 2**(word_bits - chunk_bits),
-        so the topped-off pool covers the range and the loop cannot
-        stall. If a refill runs out of bits, EntropyExhausted propagates
-        and the passes already made stay applied. A non-int `sides` raises
+        accepts, so the accept chance stays high even once recycling has
+        shrunk the pool. Each pass is one call of each, the calls
+        `perfbench/run.py --trace 1` divides by. A lone call pays for
+        those two method calls on every pass; runs of dice belong to
+        `roll_many`, the one fast loop, which gives the same outcomes,
+        state and `bits_drawn`. Requires
+        1 <= sides <= 2**(word_bits - chunk_bits): that guarantees the
+        topped-off pool covers the range and the loop cannot stall. If a
+        refill runs out of bits, EntropyExhausted propagates and the
+        passes already made stay applied. A non-int `sides` raises
         TypeError before any bit is drawn. A corrupt state (the slots are
         writable) raises ValueError on entry unless 0 <= value < size,
-        before the die is checked or a bit is read; each step keeps a
-        valid state valid.
+        before the die is checked or a bit is read; refill, accept and
+        reject each keep a valid state valid, so the loop checks nothing
+        more.
         """
         size, value = self.size, self.value
         if not 0 <= value < size:  # corrupt: a valid state stays valid until return
@@ -168,28 +187,44 @@ class EntropyPool:
         appended (a new list if `out` is None).
 
         The same as calling `roll(n, source)` for each n and appending the
-        results: the same outcomes, bits drawn and final state, and the
-        same refusals: each die is checked as `roll` checks it, when its
-        turn comes, after the outcomes before it are in `out`. A corrupt
-        state raises ValueError on entry unless 0 <= value < size, before
-        any die is checked or a bit is read, even if `sides` is empty.
-        `sides` may be any iterable, such as `itertools.repeat(6, count)`
-        or, for a shuffle, `range(deck, 1, -1)`, and the dice may change
-        from one roll to the next. A run of one int object is checked
-        once; a `range` whose two ends pass is checked once, on entry,
-        and one whose ends fail is checked die by die, so a bad die is
-        still refused in its turn. If a die is refused or the source runs
-        out, the outcomes rolled before it stay in `out` and the pool is
-        left as the `roll` loop would leave it.
-
-        Every refill but the empty pool's comes from bits read ahead in
-        256-bit spans (at 8-bit chunks, a one-chunk refill indexes the
-        span's bytes). Before the empty pool rolls through `roll`, and
-        when the call ends or raises, the bits the pool did not take go
-        back with `source.unread`: the source serves the same bits in the
-        same order as to the `roll` loop, and a tape runs out at the same
-        roll. So while the call runs, nothing else may read the source,
-        the `sides` iterable included.
+        results: the same outcomes, bits drawn and final state, and the same
+        refusals: each die is checked as `roll` checks it, when its turn
+        comes, after the outcomes before it are in `out`. A corrupt state
+        raises ValueError on entry unless 0 <= value < size, before any die is
+        checked or a bit is read, even if `sides` is empty. `sides` may be any
+        iterable, such as `itertools.repeat(6, count)` or, for a shuffle,
+        `range(deck, 1, -1)`, and the dice may change from one roll to the
+        next. The loop holds the pool state in locals, makes the reduction
+        pass inline, and writes the state back when it ends, also when it
+        raises: if a die is refused or the source runs out, the outcomes
+        rolled before it stay in `out` and the pool is left as the `roll` loop
+        would leave it. Every refill comes from a read-ahead filled in spans,
+        the most whole chunks that fit 256 bits (one `SeededSource` pull). A
+        pool in the one-chunk band (ceiling >> chunk_bits, ceiling], where one
+        chunk tops it off, takes that chunk without working out the width,
+        reading a span when the read-ahead is empty; at 8-bit chunks each span
+        read also makes the span's bytes, least significant first, and the
+        chunk is a byte of them, not a shift of the read-ahead. A pool below
+        the band (one a reject or a large die, such as a product draw, has
+        shrunk) takes the width `top_off` would read, topping the read-ahead
+        up first, if it holds too few bits, with the fewest whole spans that
+        cover the shortfall, in one `next_bits` call; that top-up replaces the
+        read-ahead, so it drops the bytes, and band refills shift until the
+        next span read. Only the empty pool (size 1) rolls that one outcome
+        through `roll`, which fills it by `top_off` and `roll_step`. Before
+        that `roll` call, and when the loop ends or raises, the bits the pool
+        did not take go back to the source with `source.unread`; by the
+        big-endian source contract the pool takes the same bits in the same
+        order as `roll`'s reads, and the source is left as the `roll` loop
+        would leave it. So while the call runs, nothing else may read the
+        source, the `sides` iterable included. A read of whole spans that runs
+        out is made again for just the bits the refill needs, and the rest of
+        the call reads one chunk at a time, so a finite tape runs out at the
+        same roll as in the `roll` loop. Each die is checked when it is not
+        the object last checked: a run of one int object is checked once, any
+        other die each time, but a `range` whose two ends pass is checked
+        once, on entry, by those ends. A range whose ends fail is checked die
+        by die, so its first bad die is still refused in its turn.
 
         The count form, `roll_many(n, source, out, count=k)`, gives what
         `roll_many(repeat(n, k), source, out)` gives: the same outcomes,
@@ -197,12 +232,23 @@ class EntropyPool:
         the same roll with the same `out` prefix and tape position.
         `count` must be an int >= 0 and is checked first; the die is
         checked only if count >= 1. An int die 2 <= n <= ceiling with
-        n**FUSE_POWER <= 2**chunk_bits (d2 to d16 at (64, 8)) and a count
-        of at least 2 take a loop of their own, which makes k passes that
-        no refill falls between as one pass over n**k (see `_fused_run`),
-        if the run cache holds or takes the die's run. Any other die or
-        count, and a die the cache turns away, goes through the iterable
-        loop as `repeat(n, count)`.
+        n**FUSE_POWER <= 2**chunk_bits (d2 to d16 at (64, 8)), whose two
+        passes fit one table, and a count of at least 2 take a loop of
+        their own; that gate is tested before the cache, so no other die
+        takes a place in it. The run, the thresholds and the two digit
+        tables, is worked out once per die and geometry and cached. After
+        each one-chunk refill, the most passes k with
+        size >= (ceiling + 1) * n**(k - 1), so that no refill falls
+        between them, are made as one pass over n**k, whose digits,
+        least significant first, come from the `(n,) * k` digit table,
+        if k is one of the two largest that can fit and at most the
+        dice left. Otherwise, or if that pass rejects, one pass over n
+        is made. Every other case hands that one die to the iterable
+        loop, which rolls it as any other, and the run resumes after it:
+        a pool below the one-chunk band (the empty pool or a sliver), a
+        single pass that rejects, and a span read that runs short. Any
+        other die or count goes through the iterable loop as
+        `repeat(n, count)`.
         """
         word_bits, ceiling, chunk = self.word_bits, self.refill_ceiling, self.chunk_bits
         run, rest = None, 0  # the count form's run, and the dice it has left
@@ -351,67 +397,25 @@ def _table(group: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple([digits[::-1] for digits in product(*map(range, group[::-1]))])
 
 
-class _RunCache:
-    """`_fused_run`'s cache: at most MAX_TABLES // 2 runs, which pin two
-    tables each. Once it is full, a key it lacks replaces the oldest run
-    that no call has used since the cache last turned a key away; if every
-    run has been used, the key is turned away, as None (that call rolls as
-    the repeat form), and every run counts as unused again. So five fused
-    dice in turn keep four runs, with no table rebuilt round after round,
-    and unused runs give way. `cache_info` and `cache_clear` are lru_cache's
-    (a key turned away is neither a hit nor a miss; hits take no lock, so
-    threads may undercount them); the lock serializes every change.
-    """
-
-    def __init__(self, work_out):
-        self.work_out, self.lock = work_out, Lock()
-        self.cache_clear()
-
-    def __call__(self, *key):
-        run = self.runs.get(key, self)  # a hit takes no lock
-        if run is self:
-            with self.lock:
-                runs = self.runs
-                if key not in runs:  # another thread may have added it meanwhile
-                    if len(runs) >= MAX_TABLES // 2:
-                        idle = next((old for old in runs if old not in self.used), None)
-                        if idle is None:  # every run in use: turn the key away
-                            self.used.clear()
-                            return None
-                        del runs[idle]
-                    self.misses += 1
-                    runs[key] = self.work_out(*key)
-                run = runs[key]
-        else:
-            self.hits += 1
-        self.used.add(key)
-        return run
-
-    def cache_info(self):
-        return _CacheInfo(self.hits, self.misses, MAX_TABLES // 2, len(self.runs))
-
-    def cache_clear(self):
-        with self.lock:
-            self.runs, self.used, self.hits, self.misses = {}, set(), 0, 0
-
-
-@_RunCache
+@lru_cache(maxsize=MAX_TABLES // 2)  # each run pins two tables: at most MAX_TABLES in all
 def _fused_run(n: int, word_bits: int, chunk_bits: int) -> tuple | None:
     """What `roll_many`'s count form needs to roll a run of the int die n
     several passes at a time, or None if fewer than two passes fit.
 
-    On a pool of size S above the ceiling C, k passes over n with no
-    refill between them fit iff S >= (C + 1) * n**(k - 1), and then they
-    all accept iff one pass over n**k does, with the base-n digits of the
-    value as outcomes. For k = 1, 2, ..., top: sizes[k - 1] is that least
-    size and powers[k] = n**k; top stops at the widest pool and at
-    TABLE_DIGITS. Only the top two k, from low = max(2, top - 1), are
-    fused, by tables[k] = `_table((n,) * k)`: after a refill, the pool a
-    fused pass left fits one of them at (64, 8). `roll_many` looks it up
-    only for an int die 2 <= n <= ceiling with n**FUSE_POWER <=
-    2**chunk_bits: a larger one too rarely fits a second pass to pay for
-    choosing k (fused, d20 rolled as fast, d52 and d90 about 10% and 15%
-    slower), and 6.0 or True never finds the entry of 6 or 1.
+    For k = 1, 2, ..., top: sizes[k - 1] = (ceiling + 1) * n**(k - 1), the
+    least size from which k passes fit with no refill between them, and
+    powers[k] = n**k. top stops at the widest pool and at TABLE_DIGITS;
+    the loop's `k <= rest` test stops k at the dice left. Only the top two
+    k, from low = max(2, top - 1), are fused, by their digit tables
+    tables[k] = `_table((n,) * k)`: after a refill, the pool a fused pass
+    left fits one of them at (64, 8), and a cache of MAX_TABLES // 2 runs
+    holds at most MAX_TABLES tables, so runs of up to four dice in turn
+    keep theirs. `roll_many` looks it up only for a die its gate passes,
+    an int 2 <= n <= ceiling with n**FUSE_POWER <= 2**chunk_bits: a
+    larger one too rarely fits a second pass above the ceiling to pay for
+    choosing k (at (64, 8), d2 to d16 are fused; fused, d20 rolled as
+    fast, d52 and d90 about 10% and 15% slower), and 6.0 or True never
+    finds the entry of 6 or 1. Worked out once per die and geometry.
     """
     ceiling = 1 << (word_bits - chunk_bits)
     sizes, powers = [ceiling + 1], [1, n]

@@ -2,8 +2,6 @@
 
 import math
 import random
-import sys
-import threading
 from fractions import Fraction
 from itertools import repeat
 
@@ -482,7 +480,6 @@ def _count_form_lookups(monkeypatch, word_bits, chunk_bits, dice=range(1, 300)):
 
     def spy(n, *geometry):
         assert geometry == (word_bits, chunk_bits)
-        fused_run.cache_clear()  # a full cache turns new dice away; the gate alone decides here
         looked_up[n] = fused_run(n, *geometry)
         return looked_up[n]
 
@@ -572,76 +569,6 @@ def test_the_count_form_hands_slivers_and_rejects_to_the_iterable_loop(monkeypat
         assert got == want, nbits
 
 
-def test_five_fused_dice_in_turn_build_no_run_or_table_after_the_first_round():
-    # Four runs fill the cache; the fifth die is turned away, rolls as the
-    # repeat form, and evicts none of them: each round after the first makes
-    # four hits and builds nothing. The outcomes are the repeat form's.
-    _fused_run.cache_clear()
-    _table.cache_clear()
-    pool, source = EntropyPool(), SeededSource(1)
-    expected, reference = EntropyPool(), SeededSource(1)
-    for n in (2, 3, 4, 5, 6):
-        pool.roll_many(n, source, count=16)
-        expected.roll_many(repeat(n, 16), reference)
-    built = _fused_run.cache_info().misses, _table.cache_info().misses
-    for _ in range(20):
-        for n in (2, 3, 4, 5, 6):
-            assert pool.roll_many(n, source, count=16) == expected.roll_many(repeat(n, 16),
-                                                                              reference)
-    assert (_fused_run.cache_info().misses, _table.cache_info().misses) == built == (4, 8)
-    assert _fused_run.cache_info().hits == 4 * 20
-
-
-def test_runs_no_call_uses_give_way_to_new_dice():
-    # A full cache of runs no call uses any more: a new die is turned away
-    # once at most, then takes an unused run's place, so two new dice in
-    # turn hit the cache from their second round on.
-    _fused_run.cache_clear()
-    pool, source = EntropyPool(), SeededSource(1)
-    for n in (2, 3, 4, 5):
-        pool.roll_many(n, source, count=16)
-    for _ in range(2):
-        for n in (6, 8):
-            pool.roll_many(n, source, count=16)
-    hits = _fused_run.cache_info().hits
-    for _ in range(5):
-        for n in (6, 8):
-            pool.roll_many(n, source, count=16)
-    assert _fused_run.cache_info().hits == hits + 10
-
-
-def test_threads_sharing_the_run_cache_roll_as_the_repeat_form():
-    # Six threads, each with its own pool and source, roll runs of six fused
-    # dice in turn through the one run cache while the interpreter switches
-    # threads every 10 us: every outcome is the repeat form's, and the cache
-    # never holds more runs than its bound.
-    _fused_run.cache_clear()
-    errors, interval = [], sys.getswitchinterval()
-
-    def work(seed):
-        try:
-            pool, source = EntropyPool(), SeededSource(seed)
-            expected, reference = EntropyPool(), SeededSource(seed)
-            for _ in range(30):
-                for n in (2, 3, 4, 5, 6, 8):
-                    got = pool.roll_many(n, source, count=12)
-                    assert got == expected.roll_many(repeat(n, 12), reference), (seed, n)
-                    assert _fused_run.cache_info().currsize <= MAX_TABLES // 2
-        except Exception as error:  # read by the main thread below
-            errors.append(error)
-
-    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
-    sys.setswitchinterval(1e-5)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads) and errors == []
-
-
 def test_runs_of_five_dice_in_turn_cache_at_most_half_the_tables():
     # each cached run pins its two tables, so the cache holds
     # MAX_TABLES // 2 runs and its runs pin at most MAX_TABLES tables
@@ -667,10 +594,7 @@ def test_the_count_form_rolls_6_0_and_true_as_the_repeat_form_after_6_and_1():
 
 def test_runs_of_four_dice_in_turn_keep_their_tables():
     # each run fuses only its two largest k, so four dice need 8 tables,
-    # which the cache holds: after the first round, every table is a hit.
-    # (A cache full of runs from earlier calls can take two rounds to give
-    # way: test_runs_no_call_uses_give_way_to_new_dice.)
-    _fused_run.cache_clear()
+    # which the cache holds: after the first round, every table is a hit
     _table.cache_clear()
     pool, source = EntropyPool(), SeededSource(1)
     for n in (2, 3, 6, 16):

@@ -315,11 +315,11 @@ MUTANTS = [
     # the count form's run, worked out once per die and geometry, the type
     # test in the gate at the call site ahead of that cache, the cache's
     # size, and the gate's power, which the opened-gate cases must see
-    ("pool.py", "run = self.runs.get(key, self)", "run = self",
+    ("pool.py", "@lru_cache(maxsize=MAX_TABLES // 2)", "",
      [POOL + "test_the_count_form_works_out_its_steps_once_per_die"]),
     ("pool.py", "count > 1 and type(sides) is int and", "count > 1 and",
      [POOL + "test_the_count_form_rolls_6_0_and_true_as_the_repeat_form_after_6_and_1"]),
-    ("pool.py", "if len(runs) >= MAX_TABLES // 2:", "if len(runs) >= MAX_TABLES:",
+    ("pool.py", "maxsize=MAX_TABLES // 2", "maxsize=MAX_TABLES",
      [POOL + "test_runs_of_five_dice_in_turn_cache_at_most_half_the_tables"]),
     ("pool.py", "sides ** FUSE_POWER <= 1 << chunk", "sides ** 2 <= 1 << chunk", [COUNT]),
     # the count form's other hand-offs to the iterable loop: a single pass
@@ -341,13 +341,6 @@ MUTANTS = [
      ["tests/test_harness.py::test_shuffle_fixture"]),
     ("pool.py", COUNT_VIEW + 'span >> 3, "little")', COUNT_VIEW + 'span >> 3, "big")',
      [FROZEN + "[bench -n 6 --rolls 20000 --seed 1 --baseline]"]),
-    # the run cache: a full cache evicts only a run unused since it last
-    # turned a key away, and a refusal marks every run unused again
-    ("pool.py", "idle = next((old for old in runs if old not in self.used), None)",
-     "idle = next(iter(runs))",
-     [POOL + "test_five_fused_dice_in_turn_build_no_run_or_table_after_the_first_round"]),
-    ("pool.py", "self.used.clear()\n                            return None", "return None",
-     [POOL + "test_runs_no_call_uses_give_way_to_new_dice"]),
 ]
 
 
