@@ -1,10 +1,8 @@
 """dicepool: fair die rolls from coin flips with entropy recycling.
 
-The pool keeps the entropy a die roll produces as a by-product (the
-quotient of the accepted draw, the leftover range of a rejected one)
-and spends it on later rolls, so long-run waste per roll is nearly
-zero even when the die range changes every round. The analysis module
-prices that waste in closed form; the harness measures it.
+The pool keeps the entropy a roll leaves over and spends it on later
+rolls, so waste per roll is nearly zero even when the die changes every
+round. `analysis` prices that waste in closed form; `harness` measures it.
 """
 
 from .analysis import (

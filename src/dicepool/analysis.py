@@ -1,10 +1,7 @@
 """Closed-form model of the entropy the pool's reduction pass wastes.
 
-The accept/reject test of each pass is a biased coin flip, and the
-information that flip reveals is exactly the entropy the pass loses.
-`waste_point` prices the pass on a pool size, with each accept or offcut
-share one correctly rounded int/int division; `efficiency_estimate` is
-the large-pool estimate. 0 * log 0 = 0 makes p in {0, 1} total.
+That waste is the information its biased accept test reveals, and
+0 * log 0 = 0 makes p in {0, 1} total.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ def binary_entropy(p: float) -> float:
 def waste_per_roll(p: float) -> float:
     """Expected waste per accepted roll: binary_entropy(p) / p.
 
-    One pass wastes binary_entropy(p) and succeeding takes 1/p passes on
+    A pass wastes binary_entropy(p) and an accept takes 1/p passes on
     average. Strictly decreasing in p on (0, 1], zero at p = 1.
     """
     if not 0.0 < p <= 1.0:
@@ -44,7 +41,7 @@ def efficiency_estimate(sides: int, pool_size: int) -> float:
     1 - (sides / (2*pool_size)) * (1 + ln 2 + ln pool_size - ln sides) / ln sides
 
     Valid for 2 <= sides and pool_size >= ESTIMATE_REGIME_FACTOR * sides;
-    below that the point value is an extrapolation.
+    below that it is an extrapolation.
     """
     sides, pool_size = _int_in("sides", sides, 2), _int_in("pool_size", pool_size, 1)
     ln_sides = math.log(sides)
@@ -63,10 +60,9 @@ class WastePoint(namedtuple("WastePoint", "p waste_iter waste_roll")):
 def waste_point(sides: int, pool_size: int) -> WastePoint:
     """Waste of the reduction pass the pool makes on `pool_size` states.
 
-    The pass keeps pool_size // sides states on success, so all but the
-    pool_size % sides offcut states are accepted. The entropy comes from
-    the offcut share, since h(p) = h(1 - p) and that share keeps its
-    precision where p rounds to 1. A pool smaller than the die accepts
+    The accept and offcut shares are each one correctly rounded int/int
+    division. The entropy comes from the offcut share, (pool_size % sides)
+    / pool_size, which keeps its precision where p rounds to 1. A pool smaller than the die accepts
     nothing: p is 0 and the waste per roll is infinite.
     """
     sides, pool_size = _int_in("sides", sides, 1), _int_in("pool_size", pool_size, 1)

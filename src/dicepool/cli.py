@@ -1,8 +1,7 @@
 """Command-line front end: roll, shuffle, bench, analyze, enumerate.
 
-CSV goes to stdout, diagnostics to stderr, exit code 0 iff no error.
-All randomness flows through the configured source; there is no hidden
-fallback randomness in seeded or tape mode.
+CSV goes to stdout, diagnostics to stderr, exit code 0 iff no error. All
+randomness flows through the configured source, with no hidden fallback.
 """
 
 from __future__ import annotations
@@ -47,9 +46,8 @@ def _int_flag(text: str) -> int:
 def parse_size(text: str, name: str = "size") -> int:
     """Integer literal, optionally in base^exponent form like 2^24.
 
-    A power wider than pool.MAX_WORD_BITS bits is refused; 2^1000000000
-    and any power that cannot be narrower fail before they are computed.
-    `name` names the value in a refusal.
+    A power wider than pool.MAX_WORD_BITS bits is refused, before it is
+    computed if it cannot be narrower. `name` names the value in a refusal.
     """
     if "^" in text:
         base_text, _, exponent_text = text.partition("^")
@@ -84,11 +82,8 @@ def make_source(name: str, seed: int | None) -> EntropySource:
 def cmd_roll(args: argparse.Namespace) -> int:
     """Write -c lines of -n or --plan outcomes to stdout, a block at a time.
 
-    A block of at most BLOCK_BYTES bytes (or one wider line) is rolled by one
-    `roll_many` (-n) or `roll_batch` (--plan) call and formatted by
-    one `%`, or, when every range is at most 10, by writing its one-digit
-    outcomes over the zeros of lines like "0 0 0", built once; if a roll
-    raises, the lines rolled before it are written first.
+    A block holds at most BLOCK_BYTES bytes, or one wider line, and is one
+    `roll_many` or `roll_batch` call; lines rolled before a raise are written.
     """
     count = _int_in("count", args.count, 0)
     if (args.sides is None) == (args.plan is None):
@@ -254,8 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return status
     except BrokenPipeError:
-        # The reader closed the pipe: stop quietly, and point stdout at
-        # devnull so the flush at interpreter exit has nowhere to fail.
+        # The reader is gone: stdout goes to devnull, so the exit flush cannot fail.
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1

@@ -1,10 +1,8 @@
 """Empirical validation: metered benchmarks, exhaustive small-pool
 enumeration, chi-square uniformity, and a variable-radix shuffle demo.
 
-Benchmarks read the fresh bits drawn from the pool's own lifetime
-counter, `EntropyPool.bits_drawn`, and correct for entropy still
-resident in the pool at the end of a run, so short runs do not
-misreport up to a word's worth of stored bits as waste:
+Benchmarks count the pool's own `bits_drawn` and correct for the entropy
+left in the pool, so a short run counts no stored bits as waste:
 
     waste_per_roll = (bits_in - pool_delta - entropy_out) / rolls
     efficiency     = entropy_out / (bits_in - pool_delta)
@@ -27,11 +25,11 @@ BENCH_BLOCK = 1 << 12  # most outcomes bench_recycler holds at once, whatever `r
 
 
 def chi_square(counts: Sequence[int]) -> tuple[float, int]:
-    """Pearson statistic against the uniform expectation.
+    """Pearson statistic against the uniform expectation: (statistic, dof).
 
-    Returns (statistic, degrees of freedom = categories - 1). Validity
-    of the chi-square approximation wants an expected count of at least
-    5 per category; that is the caller's business, not checked here.
+    dof is the number of categories less one. Fewer than two categories, a
+    negative count or no observation raises ValueError. The approximation
+    wants an expected count of at least 5 per category; the caller checks it.
     """
     if len(counts) < 2:
         raise ValueError("need at least two categories")
@@ -55,9 +53,8 @@ class BenchReport(namedtuple("BenchReport", _CSV_COLUMNS + ("elapsed",),
                              defaults=(0.0,))):
     """Aggregate statistics of one benchmark run.
 
-    The first ten fields are the frozen CSV row, in column order;
-    `elapsed` (wall-clock seconds, reported but never asserted) is kept
-    out of the CSV.
+    The first ten fields are the frozen CSV row, in column order; `elapsed`
+    (wall-clock seconds, reported, never asserted) stays out of the CSV.
     """
 
     __slots__ = ()
@@ -143,12 +140,10 @@ def bench_naive(sides: int, rolls: int, seed: int = 1) -> BenchReport:
 
 class EnumerationResult(namedtuple("EnumerationResult",
                                     "tape_bits sides counts discard_states")):
-    """Exact outcome histogram of one reduction pass over all tapes.
+    """Exact outcome histogram of one refill-free pass over every pool value.
 
-    Every pool value in [0, 2**tape_bits) is driven through one
-    reduction with refill disabled. Exactness means: each outcome is hit
-    by the same number of tapes, and the rejected tapes land exactly
-    once on every leftover state.
+    Exact means that each outcome is hit by the same number of tapes and
+    the rejected tapes land once on every leftover state.
     """
 
     __slots__ = ()
@@ -184,10 +179,8 @@ def enumerate_exact(tape_bits: int, sides: int) -> EnumerationResult:
 
 def shuffle(deck: int, source: EntropySource | None = None, *,
             word_bits: int = 64, chunk_bits: int = 8) -> list[int]:
-    """Fisher-Yates permutation of range(deck) driven by one shared pool.
+    """Fisher-Yates permutation of range(deck): dice deck down to 2 on one pool.
 
-    Rolls a deck-sided die, then deck-1, and so on down to 2: a
-    different radix every round, all recycled through the same pool.
     `source` defaults to SeededSource(1).
     """
     deck = _int_in("deck", deck, 1, MAX_TABLE_SIZE)

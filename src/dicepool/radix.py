@@ -1,14 +1,8 @@
 """Batched rolling: one product-range draw decoded as a mixed-radix number.
 
-When several ranges n_1..n_j are known up front, one roll over their
-product costs at most one bit of rounding overhead in total; its digits,
-with n_1 as the least significant radix, are the individual rolls in the
-order sequential rolling peels them off the pool (value mod n first), so
-the two agree draw for draw. `roll_batch` makes any number of such
-draws in one `EntropyPool.roll_many` call. Runs of ranges decode by
-digit tables that TABLE_DIGITS and MAX_TABLES bound, whatever the
-plan's length; the tables and their cache live in `pool`, whose count
-form decodes fused runs of one die by the same tables.
+One roll over the product of ranges n_1..n_j costs at most one bit of
+rounding in all. Its digits, n_1 least significant, decoded by `pool`'s
+digit tables, are the rolls sequential rolling makes, draw for draw.
 """
 
 from __future__ import annotations
@@ -24,11 +18,10 @@ from .sources import EntropySource, _int_in
 class RadixPlan(namedtuple("RadixPlan", "ranges product steps")):
     """An ordered sequence of die ranges rolled as one product draw.
 
-    `product` and `steps` are derived from the ranges, and `_make` and
-    `_replace` rebuild them too, so a plan compares, hashes, prints and
-    pickles by its ranges alone. `steps` holds one (size, table) pair per
-    group of consecutive ranges, least significant first: table[d] is the
-    digits of group value d; a None table is one range decoded alone.
+    `product` and `steps` derive from the ranges (`_make` and `_replace`
+    rebuild them), so a plan compares, hashes, prints and pickles by its
+    ranges. `steps` has a (size, table) pair per group of consecutive ranges,
+    least significant first: table[d] is group value d's digits, or None.
     """
 
     __slots__ = ()
@@ -81,17 +74,15 @@ def decode_mixed_radix(value: int, ranges: Sequence[int]) -> list[int]:
 
 def roll_batch(pool: EntropyPool, plan: RadixPlan, source: EntropySource, count: int = 1,
                out: list[int] | None = None) -> list[int]:
-    """Roll every range in `plan` via one product-range draw, `count` times.
+    """Roll every range in `plan` by one product-range draw, `count` times.
 
-    Appends the outcomes to `out` (a new list if None), in plan order,
-    draw after draw, and returns it. The `count` draws are one
-    `pool.roll_many(plan.product, source, count=count)` call, so they
-    draw the bits, and leave the pool, as `count` calls of
-    `pool.roll(plan.product, source)` would (a product small enough is
-    fused); if a draw raises (a tape runs out), the draws before it are
-    still decoded into `out`. An empty plan appends nothing and leaves
-    the pool untouched. The product must satisfy the usual roll bound
-    (product <= 2**(word_bits - chunk_bits)); `count` must be an int >= 0.
+    Appends the outcomes to `out` (a new list if None), in plan order, and
+    returns it. The draws are one `pool.roll_many(plan.product, source,
+    count=count)` call, so bits and pool end as after `count` calls of
+    `pool.roll(plan.product, source)`; if a draw raises, the draws before it
+    are still decoded into `out`. An empty plan appends nothing and leaves
+    the pool untouched. The product must be at most `pool.refill_ceiling`
+    and `count` an int >= 0.
     """
     count = _int_in("count", count, 0)
     if out is None:

@@ -1,10 +1,8 @@
 """Unbiased-bit providers behind a single `next_bits` interface.
 
-Bit order is big-endian within and across chunks: the first bit a source
-ever emits is the most significant bit of the first value returned, so
-reading 16 bits as two 8-bit chunks yields the same bits as one 16-bit
-read.  Sources are single-owner mutable objects; hand them between
-threads if you like, but never share one concurrently.
+Bits are big-endian within and across reads: the first bit emitted is
+the top bit of the first value, so two 8-bit reads give the bits of one
+16-bit read. A source has one owner: never share it concurrently.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ _MASK256 = (1 << 256) - 1
 def _refusal(name: str, value: int, low: int, high: float = inf) -> str:
     """The one range-refusal text, `NAME must be in [LOW, HIGH], got VALUE`.
 
-    An int wider than 64 bits prints as 2**k, or else as a k-bit int:
-    Python refuses to print one past 4300 digits.
+    An int wider than 64 bits prints as 2**k or as a k-bit int, since Python
+    refuses to print one past 4300 digits.
     """
     def show(n: float) -> str:
         bits = 0 if n == inf else abs(n).bit_length()
@@ -64,23 +62,14 @@ class EntropyExhausted(RuntimeError):
 class EntropySource:
     """Producer of unbiased bits, served from words of `pull_bits` bits.
 
-    A subclass implements `_pull()` returning the next word of fresh bits,
-    `pull_bits` wide (64 unless the class sets it), and inherits
-    `next_bits`, which serves any chunk size. The FIFO buffer keeps the
-    oldest bit on top, so chunked reads agree with one wide read; a read
-    takes its bits off the top with one shift and one subtract, and pulls
-    a word only when the buffer is short. A source that is not word-based
-    overrides `next_bits`, and then `unread` too: defining the class
-    raises TypeError otherwise, since the inherited `unread` would park
-    bits in a buffer its `next_bits` never serves.
-
-    `unread(bits, count)` gives back the last `count` bits read, `bits`
-    in [0, 2**count), so the next read serves them again ahead of the
-    rest: reading 64 bits and giving back the last 40 leaves the source
-    as reading 24 would. `EntropyPool.roll_many` reads up to 256 bits
-    ahead and gives back what its pool did not take before it returns, so
-    until it does, nothing else, its `sides` iterable included, may read
-    the source.
+    A subclass implements `_pull()`, the next word of `pull_bits` fresh bits
+    (64 unless the class sets it), and inherits `next_bits`, which serves any
+    read width and pulls a word only when its buffer is short. A subclass
+    that overrides `next_bits` must override `unread` too, or the inherited
+    one would park bits its `next_bits` never serves: defining such a class
+    raises TypeError. `unread(bits, count)` gives back the last `count` bits
+    read, `bits` in [0, 2**count), so the next read serves them first:
+    reading 64 bits and giving back 40 leaves the source as reading 24 would.
     """
 
     pull_bits = 64  # the width of one `_pull()` word
@@ -114,17 +103,12 @@ class EntropySource:
 
 
 class SeededSource(EntropySource):
-    """Deterministic pseudorandom source for reproducible experiments.
+    """Deterministic SplitMix64 source for reproducible experiments.
 
-    Backed by SplitMix64, a standard 64-bit-state generator. The choice
-    is fixed per release: regression fixtures freeze the exact stream,
-    so changing the generator is a breaking change. Statistical quality
-    is ample for the uniformity harness; this is not a cryptographic
-    source. The seed is taken mod 2**64, so seed + 2**64 replays seed.
-
-    Each `_pull()` makes the next four SplitMix64 outputs at once, first
-    output most significant, so the stream is the one a pull per output
-    would give; the Python overhead of a pull is paid once per 256 bits.
+    Regression fixtures freeze the stream, so changing the generator is a
+    breaking change. Not a cryptographic source. The seed is taken mod 2**64
+    (seed + 2**64 replays seed). Each `_pull()` makes the next four outputs,
+    first output most significant: the stream a pull per output would give.
     """
 
     pull_bits = 256
@@ -133,8 +117,7 @@ class SeededSource(EntropySource):
         self._state = _int_in("seed", seed, 0) & _MASK64
 
     def _pull(self) -> int:
-        # Output i mixes the state stepped i + 1 times. The mix runs on all
-        # four lanes at once, each lane masked to 64 bits before a multiply.
+        # Output i mixes the state stepped i + 1 times, in all four lanes at once.
         state = self._state
         self._state = (state + _PULL_STEP) & _MASK64
         z = (state * _LANE_ONES + _LANE_STEPS) & _LANE_MASK
@@ -148,8 +131,7 @@ class SeededSource(EntropySource):
 class OsSource(EntropySource):
     """Operating-system randomness (os.urandom, 32 bytes a pull). Not reproducible.
 
-    Raises the platform's error (NotImplementedError/OSError) if no OS
-    randomness facility exists. Excluded from regression fixtures.
+    Raises the platform's error (NotImplementedError or OSError) if none exists.
     """
 
     pull_bits = 256
@@ -159,13 +141,10 @@ class OsSource(EntropySource):
 
 
 class TapeSource(EntropySource):
-    """Finite, replayable bit tape.
+    """Finite, replayable bit tape: the first `nbits` bits of `data`, MSB first.
 
-    The tape is the first `nbits` bits of `data`, most significant bit of
-    each byte first; interpreted as one big-endian integer, that is the
-    exact value a fresh reader of the whole tape would get. Reading past
-    the end raises EntropyExhausted. `nbits` must be an int
-    (operator.index), so a fractional tape length raises TypeError.
+    Reading past the end raises EntropyExhausted. `nbits` must be an int
+    (operator.index); one read of the whole tape gives its big-endian value.
     """
 
     def __init__(self, data: bytes, nbits: int | None = None) -> None:
@@ -204,9 +183,8 @@ class TapeSource(EntropySource):
 class CountingSource(EntropySource):
     """Transparent wrapper that totals the bits handed out.
 
-    `bits_delivered` is the exact sum of chunk sizes served so far, less
-    the bits given back with `unread`; a request that fails (tape
-    exhaustion) adds nothing.
+    `bits_delivered` is the sum of the read widths served, less the bits
+    given back with `unread`; a read that fails (tape exhaustion) adds nothing.
     """
 
     def __init__(self, inner: EntropySource) -> None:

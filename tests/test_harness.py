@@ -83,11 +83,11 @@ def test_bench_elapsed_is_the_time_the_run_took():
 
 
 def test_bench_recycler_memory_is_bounded():
-    # --rolls has no upper bound; outcomes are held a block at a time, so a
-    # million rolls peak far below the 8 MB one list of them would take
+    # --rolls has no upper bound; outcomes are held a block at a time, so
+    # 250000 rolls peak far below the 2 MB one list of them would take
     tracemalloc.start()
     try:
-        bench_recycler(6, 10**6)
+        bench_recycler(6, 250_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -18,6 +18,12 @@ def test_old_text_occurs_once(path, old):
     assert text.count(old) == 1, f"{old!r} occurs {text.count(old)} times in {path}"
 
 
+def test_rows_are_unique():
+    # a row's file and texts tell it from every other row, so they can name it
+    rows = [tuple(row[:3]) for row in MUTANTS]
+    assert len(set(rows)) == len(rows)
+
+
 @pytest.mark.parametrize("node", sorted({node for *_, ids in MUTANTS for node in ids}))
 def test_named_test_exists(node):
     file, _, name = node.partition("::")

@@ -41,3 +41,15 @@ def test_package_exports_nothing_beyond_all():
                 if not name.startswith("_")
                 and not isinstance(value, types.ModuleType)}
     assert exported == set(dicepool.__all__) - {"__version__"}
+
+
+def test_public_names_have_docstrings():
+    # the docstrings are the contracts; README.md tells the mechanism
+    pool = dicepool.EntropyPool
+    named = {name: getattr(dicepool, name) for name in dicepool.__all__}
+    named.update((f"EntropyPool.{name}", getattr(pool, name)) for name in dir(pool)
+                 if not name.startswith("_"))
+    checked = {name for name, obj in named.items() if callable(obj)}
+    assert {"EntropyPool.roll_many", "EntropyPool.from_snapshot", "roll_batch"} <= checked
+    for name in checked:
+        assert (named[name].__doc__ or "").strip(), f"{name} has no docstring"

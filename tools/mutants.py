@@ -58,7 +58,7 @@ SCALAR = "tests/test_sources.py::test_seeded_source_is_scalar_splitmix64"
 TOP_OFF_DRAWN = "drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk"
 MANY_DRAWN = "drawn = (word_bits - (size - 1).bit_length()) // chunk * chunk"
 # roll and roll_many open with the same state check; the line after it tells them apart
-ROLL_STATE = ("if not 0 <= value < size:  # corrupt: a valid state stays valid until return\n"
+ROLL_STATE = ("if not 0 <= value < size:\n"
               "            raise ValueError(_refusal(\"value\", value, 0, size - 1))\n        sides")
 MANY_STATE = ROLL_STATE.replace("sides", "if out")
 # the iterable loop's refill test; the count form's is followed by its hand-off test
@@ -72,10 +72,16 @@ EMPTY_GIVE_BACK = UNREAD_LINE + DRAWN_LINE
 BAND_VIEW = "                                    octets = bytewise and ahead.to_bytes("
 COUNT_VIEW = "\n                            octets = bytewise and ahead.to_bytes("
 RANGES = POOL + "test_roll_many_refuses_a_range_end_in_its_turn"
+# the span reads of the iterable loop's band and of the count loop, told
+# apart by their indents
+BAND_INDENT = " " * 36
+BAND_SPAN_READ = "ahead = next_bits(span)\n" + BAND_INDENT + "except EntropyExhausted:"
+COUNT_SPAN_READ = "ahead = next_bits(span)\n" + " " * 28 + "except EntropyExhausted:"
 
 # (file under src/dicepool, old text occurring exactly once, new text, test node ids)
 MUTANTS = [
-    ("pool.py", "if quotient < keep:  # for ints", "if quotient <= keep:  # for ints",
+    ("pool.py", "value // sides\n        if quotient < keep:",
+     "value // sides\n        if quotient <= keep:",
      [EXHAUSTIVE, POOL + "test_roll_step_matches_divmod_cutoff_form"]),
     ("pool.py", "self.value = quotient\n            return value % sides",
      "self.value = quotient\n            return quotient % sides",
@@ -151,8 +157,7 @@ MUTANTS = [
      [CLI + "test_lines_before_tape_runs_out_are_kept"]),
     # roll_many's refill test, roll's die left unconverted, roll_many's outcome
     ("pool.py", MANY_REFILL, MANY_REFILL.replace("<= ceiling", "< ceiling"), [MANY]),
-    ("pool.py", "sides = index(sides)  # inline, not _int_in: this runs once per roll",
-     "pass  # inline, not _int_in: this runs once per roll",
+    ("pool.py", "size - 1))\n        sides = index(sides)", "size - 1))\n        pass",
      [POOL + "test_roll_refuses_non_integer_die"]),
     ("pool.py", "append(value % n)\n                            size, value = keep, quotient\n"
      "                            break",
@@ -220,8 +225,8 @@ MUTANTS = [
      "finally:\n                                    pass\n                                break",
      [MANY]),
     ("pool.py", "if size > floor:", "if size >= floor:", [MANY]),
-    ("pool.py", "self.bits_drawn += span  # less what is given back\n" + BAND_VIEW,
-     "pass\n" + BAND_VIEW,
+    ("pool.py", "left = span\n" + BAND_INDENT + "self.bits_drawn += span",
+     "left = span\n" + BAND_INDENT + "pass",
      [MANY, POOL + "test_roll_many_matches_the_reference_loop"]),
     ("pool.py", "\n                        cutoff = n * keep",
      "\n                        cutoff = n * keep - 1", [MANY]),
@@ -244,11 +249,12 @@ MUTANTS = [
      [CLI + "test_bulk_rolls_read_the_source_a_word_at_a_time"]),
     ("pool.py", EMPTY_GIVE_BACK, EMPTY_GIVE_BACK.replace(UNREAD_LINE, ""), [EMPTIED]),
     ("pool.py", EMPTY_GIVE_BACK, EMPTY_GIVE_BACK.replace(DRAWN_LINE, ""), [EMPTIED]),
-    ("pool.py", "source.unread(ahead & ((1 << left) - 1), left)  # what", "pass  # what",
+    ("pool.py", "= size, value\n            source.unread(ahead & ((1 << left) - 1), left)",
+     "= size, value\n            pass",
      [MANY, SHORT_TAPE]),
     ("pool.py", "self.bits_drawn -= left\n\n    def snapshot", "\n\n    def snapshot",
      [MANY, SHORT_TAPE]),
-    ("pool.py", "except EntropyExhausted:  # short of a span:", "except ():  # short of a span:",
+    ("pool.py", BAND_SPAN_READ, BAND_SPAN_READ.replace("EntropyExhausted", "()"),
      [MANY, SHORT_TAPE]),
     ("pool.py", "n = object()", "n = None",
      [POOL + "test_roll_many_refuses_a_first_die_of_none_unread"]),
@@ -272,8 +278,8 @@ MUTANTS = [
     ("pool.py", "ahead >> left & ((1 << drawn) - 1)", "ahead >> left & ((1 << drawn - 1) - 1)",
      [MANY, BULK_BATCH]),
     ("pool.py", "self.bits_drawn += more", "pass", [MANY, BULK_BATCH]),
-    ("radix.py", "    finally:  # the draws made before a raise are decoded too\n",
-     "    except BaseException:\n        raise\n    else:\n",
+    ("radix.py", "count=count)\n    finally:",
+     "count=count)\n    except BaseException:\n        raise\n    else:",
      [BULK_BATCH, CLI + "test_lines_before_tape_runs_out_are_kept"]),
     # the digit tables, least significant first, now in pool.py; then the
     # count form: its gate and table cap, the least size for k passes, k
@@ -293,8 +299,8 @@ MUTANTS = [
      "if quotient <= keep:\n                            out +=", [COUNT]),
     ("pool.py", "out += tables[k][value % power]", "out += tables[k][value % power][::-1]",
      [COUNT, COUNT_ANY]),
-    ("pool.py", "if size <= floor:  # below the one-chunk band",
-     "if size < floor:  # below the one-chunk band", [COUNT]),
+    ("pool.py", "if size <= ceiling:\n                        if size <= floor:",
+     "if size <= ceiling:\n                        if size < floor:", [COUNT]),
     # SeededSource's four-lane pull: each lane's state offset, the state's
     # step, the mask of the wrapped lanes and of each lane before the first
     # multiply, the first fold's mask; next_bits counting the class's word
@@ -325,9 +331,9 @@ MUTANTS = [
     # the count form's other hand-offs to the iterable loop: a single pass
     # that rejects, a span read that runs short, the die the loop rolls
     # counted once; then the gate's ceiling
-    ("pool.py", "if quotient >= keep:  # a reject", "if quotient > keep:  # a reject", [COUNT]),
-    ("pool.py", "except EntropyExhausted:  # too few bits for a span",
-     "except ():  # too few bits for a span", [COUNT]),
+    ("pool.py", "value // n\n                    if quotient >= keep:",
+     "value // n\n                    if quotient > keep:", [COUNT]),
+    ("pool.py", COUNT_SPAN_READ, COUNT_SPAN_READ.replace("EntropyExhausted", "()"), [COUNT]),
     ("pool.py", "sides, rest = (n,), rest - 1", "sides, rest = (n,), rest", [COUNT]),
     ("pool.py", "1 < sides <= ceiling\n", "1 < sides <= ceiling + 1\n", [GATE]),
     # a range checked once by its two ends, each against 1 and the ceiling
@@ -335,7 +341,7 @@ MUTANTS = [
     ("pool.py", "1 <= sides[0] <= ceiling\n", "1 <= sides[0] <= ceiling + 1\n", [RANGES]),
     # the byte view: dropped when a wide top-up replaces the read-ahead,
     # each span's bytes least significant first, in both loops
-    ("pool.py", 'octets = b""  # ahead is new', 'pass  # ahead is new',
+    ("pool.py", "| fresh\n" + BAND_INDENT + 'octets = b""', "| fresh\n" + BAND_INDENT + "pass",
      [POOL + "test_roll_many_matches_the_reference_loop"]),
     ("pool.py", BAND_VIEW + 'span >> 3, "little")', BAND_VIEW + 'span >> 3, "big")',
      ["tests/test_harness.py::test_shuffle_fixture"]),
