@@ -7,7 +7,6 @@ one fast loop; README.md, "How `roll_many` works", tells how it works.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterable
 from functools import lru_cache
 from itertools import product, repeat
@@ -173,7 +172,7 @@ class EntropyPool:
         octets, bytewise = b"", chunk == 8  # at 8-bit chunks, the span's bytes, low first
         n = object()  # the last die checked; fresh, so a first die of None is checked too
         if run is not None:  # one die, count times, several passes at a time
-            n, rest, sides, (sizes, powers, tables, low) = sides, count, (), run
+            n, rest, sides, (least, low, most, top, powers, tables) = sides, count, (), run
         ranged = type(sides) is range and (not sides or 1 <= sides[0] <= ceiling
                                            and 1 <= sides[-1] <= ceiling)
         try:
@@ -253,17 +252,18 @@ class EntropyPool:
                         value = value << chunk | (octets[left >> 3] if octets
                                                   else ahead >> left & mask)
                         size <<= chunk
-                    k = bisect_right(sizes, size)  # the most passes with no refill between
-                    if low <= k <= rest:  # k passes over n accept iff one pass over n**k does
-                        power = powers[k]
-                        keep = size // power
-                        quotient = value // power
-                        if quotient < keep:
-                            out += tables[k][value % power]
-                            size, value = keep, quotient
-                            rest -= k
-                            continue
-                    keep = size // n  # one pass: k too small or too few dice left
+                    if size >= least:  # low passes fit with no refill between, top from most up
+                        k = top if size >= most else low
+                        if k <= rest:  # k passes over n accept iff one pass over n**k does
+                            power = powers[k]
+                            keep = size // power
+                            quotient = value // power
+                            if quotient < keep:
+                                out += tables[k][value % power]
+                                size, value = keep, quotient
+                                rest -= k
+                                continue
+                    keep = size // n  # one pass: too few fit, too few dice left, or a reject
                     quotient = value // n
                     if quotient >= keep:  # a reject: hand the die over
                         break
@@ -302,10 +302,12 @@ def _table(group: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def _fused_run(n: int, word_bits: int, chunk_bits: int) -> tuple | None:
     """The count form's run of the int die n, or None if fewer than two passes fit.
 
-    sizes[k - 1] = (ceiling + 1) * n**(k - 1) is the least size from which
-    k passes fit with no refill between them, powers[k] = n**k, and
-    tables[k] = `_table((n,) * k)` for the top two k, from low; k stops at
-    the widest pool and at TABLE_DIGITS (README.md, "How `roll_many` works").
+    The run is (least, low, most, top, powers, tables). k passes fit with no
+    refill between them from the size (ceiling + 1) * n**(k - 1) up; top is
+    the largest k the widest pool and TABLE_DIGITS allow, low = max(2, top - 1),
+    and `least` and `most` are the sizes low and top passes fit from. For
+    k = low and top, powers[k] = n**k and tables[k] = `_table((n,) * k)`
+    (README.md, "How `roll_many` works").
     """
     ceiling = 1 << (word_bits - chunk_bits)
     sizes, powers = [ceiling + 1], [1, n]
@@ -317,4 +319,4 @@ def _fused_run(n: int, word_bits: int, chunk_bits: int) -> tuple | None:
         return None
     low = max(2, top - 1)
     tables = [None] * low + [_table((n,) * k) for k in range(low, top + 1)]
-    return sizes, powers, tables, low
+    return sizes[low - 1], low, sizes[-1], top, powers, tables

@@ -64,25 +64,35 @@ VERSUS_GRID = [(sides, word_bits, chunk_bits) for word_bits, chunk_bits in ((64,
                for sides in (6, 52, 1000)]
 
 
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_record_has_one_more_versus_block_per_python_flag(path):
+    record = json.loads(path.read_text())
+    assert len(record.get("versus_pythons", [])) == record["command"].count("--python")
+
+
 @pytest.mark.parametrize("path", [p for p in RECORDS if "versus" in json.loads(p.read_text())],
                          ids=lambda p: p.name)
 def test_versus_block_covers_its_grid_with_whole_pairs(path):
     record = json.loads(path.read_text())
-    block = record["versus"]
-    assert block["python"].count(".") == 2
-    cells = block["cells"]
-    assert [(c["sides"], c["word_bits"], c["chunk_bits"]) for c in cells] == VERSUS_GRID
-    for cell in cells:
-        assert cell["pairs"] == len(record["seeds"]) and cell["rolls"] > 0
-        ratio = cell["ratio"]
-        assert 0 < ratio["min"] <= ratio["median"] <= ratio["max"], cell
-        assert cell["recycler_rolls_per_s"] > 0 and cell["naive_rolls_per_s"] > 0
-        for side in ("recycler", "naive"):
-            bits, rolls = cell[side + "_bits"], cell["rolls"] * cell["pairs"]
-            assert isinstance(bits, int) and cell[side + "_bits_per_roll"] == bits / rolls
-        # each roll carries log2(sides) bits, and the recycler wastes less
-        assert (math.log2(cell["sides"]) <= cell["recycler_bits_per_roll"]
-                < cell["naive_bits_per_roll"]), cell
+    blocks = [record["versus"], *record.get("versus_pythons", [])]  # one more per --python
+    # the bits drawn are exact, so every interpreter draws the same
+    bits = [[(c["recycler_bits"], c["naive_bits"]) for c in block["cells"]] for block in blocks]
+    assert all(drawn == bits[0] for drawn in bits)
+    for block in blocks:
+        assert block["python"].count(".") == 2
+        cells = block["cells"]
+        assert [(c["sides"], c["word_bits"], c["chunk_bits"]) for c in cells] == VERSUS_GRID
+        for cell in cells:
+            assert cell["pairs"] == len(record["seeds"]) and cell["rolls"] > 0
+            ratio = cell["ratio"]
+            assert 0 < ratio["min"] <= ratio["median"] <= ratio["max"], cell
+            assert cell["recycler_rolls_per_s"] > 0 and cell["naive_rolls_per_s"] > 0
+            for side in ("recycler", "naive"):
+                bits, rolls = cell[side + "_bits"], cell["rolls"] * cell["pairs"]
+                assert isinstance(bits, int) and cell[side + "_bits_per_roll"] == bits / rolls
+            # each roll carries log2(sides) bits, and the recycler wastes less
+            assert (math.log2(cell["sides"]) <= cell["recycler_bits_per_roll"]
+                    < cell["naive_bits_per_roll"]), cell
 
 
 def test_head_to_head_takes_medians_and_pairwise_ratios():

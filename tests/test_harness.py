@@ -8,6 +8,7 @@ import pytest
 
 from dicepool import (
     EntropyExhausted,
+    EntropyPool,
     SeededSource,
     TapeSource,
     bench_naive,
@@ -16,7 +17,7 @@ from dicepool import (
     enumerate_exact,
     shuffle,
 )
-from dicepool.harness import BENCH_BLOCK, MAX_TABLE_SIZE
+from dicepool.harness import BENCH_BLOCK, BYTE_TALLY_SIDES, MAX_TABLE_SIZE
 
 SHUFFLE_52_SEED_7 = [
     21, 44, 14, 33, 6, 47, 22, 30, 34, 24, 35, 2, 27, 0, 36, 23, 4, 28,
@@ -80,6 +81,19 @@ def test_bench_elapsed_is_the_time_the_run_took():
         start = time.perf_counter()
         report = bench(6, 3 * BENCH_BLOCK + 5)
         assert 0 < report.elapsed <= time.perf_counter() - start
+
+
+@pytest.mark.parametrize("sides", [2, 16, 17, 52])
+def test_bench_recycler_byte_tally_matches_a_plain_tally(sides):
+    # d2 and d16 are tallied by bytes.count, d17 and d52 one outcome at a
+    # time; three blocks, the last one partial
+    assert BYTE_TALLY_SIDES == 16
+    rolls = 2 * BENCH_BLOCK + 5
+    report = bench_recycler(sides, rolls, seed=3)
+    counts = [0] * sides
+    for outcome in EntropyPool().roll_many(sides, SeededSource(3), count=rolls):
+        counts[outcome] += 1
+    assert (report.chi_square, report.dof) == chi_square(counts)
 
 
 def test_bench_recycler_memory_is_bounded():

@@ -504,17 +504,55 @@ def test_the_count_form_fuses_only_small_dice(monkeypatch):
     assert [n for n, run in looked_up.items() if run] == list(range(2, 91))
     assert list(_count_form_lookups(monkeypatch, 6, 5, range(1, 5))) == [2]  # d3 > ceiling 2
     # k runs up to the widest pool and TABLE_DIGITS, not the count, and only
-    # the two largest k have tables
-    sizes, powers, tables, low = _fused_run(6, 64, 8)
-    assert sizes == [(2**56 + 1) * 6**j for j in range(4)] and powers == [1, 6, 36, 216, 1296]
-    assert low == 3 and tables == [None] * 3 + [_table((6,) * 3), _table((6,) * 4)]
-    sizes, powers, tables, low = _fused_run(16, 64, 8)  # d16 fits two passes, no more
-    assert (sizes, powers, tables, low) == ([2**56 + 1, (2**56 + 1) * 16], [1, 16, 256],
-                                            [None, None, _table((16, 16))], 2)
-    sizes, powers, tables, low = _fused_run(2, 128, 64)
-    assert len(sizes) == 10 and len(tables[10]) * 10 <= TABLE_DIGITS < 2**11 * 11
+    # the two largest k have tables, each with the least size it fits from
+    least, low, most, top, powers, tables = _fused_run(6, 64, 8)
+    assert (least, most) == ((2**56 + 1) * 6**2, (2**56 + 1) * 6**3) and most * 6 > 2**64
+    assert (low, top) == (3, 4) and powers == [1, 6, 36, 216, 1296]
+    assert tables == [None] * 3 + [_table((6,) * 3), _table((6,) * 4)]
+    run = _fused_run(16, 64, 8)  # d16 fits two passes, no more: one threshold
+    assert run == ((2**56 + 1) * 16, 2, (2**56 + 1) * 16, 2, [1, 16, 256],
+                   [None, None, _table((16, 16))])
+    least, low, most, top, powers, tables = _fused_run(2, 128, 64)
+    assert (low, top, most) == (9, 10, (2**64 + 1) * 2**9)
+    assert len(tables[10]) * 10 <= TABLE_DIGITS < 2**11 * 11
     # a ten-d6 plan decodes by the same (6, 6, 6, 6) table
-    assert RadixPlan([6] * 10).steps[0][1] is _fused_run(6, 64, 8)[2][4]
+    assert RadixPlan([6] * 10).steps[0][1] is _fused_run(6, 64, 8)[5][4]
+
+
+class _Adds(list):
+    """A list that notes how `roll_many` fills it: 1 per append, k per
+    fused pass that adds its k digits at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.adds = []
+
+    def append(self, outcome):
+        self.adds.append(1)
+        super().append(outcome)
+
+    def __iadd__(self, digits):
+        self.adds.append(len(digits))
+        return super().__iadd__(digits)
+
+
+# The count loop fuses top passes from `most` up, low passes from `least`
+# up, and makes one pass below. Every choice gives the same outcomes, bits
+# and state, so the width of the first pass, as `out` sees it, pins each
+# threshold. d16 at (64, 8) fuses two passes and no more: one threshold.
+@pytest.mark.parametrize("sides, geometry", [
+    (2, (64, 8)), (6, (64, 8)), (16, (64, 8)), (6, (128, 64)),
+], ids=str)
+def test_the_count_form_fuses_from_each_threshold(sides, geometry):
+    least, low, most, top, *_ = _fused_run(sides, *geometry)
+    cases = [(most, top), (most - 1, low)] if top > low else []
+    for size, passes in cases + [(least, low), (least - 1, 1)]:
+        snap = (size, 0, *geometry)
+        pool, tape, out = EntropyPool.from_snapshot(snap), TapeSource(bytes(range(64))), _Adds()
+        counted = observe(lambda: pool.roll_many(sides, tape, out, count=3 * top), pool, tape)
+        pool, tape = EntropyPool.from_snapshot(snap), TapeSource(bytes(range(64)))
+        repeated = observe(lambda: pool.roll_many(repeat(sides, 3 * top), tape), pool, tape)
+        assert counted == repeated and out.adds[0] == passes, (size, out.adds)
 
 
 def test_the_count_form_works_out_its_steps_once_per_die():

@@ -29,7 +29,10 @@ calls run alternately (the recycler first on even pairs), each in a
 fresh process, and the block keeps each side's median rate, the median
 pairwise ratio of the rates with its range, each side's bits drawn, summed
 over the pairs, and so its exact bits per roll, and the interpreter's
-version.
+version. Each `--python PATH` (repeatable) runs the same grid once more
+under that interpreter, into one more block of `versus_pythons`:
+
+    python tools/bench_record.py --seeds 10 --python python3.10 --python python3.13
 """
 
 from __future__ import annotations
@@ -105,10 +108,11 @@ print(json.dumps([rolls / report.elapsed, report.bits_in, platform.python_versio
 """
 
 
-def bench_call(tree: Path, *args) -> list:
-    """`BENCH_CALL` run on `tree`'s sources: [rolls/s, bits drawn, Python version]."""
+def bench_call(tree: Path, python: str, *args) -> list:
+    """`BENCH_CALL` run by `python` on `tree`'s sources: [rolls/s, bits drawn,
+    Python version]."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "-c", BENCH_CALL, json.dumps(args)], cwd=tree,
+    done = subprocess.run([python, "-c", BENCH_CALL, json.dumps(args)], cwd=tree,
                           env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if done.returncode:
         raise SystemExit(f"error: bench call {args} exited {done.returncode}: "
@@ -131,23 +135,23 @@ def head_to_head(pairs: list[tuple[list, list]], rolls: int) -> dict:
     }
 
 
-def versus(tree: Path, seeds: range) -> dict:
-    """The `versus` block: the recycler against bench_naive on the grid."""
-    rolls, cells, python = 200_000, [], None
+def versus(tree: Path, seeds: range, python: str = sys.executable) -> dict:
+    """A `versus` block: the recycler against bench_naive on the grid, run by `python`."""
+    rolls, cells, version = 200_000, [], None
     for word_bits, chunk_bits in ((64, 8), (128, 64)):
         for sides in (6, 52, 1000):
             pairs = []
             for i, seed in enumerate(seeds):
                 order = ("recycler", "naive") if i % 2 == 0 else ("naive", "recycler")
-                calls = {sampler: bench_call(tree, sampler, sides, rolls, seed, word_bits,
-                                             chunk_bits) for sampler in order}
+                calls = {sampler: bench_call(tree, python, sampler, sides, rolls, seed,
+                                             word_bits, chunk_bits) for sampler in order}
                 pairs.append((calls["recycler"], calls["naive"]))
-                python = calls["recycler"][2]
+                version = calls["recycler"][2]
             cells.append({"sides": sides, "word_bits": word_bits, "chunk_bits": chunk_bits,
                           **head_to_head(pairs, rolls)})
-            print(f"versus d{sides} at ({word_bits}, {chunk_bits}): recycler/naive "
-                  f"{cells[-1]['ratio']['median']:.3f}x", file=sys.stderr)
-    return {"python": python, "cells": cells}
+            print(f"versus d{sides} at ({word_bits}, {chunk_bits}), Python {version}: "
+                  f"recycler/naive {cells[-1]['ratio']['median']:.3f}x", file=sys.stderr)
+    return {"python": version, "cells": cells}
 
 
 def fill_tree(into: Path, rev: str | None) -> str | None:
@@ -183,6 +187,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=5, help="runs (or pairs) per workload")
     parser.add_argument("--first-seed", type=int, default=1, help="seeds are consecutive")
     parser.add_argument("--against", metavar="REV", help="run alternating pairs against REV")
+    parser.add_argument("--python", metavar="PATH", action="append", default=[],
+                        help="one more versus block run by this interpreter (repeatable)")
     args = parser.parse_args(argv)
     if args.seeds < 1 or args.first_seed < 0:
         parser.error("--seeds must be positive and --first-seed nonnegative")
@@ -212,10 +218,12 @@ def main(argv=None) -> int:
                 **({"against_runs": theirs} if against else {}),
             }
         head = versus(ours, seeds)
+        others = [versus(ours, seeds, python) for python in args.python]
     record = {
         "command": ["python", "tools/bench_record.py", *(argv or sys.argv[1:])],
         "seconds": seconds, "trace": 0, "seeds": list(seeds),
         "against": against, "workloads": workloads, "versus": head,
+        "versus_pythons": others,
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -53,6 +53,8 @@ EMPTIED = POOL + "test_roll_many_gives_back_its_read_ahead_before_roll_fills_an_
 COUNT = "tests/test_exhaustive.py::test_roll_many_count_matches_the_reference_loop_everywhere"
 COUNT_ANY = POOL + "test_roll_many_count_matches_the_reference_loop"
 GATE = POOL + "test_the_count_form_fuses_only_small_dice"
+THRESHOLDS = POOL + "test_the_count_form_fuses_from_each_threshold"
+TALLY = "tests/test_harness.py::test_bench_recycler_byte_tally_matches_a_plain_tally"
 SCALAR = "tests/test_sources.py::test_seeded_source_is_scalar_splitmix64"
 # the refill width, in top_off and in roll_many's wide branch
 TOP_OFF_DRAWN = "drawn = (self.word_bits - (size - 1).bit_length()) // chunk * chunk"
@@ -292,11 +294,11 @@ MUTANTS = [
     ("pool.py", "powers[-1] * n * len(powers) <= TABLE_DIGITS", "powers[-1] * n <= TABLE_DIGITS",
      [GATE]),
     ("pool.py", "[ceiling + 1], [1, n]", "[ceiling], [1, n]", [COUNT, COUNT_ANY]),
-    ("pool.py", "if low <= k <= rest:", "if low <= k:", [COUNT, COUNT_ANY]),
+    ("pool.py", "if k <= rest:", "if True:", [COUNT, COUNT_ANY]),
     ("pool.py", "low = max(2, top - 1)\n", "low = max(2, top - 2)\n",
      [POOL + "test_runs_of_four_dice_in_turn_keep_their_tables"]),
-    ("pool.py", "if quotient < keep:\n                            out +=",
-     "if quotient <= keep:\n                            out +=", [COUNT]),
+    ("pool.py", "if quotient < keep:\n                                out +=",
+     "if quotient <= keep:\n                                out +=", [COUNT]),
     ("pool.py", "out += tables[k][value % power]", "out += tables[k][value % power][::-1]",
      [COUNT, COUNT_ANY]),
     ("pool.py", "if size <= ceiling:\n                        if size <= floor:",
@@ -347,6 +349,14 @@ MUTANTS = [
      ["tests/test_harness.py::test_shuffle_fixture"]),
     ("pool.py", COUNT_VIEW + 'span >> 3, "little")', COUNT_VIEW + 'span >> 3, "big")',
      [FROZEN + "[bench -n 6 --rolls 20000 --seed 1 --baseline]"]),
+    # the count loop's two thresholds, each the least size its k fits from;
+    # bench_recycler's byte tally, block after block and face by face
+    ("pool.py", "if size >= least:", "if size > least:", [THRESHOLDS]),
+    ("pool.py", "top if size >= most else low", "top if size > most else low", [THRESHOLDS]),
+    ("harness.py", "counts[face] += data.count(face)", "counts[face] = data.count(face)",
+     [TALLY, FROZEN + "[bench -n 6 --rolls 20000 --seed 1 --baseline]"]),
+    ("harness.py", "for face in range(sides):", "for face in range(sides - 1):",
+     [TALLY, FROZEN + "[bench -n 6 --rolls 20000 --seed 1 --baseline]"]),
 ]
 
 
